@@ -25,6 +25,7 @@ from .errors import (
     StencilOutOfDomain,
     ThreeSpheresError,
     TouchingBalls,
+    UnderResolved,
 )
 from .geometry import (
     Ball,

@@ -17,6 +17,10 @@ class OutOfRange(ThreeSpheresError):
     """Parameter outside its admissible interval."""
 
 
+class UnderResolved(OutOfRange):
+    """Input the quadrature rules cannot resolve to their accuracy target."""
+
+
 class SingularPoint(ThreeSpheresError):
     """Evaluation requested at the inversion center."""
 

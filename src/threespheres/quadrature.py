@@ -13,6 +13,13 @@ Weighted integrals carry the densities induced by the inversion:
 Both densities are analytic near the closed ball (a lies strictly outside),
 so deterministic rules converge geometrically; node counts are sized from
 the annulus ratio, distance(center, a)/radius.
+
+Integration works on columns: :func:`integrals` places a rule on a sphere or
+ball, calls a function mapping (N, n) points to (N, P) values (once per
+radial shell on a ball), and contracts the values with plain, ds_a or dmu_a
+weights, returning each column's integral and Monte Carlo standard error.
+The batched checks call it with P corpus functions; the public integrals
+below are its one-column case.
 """
 
 from __future__ import annotations
@@ -24,7 +31,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import roots_jacobi, roots_legendre
 
-from .errors import OutOfRange, RuleDimensionMismatch
+from .errors import OutOfRange, RuleDimensionMismatch, UnderResolved
 from .geometry import Ball, InversionData
 
 __all__ = [
@@ -117,17 +124,18 @@ class SphereRule:
     @classmethod
     def default(cls, n: int, degree: int, kappa: float | None = None,
                 digits: int = 12, samples: int = 200_000, seed: int = 0,
-                method: str = "auto") -> "SphereRule":
+                method: str = "auto", pole_order: int = 4) -> "SphereRule":
         """Policy rule: deterministic for n <= 3, Monte Carlo for n >= 4.
 
         ``kappa`` > 1 is the annulus ratio distance/radius of the nearest
         integrand singularity; deterministic node counts grow like
         digits/log(kappa) to integrate such analytic densities to ``digits``
-        accurate digits.
+        accurate digits (see :func:`analytic_degree` for ``pole_order``).
         """
         if method == "monte-carlo" or (method == "auto" and n >= 4):
             return cls.monte_carlo(n, samples=samples, seed=seed)
-        return cls.product(n, analytic_degree(degree, kappa, digits))
+        return cls.product(n, analytic_degree(degree, kappa, digits,
+                                              pole_order))
 
 
 def analytic_degree(degree: int, kappa: float | None, digits: int = 12,
@@ -147,7 +155,9 @@ def analytic_degree(degree: int, kappa: float | None, digits: int = 12,
             raise OutOfRange("annulus ratio must exceed 1 (singularity inside "
                              "the integration sphere)")
         if kappa < 1.02:
-            kappa = 1.02
+            raise UnderResolved(
+                f"annulus ratio {kappa:.6g} is below 1.02: the singularity is "
+                "too close to the integration sphere for the rules")
         target = digits * math.log(10)
         lk = math.log(kappa)
         extra = target / lk
@@ -223,49 +233,133 @@ class BallRule:
     def n(self) -> int:
         return self.angular.n
 
-    @classmethod
-    def default(cls, n: int, degree: int, kappa: float | None = None,
-                digits: int = 12, radial_points: int = 32,
-                samples: int = 200_000, seed: int = 0,
-                method: str = "auto") -> "BallRule":
-        return cls(SphereRule.default(n, degree, kappa, digits, samples, seed,
-                                      method), radial_points)
+
+def abs2(v: np.ndarray) -> np.ndarray:
+    """|v|^2 elementwise, real output for real or complex input."""
+    return v.real ** 2 + v.imag ** 2 if np.iscomplexobj(v) else v * v
 
 
-def _householder_to(v: np.ndarray) -> np.ndarray | None:
-    """Orthogonal matrix H with H e_1 = v (None when v == e_1)."""
-    n = v.size
-    e1 = np.zeros(n)
-    e1[0] = 1.0
-    w = e1 - v
-    nw2 = float(np.dot(w, w))
-    if nw2 < 1e-30:
+class Column:
+    """A callable f of (N, n) points as a one-column evaluator, the P = 1
+    case of the (N, P) ``values`` / ``squared_values`` of a batch."""
+
+    def __init__(self, f):
+        self.f = f
+
+    def values(self, pts):
+        return np.asarray(self.f(pts))[:, None]
+
+    def squared_values(self, pts):
+        return abs2(self.values(pts))
+
+
+def _unit(v) -> np.ndarray | None:
+    """v / |v|, or None for a missing or zero vector."""
+    if v is None:
         return None
-    return np.eye(n) - 2.0 * np.outer(w, w) / nw2
+    v = np.asarray(v, dtype=float)
+    norm = float(np.linalg.norm(v))
+    return None if norm == 0.0 else v / norm
 
 
-def _oriented_nodes(rule: SphereRule, axis: np.ndarray | None) -> np.ndarray:
-    if axis is None or rule.kind == "monte-carlo":
-        return rule.nodes
-    norm = float(np.linalg.norm(axis))
-    if norm == 0.0:
-        return rule.nodes
-    H = _householder_to(axis / norm)
-    if H is None:
-        return rule.nodes
-    return rule.nodes @ H.T
+def _orient(nodes: np.ndarray, axis: np.ndarray) -> np.ndarray:
+    """Nodes under the Householder reflection taking e_1 to the unit
+    vector ``axis``."""
+    e1 = np.zeros(axis.size)
+    e1[0] = 1.0
+    w = e1 - axis
+    nw2 = float(w @ w)
+    if nw2 < 1e-30:
+        return nodes
+    H = np.eye(axis.size) - 2.0 * np.outer(w, w) / nw2
+    return nodes @ H.T
 
 
-def _surface_sum(values: np.ndarray, weights: np.ndarray, scale: float,
-                 mc: bool) -> NormValue:
-    total = scale * np.sum(weights * values)
+def _density(pts: np.ndarray, inv: InversionData, weight: str) -> np.ndarray:
+    """The ds_a ("s_a") or dmu_a ("mu_a") density at each point."""
+    flat = pts.reshape(-1, pts.shape[-1])
+    d = flat - inv.a
+    d2 = np.einsum("ij,ij->i", d, d)
+    if weight == "mu_a":
+        dens = 1.0 / d2 ** 2
+    else:
+        dens = (d2 + inv.R ** 2 - np.einsum("ij,ij->i", flat, flat)) / d2 ** 2
+        if np.any(dens <= 0.0):
+            raise OutOfRange("s_a density must be positive on the closed ball; "
+                             "got a nonpositive node value (sphere outside B_R?)")
+    return dens.reshape(pts.shape[:-1])
+
+
+def _points(rule, center: np.ndarray, radius: float, axis=None):
+    """Points and plain weights of a rule on S_{center,radius} (SphereRule:
+    (N, n) and (N,)) or B_{center,radius} (BallRule: (S, N, n) and (S, N),
+    radial shells first).  ``axis``, a unit vector, turns a deterministic
+    rule's polar axis toward an off-domain singularity of the integrand."""
+    angular = getattr(rule, "angular", rule)
+    n = angular.n
+    if center.size != n:
+        raise RuleDimensionMismatch(
+            f"rule dimension {n} != center dimension {center.size}")
+    if radius <= 0:
+        raise OutOfRange("radius must be positive")
+    nodes = angular.nodes
+    if axis is not None and angular.kind != "monte-carlo":
+        nodes = _orient(nodes, axis)
+    if angular is rule:
+        return center + radius * nodes, angular.weights * radius ** (n - 1)
+    tref, wref = _radial_rule_cached(rule.radial_points)
+    radii = tref * radius
+    pts = center[None, None, :] + radii[:, None, None] * nodes[None, :, :]
+    shell_w = (wref * radius) * radii ** (n - 1)
+    return pts, shell_w[:, None] * angular.weights[None, :]
+
+
+def _contract(w: np.ndarray, values: np.ndarray, mc: bool):
+    """Integral of each column of ``values`` against the weights ``w``, and
+    its Monte Carlo standard error (zero for deterministic rules).  Ball
+    shells are summed per direction first, so the error reflects the
+    independent direction samples only."""
+    vals = w.reshape(-1) @ values.reshape(w.size, -1)
     if not mc:
-        return NormValue(value=total, stderr=0.0)
-    N = values.size
-    area_scaled = scale * np.sum(weights)
-    var = np.var(values.real) + (np.var(values.imag) if np.iscomplexobj(values) else 0.0)
-    stderr = float(area_scaled) * math.sqrt(var / N)
-    return NormValue(value=total, stderr=stderr)
+        return vals, np.zeros(vals.shape)
+    N = w.shape[-1]
+    y = (N * w)[..., None] * values
+    if y.ndim == 3:
+        y = y.sum(axis=0)
+    var = np.mean(abs2(y), axis=0) - abs2(vals)
+    return vals, np.sqrt(np.maximum(var, 0.0) / N)
+
+
+def integrals(fn, rule, center, radius: float, axis=None, inv=None,
+              weights=(None,)) -> list:
+    """Column integrals of ``fn`` over the sphere (SphereRule) or ball
+    (BallRule) of ``radius`` at ``center``.
+
+    ``fn`` maps (N, n) points to (N, P) values; on a ball it is called once
+    per radial shell.  One (values, stderrs) pair of length-P arrays is
+    returned per entry of ``weights``: None for the plain measure, "s_a" or
+    "mu_a" for the densities of ``inv``, all from the same evaluations.
+    """
+    pts, w = _points(rule, np.asarray(center, dtype=float), radius, axis)
+    if pts.ndim == 2:
+        values = fn(pts)
+    else:
+        values = None
+        for s, shell in enumerate(pts):
+            v = fn(shell)
+            if values is None:
+                values = np.empty(pts.shape[:2] + v.shape[1:], dtype=v.dtype)
+            values[s] = v
+    mc = getattr(rule, "angular", rule).kind == "monte-carlo"
+    return [_contract(w if kind is None else w * _density(pts, inv, kind),
+                      values, mc) for kind in weights]
+
+
+def _integral(fn, rule, center, radius: float, axis=None, inv=None,
+              weight=None) -> NormValue:
+    """:func:`integrals` of a one-column function."""
+    (vals, errs), = integrals(fn, rule, center, radius, axis, inv, (weight,))
+    return NormValue(value=vals[0], stderr=float(errs[0]))
 
 
 def surface_integral(f, center, radius: float, rule: SphereRule,
@@ -284,71 +378,20 @@ def surface_integral(f, center, radius: float, rule: SphereRule,
         deterministic rule's polar axis is rotated onto it so the density
         varies only along the Gauss direction.
     """
-    center = np.asarray(center, dtype=float)
-    if center.size != rule.n:
-        raise RuleDimensionMismatch(
-            f"rule dimension {rule.n} != center dimension {center.size}")
-    if radius <= 0:
-        raise OutOfRange("radius must be positive")
-    nodes = _oriented_nodes(rule, None if axis is None else np.asarray(axis, float))
-    pts = center + radius * nodes
-    values = np.asarray(f(pts))
-    scale = radius ** (rule.n - 1)
-    return _surface_sum(values, rule.weights, scale, rule.kind == "monte-carlo")
-
-
-def _sa_density(pts: np.ndarray, inv: InversionData) -> np.ndarray:
-    d = pts - inv.a
-    d2 = np.einsum("ij,ij->i", d, d)
-    dens = (d2 + inv.R ** 2 - np.einsum("ij,ij->i", pts, pts)) / d2 ** 2
-    if np.any(dens <= 0.0):
-        raise OutOfRange("s_a density must be positive on the closed ball; "
-                         "got a nonpositive node value (sphere outside B_R?)")
-    return dens
+    return _integral(Column(f).values, rule, center, radius, _unit(axis))
 
 
 def weighted_surface_integral_sa(f, center, radius: float, inv: InversionData,
                                  rule: SphereRule) -> NormValue:
     """Integral of f against ds_a = (|y-a|^2 + R^2 - |y|^2)/|y-a|^4 ds."""
     center = np.asarray(center, dtype=float)
-    if center.size != rule.n:
-        raise RuleDimensionMismatch(
-            f"rule dimension {rule.n} != center dimension {center.size}")
-    nodes = _oriented_nodes(rule, inv.a - center)
-    pts = center + radius * nodes
-    values = np.asarray(f(pts)) * _sa_density(pts, inv)
-    scale = radius ** (rule.n - 1)
-    return _surface_sum(values, rule.weights, scale, rule.kind == "monte-carlo")
-
-
-def _ball_accumulate(f, ball: Ball, rule: BallRule, weight_fn=None,
-                     axis=None) -> NormValue:
-    if ball.dimension != rule.n:
-        raise RuleDimensionMismatch(
-            f"rule dimension {rule.n} != ball dimension {ball.dimension}")
-    tref, wref = _radial_rule_cached(rule.radial_points)
-    radii = tref * ball.radius
-    wr = wref * ball.radius
-    nodes = _oriented_nodes(rule.angular,
-                            None if axis is None else np.asarray(axis, float))
-    n = rule.n
-    mc = rule.angular.kind == "monte-carlo"
-    # contract radially per angular node so MC stderr reflects independent
-    # direction samples only
-    per_node = None
-    for j in range(radii.size):
-        pts = ball.center + radii[j] * nodes
-        vals = np.asarray(f(pts))
-        if weight_fn is not None:
-            vals = vals * weight_fn(pts)
-        contrib = (wr[j] * radii[j] ** (n - 1)) * vals
-        per_node = contrib if per_node is None else per_node + contrib
-    return _surface_sum(per_node, rule.angular.weights, 1.0, mc)
+    return _integral(Column(f).values, rule, center, radius,
+                     _unit(inv.a - center), inv, "s_a")
 
 
 def ball_integral(f, ball: Ball, rule: BallRule) -> NormValue:
     """Integral of f over the open ball (plain Lebesgue measure)."""
-    return _ball_accumulate(f, ball, rule)
+    return _integral(Column(f).values, rule, ball.center, ball.radius)
 
 
 def weighted_ball_integral_mua(f, ball: Ball, rule: BallRule,
@@ -356,38 +399,30 @@ def weighted_ball_integral_mua(f, ball: Ball, rule: BallRule,
     """Integral of f against dmu_a = |y - a|^{-4} dy."""
     if inv.a_norm <= inv.R - 1e-12:
         raise OutOfRange("inversion center must lie outside the closed ball")
-
-    def mua(pts):
-        d = pts - inv.a
-        d2 = np.einsum("ij,ij->i", d, d)
-        return 1.0 / d2 ** 2
-
-    return _ball_accumulate(f, ball, rule, weight_fn=mua, axis=inv.a - ball.center)
+    return _integral(Column(f).values, rule, ball.center, ball.radius,
+                     _unit(inv.a - ball.center), inv, "mu_a")
 
 
-def _abs2(f):
-    def g(pts):
-        v = np.asarray(f(pts))
-        return v.real ** 2 + v.imag ** 2 if np.iscomplexobj(v) else v * v
-    return g
+def _root(sq: NormValue, vol: float = 1.0) -> NormValue:
+    """Square root of an integral of |f|^2 divided by ``vol``, with its
+    propagated standard error."""
+    return NormValue(value=math.sqrt(max(sq.real, 0.0) / vol),
+                     stderr=0.5 * sq.stderr / math.sqrt(max(sq.real, 1e-300) * vol))
 
 
 def l2_sphere_norm(f, center, radius: float, rule: SphereRule) -> NormValue:
     """L_2(x, r, f) = (int_{S_{x,r}} |f|^2 ds)^{1/2} (unnormalized)."""
-    sq = surface_integral(_abs2(f), center, radius, rule)
-    return NormValue(value=math.sqrt(max(sq.real, 0.0)),
-                     stderr=0.5 * sq.stderr / math.sqrt(max(sq.real, 1e-300)))
+    return _root(_integral(Column(f).squared_values, rule, center, radius))
+
 
 def l2_ball_norm(f, ball: Ball, rule: BallRule) -> NormValue:
     """A_2(x, r, f) = (int_{B_{x,r}} |f|^2 dy)^{1/2} (unnormalized form)."""
-    sq = ball_integral(_abs2(f), ball, rule)
-    return NormValue(value=math.sqrt(max(sq.real, 0.0)),
-                     stderr=0.5 * sq.stderr / math.sqrt(max(sq.real, 1e-300)))
+    return _root(_integral(Column(f).squared_values, rule, ball.center,
+                           ball.radius))
 
 
 def normalized_average_A2(f, ball: Ball, rule: BallRule) -> NormValue:
     """Volume-normalized root mean square of |f| over the ball."""
-    sq = ball_integral(_abs2(f), ball, rule)
     vol = ball_volume(ball.dimension) * ball.radius ** ball.dimension
-    return NormValue(value=math.sqrt(max(sq.real, 0.0) / vol),
-                     stderr=0.5 * sq.stderr / math.sqrt(max(sq.real, 1e-300) * vol))
+    return _root(_integral(Column(f).squared_values, rule, ball.center,
+                           ball.radius), vol)

@@ -19,27 +19,21 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ConfigError, ThreeSpheresError
-from .geometry import (
-    CorrelatedFamily,
-    correlated_radius_general,
-    delta0,
-    inversion_map,
-)
+from .geometry import CorrelatedFamily
 from .harmonic import PolynomialEvaluator, random_harmonic_polynomial
-from .quadrature import SphereRule, analytic_degree, ball_volume
+from .quadrature import SphereRule, integrals
 from .uniqueness import delta_lower_bound_check
 from .verify import (
     CONVEXITY_SLACK,
-    EMBED_CONSTANT,
     IDENTITY_FD_TOL,
-    INEQUALITY_TOL,
-    TRANSFER_TOL,
-    InequalityReport,
+    ball_rows,
+    convexity_margins,
     derivative_identity_check,
     embedding_identity_check,
+    error_row,
     gradient_identity_check,
     holomorphic_variant_check,
-    identity_report,
+    sphere_rows,
     upper_report,
 )
 
@@ -109,6 +103,9 @@ class SweepConfig:
         def fail(fieldname, msg):
             raise ConfigError(f"{where}: field '{fieldname}': {msg}")
 
+        def real(v):
+            return isinstance(v, (int, float)) and not isinstance(v, bool)
+
         def get_int(d, key, default, fieldname, minimum=1):
             v = d.get(key, default)
             if not isinstance(v, int) or isinstance(v, bool) or v < minimum:
@@ -134,20 +131,20 @@ class SweepConfig:
         gseed = get_int(geom, "seed", 11, "geometry.seed", minimum=0)
         xr = geom.get("x_norm_range", [0.1, 0.7])
         if (not isinstance(xr, list) or len(xr) != 2
-                or not 0 < xr[0] <= xr[1] < 1):
+                or not all(real(v) for v in xr) or not 0 < xr[0] <= xr[1] < 1):
             fail("geometry.x_norm_range", f"must be [lo, hi] with 0 < lo <= hi < 1, got {xr!r}")
         margin = geom.get("touch_margin", 0.05)
-        if not isinstance(margin, (int, float)) or not 0 < margin < 1:
+        if not real(margin) or not 0 < margin < 1:
             fail("geometry.touch_margin", f"must be in (0, 1), got {margin!r}")
         if xr[1] + margin >= 1:
             fail("geometry.x_norm_range", "hi + touch_margin must stay below 1")
         t_count = get_int(geom, "t_count", 10, "geometry.t_count")
         lambdas = geom.get("lambdas", [0.3, 0.6, 0.9])
         if (not isinstance(lambdas, list) or not lambdas
-                or any(not 0 < v < 1 for v in lambdas)):
+                or any(not real(v) or not 0 < v < 1 for v in lambdas)):
             fail("geometry.lambdas", f"must be a nonempty list inside (0, 1), got {lambdas!r}")
         xbar_fraction = geom.get("xbar_fraction", 0.5)
-        if not 0 < xbar_fraction <= 1:
+        if not real(xbar_fraction) or not 0 < xbar_fraction <= 1:
             fail("geometry.xbar_fraction", f"must be in (0, 1], got {xbar_fraction!r}")
 
         checks = raw.get("checks", list(ALL_CHECKS))
@@ -155,7 +152,7 @@ class SweepConfig:
             fail("checks", "must be a nonempty list (the corpus would be unused)")
         known = set(ALL_CHECKS) | set(OPTIONAL_CHECKS)
         for c in checks:
-            if c not in known:
+            if not isinstance(c, str) or c not in known:
                 fail("checks", f"unknown check {c!r}; known: {sorted(known)}")
         if count < 1:
             fail("corpus.count", "empty corpus")
@@ -203,275 +200,39 @@ def sample_geometries(n: int, count: int, seed: int, x_range=(0.1, 0.7),
 
 
 # ---------------------------------------------------------------------------
-# batched integration contexts
-
-
-def _sweep_sphere_rule(n: int, degree: int, kappa, mc_samples: int, seed: int,
-                       pole_order: int = 4):
-    if n <= 3:
-        return SphereRule.product(n, analytic_degree(degree, kappa,
-                                                     pole_order=pole_order))
-    return SphereRule.monte_carlo(n, samples=mc_samples, seed=seed)
-
-
-def _column_integrals(w_eff: np.ndarray, sq: np.ndarray, mc: bool):
-    """Integral per corpus column plus MC standard errors (0 when exact)."""
-    vals = w_eff @ sq
-    if not mc:
-        return vals, np.zeros_like(vals)
-    N = w_eff.size
-    y = (N * w_eff)[:, None] * sq
-    var = np.mean(y * y, axis=0) - vals ** 2
-    errs = np.sqrt(np.maximum(var, 0.0) / N)
-    return vals, errs
-
-
-class _SphereCtx:
-    """Points + effective weights for one sphere, plain or s_a-weighted."""
-
-    def __init__(self, fam, center_norm, radius, degree, weighted, mc_samples,
-                 seed):
-        n = fam.dimension
-        inv = fam.inversion
-        kappa = (inv.a_norm - center_norm) / radius if weighted else None
-        rule = _sweep_sphere_rule(n, degree, kappa, mc_samples, seed)
-        self.mc = rule.kind == "monte-carlo"
-        nodes = rule.nodes
-        if not self.mc and weighted:
-            # polar axis onto the singularity direction: both centers sit on
-            # the +e ray, so the axis is e itself
-            nodes = _orient(nodes, fam.e)
-        self.points = center_norm * fam.e + radius * nodes
-        w = rule.weights * radius ** (n - 1)
-        if weighted:
-            d = self.points - inv.a
-            d2 = np.einsum("ij,ij->i", d, d)
-            dens = (d2 + inv.R ** 2 - np.einsum("ij,ij->i", self.points,
-                                                self.points)) / d2 ** 2
-            w = w * dens
-        self.w_eff = w
-
-    def integrals(self, evaluator: PolynomialEvaluator):
-        sq = evaluator.squared_values(self.points)
-        return _column_integrals(self.w_eff, sq, self.mc)
-
-
-class _BallCtx:
-    """Radial-shell x angular point set for one ball; supports both plain and
-    mu_a-weighted integrals on the same evaluations."""
-
-    def __init__(self, fam, center_norm, radius, degree, mc_samples, seed,
-                 radial: int = 16):
-        from .quadrature import _radial_rule_cached
-
-        n = fam.dimension
-        inv = fam.inversion
-        kappa = (inv.a_norm - center_norm) / radius
-        if n <= 3:
-            # inequality margins are far above 1e-9; ten digits suffice
-            rule = SphereRule.product(n, analytic_degree(degree, kappa,
-                                                         digits=10))
-        else:
-            rule = SphereRule.monte_carlo(n, samples=mc_samples, seed=seed)
-        self.mc = rule.kind == "monte-carlo"
-        nodes = rule.nodes if self.mc else _orient(rule.nodes, fam.e)
-        tref, wref = _radial_rule_cached(radial)
-        radii = tref * radius
-        pts = (center_norm * fam.e)[None, None, :] + radii[:, None, None] * nodes[None, :, :]
-        self.points = pts.reshape(-1, n)
-        shell_w = (wref * radius) * radii ** (n - 1)
-        self.w_plain = (shell_w[:, None] * rule.weights[None, :]).reshape(-1)
-        d = self.points - inv.a
-        d2 = np.einsum("ij,ij->i", d, d)
-        self.w_mua = self.w_plain / d2 ** 2
-        self.n_angular = rule.weights.size
-        self.angular_weights = rule.weights
-
-    def integrals(self, evaluator: PolynomialEvaluator, weighted: bool):
-        sq = evaluator.squared_values(self.points)
-        w = self.w_mua if weighted else self.w_plain
-        if not self.mc:
-            return w @ sq, np.zeros(sq.shape[1])
-        # contract shells first so the stderr reflects independent directions
-        per_node = (w[:, None] * sq).reshape(-1, self.n_angular, sq.shape[1]).sum(axis=0)
-        vals = per_node.sum(axis=0)
-        N = self.n_angular
-        y = N * per_node
-        var = np.mean(y * y, axis=0) - vals ** 2
-        return vals, np.sqrt(np.maximum(var, 0.0) / N)
-
-
-def _orient(nodes: np.ndarray, axis: np.ndarray) -> np.ndarray:
-    e1 = np.zeros(axis.size)
-    e1[0] = 1.0
-    w = e1 - axis
-    nw2 = float(w @ w)
-    if nw2 < 1e-30:
-        return nodes
-    H = np.eye(axis.size) - 2.0 * np.outer(w, w) / nw2
-    return nodes @ H.T
-
-
-# ---------------------------------------------------------------------------
 # per-config batched checks
-
-
-def _beta_for(cfg: SweepConfig, rec):
-    if cfg.beta == "omega":
-        return rec.omega, None
-    if cfg.beta == "alpha":
-        return rec.alpha, None
-    beta = float(cfg.beta)
-    if not 0 < beta <= rec.alpha * (1 + 1e-12):
-        return beta, f"beta {beta} outside (0, alpha={rec.alpha:.6g}]"
-    return beta, None
 
 
 def _config_rows(n, cfg: SweepConfig, ci, x_vec, r, polys, evaluator):
     rows = []
     fam = CorrelatedFamily.create(x_vec, r, R=1.0)
     x_norm = fam.x_norm
-    inv = fam.inversion
     deg2 = 2 * cfg.corpus_max_degree
     seed0 = 90_000_019 * (ci + 1) + 101 * n
     meta = {"n": n, "x_norm": x_norm, "r": r}
-    ts = [(j + 1) / cfg.t_count * x_norm for j in range(cfg.t_count)]
-
-    want_spheres = ("three_spheres" in cfg.checks
-                    or "transfer_identity" in cfg.checks)
-    if want_spheres:
-        inner_v, inner_e = _SphereCtx(fam, x_norm, r, deg2, True,
-                                      cfg.mc_samples, seed0).integrals(evaluator)
-        outer_v, outer_e = _SphereCtx(fam, 0.0, 1.0, deg2, True,
-                                      cfg.mc_samples, seed0 + 1).integrals(evaluator)
-        for j, t in enumerate(ts):
-            rt = float(fam.radius(t))
-            rts = float(fam.image_radius(t))
-            rec = fam.exponents(t)
-            ctx = _SphereCtx(fam, t, rt, deg2, True, cfg.mc_samples,
-                             seed0 + 2 + 3 * j)
-            mid_v, mid_e = ctx.integrals(evaluator)
-            if "three_spheres" in cfg.checks:
-                beta, beta_err = _beta_for(cfg, rec)
-                for p in range(len(polys)):
-                    if beta_err is not None:
-                        rows.append(InequalityReport(
-                            name="three_spheres_eq24:error:BetaOutOfRange",
-                            lhs=math.nan, rhs=math.nan, ratio=math.nan,
-                            exponent_used=beta, tolerance=INEQUALITY_TOL,
-                            stderr_budget=0.0, passed=False, mode="upper",
-                            t=t, **meta))
-                        continue
-                    lhs = rt * mid_v[p]
-                    rhs = (r * inner_v[p]) ** beta * outer_v[p] ** (1 - beta)
-                    budget = 4.0 * (rt * mid_e[p] + rhs * (
-                        beta * inner_e[p] / max(inner_v[p], 1e-300)
-                        + (1 - beta) * outer_e[p] / max(outer_v[p], 1e-300)))
-                    rows.append(upper_report("three_spheres_eq24", lhs, rhs,
-                                             INEQUALITY_TOL, budget=budget,
-                                             exponent=beta, t=t, **meta))
-            if "transfer_identity" in cfg.checks:
-                kap = inv.a_norm / rts
-                krule = _sweep_sphere_rule(n, deg2, kap, cfg.mc_samples,
-                                           seed0 + 2 + 3 * j + 1,
-                                           pole_order=12)
-                knodes = krule.nodes if krule.kind == "monte-carlo" else _orient(
-                    krule.nodes, fam.e)
-                kpts = rts * knodes
-                img = inversion_map(inv, kpts)
-                vals = evaluator.values(img)
-                sqk = vals.real ** 2 + vals.imag ** 2
-                if n != 2:
-                    dk = kpts - inv.a
-                    pref = (inv.rho2 / np.einsum("ij,ij->i", dk, dk)) ** (n - 2)
-                    sqk = sqk * pref[:, None]
-                w_eff = krule.weights * rts ** (n - 1)
-                lhs_v, lhs_e = _column_integrals(w_eff, sqk,
-                                                 krule.kind == "monte-carlo")
-                factor = inv.rho2 * rt / rts
-                for p in range(len(polys)):
-                    budget = 4.0 * (lhs_e[p] + factor * mid_e[p])
-                    rows.append(identity_report(
-                        "transfer_identity_eq22", lhs_v[p], factor * mid_v[p],
-                        TRANSFER_TOL, budget=budget, t=t, **meta))
-
-    if ("three_balls" in cfg.checks or "embedded_bound" in cfg.checks):
-        xbar = cfg.xbar_fraction * x_norm
-        rbar = correlated_radius_general(x_norm, r, xbar, 1.0)
-        d0 = delta0(x_norm, r, xbar, 1.0)
-        inner = _BallCtx(fam, x_norm, r, deg2, cfg.mc_samples, seed0 + 50)
-        middle = _BallCtx(fam, xbar, rbar, deg2, cfg.mc_samples, seed0 + 51)
-        outer = _BallCtx(fam, 0.0, 1.0, deg2, cfg.mc_samples, seed0 + 52)
-        if "three_balls" in cfg.checks:
-            in_v, in_e = inner.integrals(evaluator, weighted=True)
-            mid_v, mid_e = middle.integrals(evaluator, weighted=True)
-            out_v, out_e = outer.integrals(evaluator, weighted=True)
-            for p in range(len(polys)):
-                rhs = in_v[p] ** d0 * out_v[p] ** (1 - d0)
-                budget = 4.0 * (mid_e[p] + rhs * (
-                    d0 * in_e[p] / max(in_v[p], 1e-300)
-                    + (1 - d0) * out_e[p] / max(out_v[p], 1e-300)))
-                rows.append(upper_report("three_balls_eq27", mid_v[p], rhs,
-                                         INEQUALITY_TOL, budget=budget,
-                                         exponent=d0, t=xbar, **meta))
-        if "embedded_bound" in cfg.checks:
-            in_v, in_e = inner.integrals(evaluator, weighted=False)
-            out_v, out_e = outer.integrals(evaluator, weighted=False)
-            for lam in cfg.lambdas:
-                lam_ctx = _BallCtx(fam, xbar, lam * rbar, deg2, cfg.mc_samples,
-                                   seed0 + 53 + int(lam * 1000))
-                lam_v, lam_e = lam_ctx.integrals(evaluator, weighted=False)
-                core = in_v ** d0 * out_v ** (1 - d0)
-                rel = (d0 * in_e / np.maximum(in_v, 1e-300)
-                       + (1 - d0) * out_e / np.maximum(out_v, 1e-300))
-                vol_lam = ball_volume(n) * (lam * rbar) ** n
-                vol_in = ball_volume(n) * r ** n
-                vol_out = ball_volume(n)
-                for p in range(len(polys)):
-                    rhs29 = EMBED_CONSTANT / (rbar * (1 - lam * lam) ** 2.5) * core[p]
-                    budget = 4.0 * (lam_e[p] + rhs29 * rel[p])
-                    rows.append(upper_report("embedded_bound_eq29", lam_v[p],
-                                             rhs29, INEQUALITY_TOL,
-                                             budget=budget, exponent=d0,
-                                             t=lam, **meta))
-                    rhs36 = (EMBED_CONSTANT / (1 - lam * lam) ** 2.5
-                             * (1.0 / rbar) ** 5 * core[p])
-                    budget = 4.0 * (lam_e[p] + rhs36 * rel[p])
-                    rows.append(upper_report("embedded_bound_eq36", lam_v[p],
-                                             rhs36, INEQUALITY_TOL,
-                                             budget=budget, exponent=d0,
-                                             t=lam, **meta))
-                    a2_lam = math.sqrt(max(lam_v[p], 0.0) / vol_lam)
-                    a2_in = math.sqrt(max(in_v[p], 0.0) / vol_in)
-                    a2_out = math.sqrt(max(out_v[p], 0.0) / vol_out)
-                    rhs37 = (math.sqrt(EMBED_CONSTANT)
-                             / (1 - lam * lam) ** 1.25
-                             * (1.0 / rbar) ** ((n + 5) / 2)
-                             * a2_in ** d0 * a2_out ** (1 - d0))
-                    budget = (lam_e[p] / max(lam_v[p], 1e-300)
-                              + rel[p]) * 2.0 * max(a2_lam, rhs37)
-                    rows.append(upper_report("embedded_bound_eq37", a2_lam,
-                                             rhs37, INEQUALITY_TOL,
-                                             budget=budget, exponent=d0,
-                                             t=lam, **meta))
+    if "three_spheres" in cfg.checks or "transfer_identity" in cfg.checks:
+        ts = [(j + 1) / cfg.t_count * x_norm for j in range(cfg.t_count)]
+        rows.extend(sphere_rows(evaluator, fam, ts, cfg.checks, cfg.beta,
+                                deg2, cfg.mc_samples, seed0))
+    if "three_balls" in cfg.checks or "embedded_bound" in cfg.checks:
+        rows.extend(ball_rows(evaluator, fam, cfg.xbar_fraction * x_norm,
+                              cfg.checks, cfg.lambdas, deg2, cfg.mc_samples,
+                              seed0 + 50))
 
     if "gradient_identity" in cfg.checks or "derivative_identity" in cfg.checks:
-        # row order identifies the test function (constant, coordinate,
-        # |y|^2, two corpus polynomials)
-        for p, f in _identity_test_functions(n, polys):
+        # row order identifies the test function: a constant, a coordinate,
+        # the non-harmonic |y|^2 and two corpus polynomials (the identities
+        # hold for any continuous f)
+        fns = [_ConstFn(), _CoordFn(), _Norm2Fn()] + list(polys[:2])
+        for p, f in enumerate(fns):
             try:
                 if "gradient_identity" in cfg.checks:
-                    rows.extend(gradient_identity_check(f, x_vec, r,
-                                                        degree=_fn_degree(f)))
+                    rows.extend(gradient_identity_check(f, x_vec, r))
                 if "derivative_identity" in cfg.checks:
-                    rows.extend(derivative_identity_check(
-                        f, fam, 0.5 * x_norm, degree=_fn_degree(f)))
+                    rows.extend(derivative_identity_check(f, fam, 0.5 * x_norm))
             except ThreeSpheresError as exc:
-                rows.append(InequalityReport(
-                    name=f"identity:error:{type(exc).__name__}", lhs=math.nan,
-                    rhs=math.nan, ratio=math.nan, exponent_used=math.nan,
-                    tolerance=IDENTITY_FD_TOL, stderr_budget=0.0, passed=False,
-                    mode="identity", t=float(p), **meta))
+                rows.append(error_row("identity", exc, IDENTITY_FD_TOL,
+                                      mode="identity", t=float(p), **meta))
 
     if "holomorphic_variant" in cfg.checks and n == 2:
         rng = np.random.default_rng([cfg.corpus_seed, ci, 77])
@@ -481,26 +242,6 @@ def _config_rows(n, cfg: SweepConfig, ci, x_vec, r, polys, evaluator):
             rows.append(holomorphic_variant_check(coeffs, x_vec, r,
                                                   0.5 * x_norm, beta="omega"))
     return rows
-
-
-def _fn_degree(f) -> int:
-    return int(getattr(f, "degree", 2))
-
-
-def _identity_test_functions(n, polys):
-    """Five test functions: constants, a coordinate, a non-harmonic radial
-    function, and two corpus polynomials (the identities hold for any
-    continuous f)."""
-    fns = [
-        (0, _ConstFn()),
-        (1, _CoordFn()),
-        (2, _Norm2Fn()),
-    ]
-    if polys:
-        fns.append((3, polys[0]))
-    if len(polys) > 1:
-        fns.append((4, polys[1]))
-    return fns
 
 
 class _ConstFn:
@@ -532,20 +273,10 @@ def _dimension_rows(n, cfg: SweepConfig, polys, evaluator):
     if "log_convexity" in cfg.checks:
         grid = np.linspace(0.05, 0.95, 20)
         rule = SphereRule.product(n, 2 * cfg.corpus_max_degree)
-        logs = np.empty((grid.size, len(polys)))
-        for gi, rad in enumerate(grid):
-            sq = evaluator.squared_values(rad * rule.nodes)
-            logs[gi] = np.log(np.maximum(
-                (rule.weights * rad ** (n - 1)) @ sq, 1e-300))
-        logr = np.log(grid)
-        m = grid.size
-        margin = np.full(len(polys), np.inf)
-        for i in range(m - 2):
-            for j in range(i + 1, m - 1):
-                for k in range(j + 1, m):
-                    alpha = (logr[k] - logr[j]) / (logr[k] - logr[i])
-                    gap = alpha * logs[i] + (1 - alpha) * logs[k] - logs[j]
-                    margin = np.minimum(margin, gap)
+        logs = np.log(np.maximum([
+            integrals(evaluator.squared_values, rule, np.zeros(n), rad)[0][0]
+            for rad in grid], 1e-300))
+        margin, _ = convexity_margins(np.log(grid), logs)
         for p in range(len(polys)):
             rows.append(upper_report("log_convexity_eq18", -margin[p], 0.0,
                                      0.0, budget=CONVEXITY_SLACK,
@@ -575,12 +306,9 @@ def _delta_lower_bound_rows():
                 rows.append(delta_lower_bound_check(float(xn), float(xn) / 4,
                                                     variant=variant))
             except ThreeSpheresError as exc:
-                rows.append(InequalityReport(
-                    name=f"delta_lower_bound_{variant}:error:{type(exc).__name__}",
-                    lhs=math.nan, rhs=math.nan, ratio=math.nan,
-                    exponent_used=math.nan, tolerance=0.0,
-                    stderr_budget=0.0, passed=False, mode="upper", n=None,
-                    x_norm=float(xn), r=float(xn) / 4, t=None))
+                rows.append(error_row(f"delta_lower_bound_{variant}", exc,
+                                      0.0, n=None, x_norm=float(xn),
+                                      r=float(xn) / 4, t=None))
     return rows
 
 

@@ -8,10 +8,18 @@ Every check emits an :class:`InequalityReport`.  Upper-bound checks pass iff
 identity checks iff |lhs - rhs| <= tolerance * max(|lhs|, |rhs|) +
 stderr_budget.  The stderr budget is 4x the combined Monte Carlo standard
 error and is zero for deterministic quadrature.
+
+The inequalities and the transfer identity are written once, over columns:
+an evaluator maps (N, n) points to the (N, P) values or squared moduli of P
+functions, and :func:`sphere_rows` / :func:`ball_rows` integrate them and
+emit one report per column.  The sweep passes a ``PolynomialEvaluator`` over
+its corpus; each public ``*_check`` passes a one-column :class:`Column`
+around its callable, so both use the same rules and arithmetic.
 """
 
 from __future__ import annotations
 
+import itertools
 import logging
 import math
 from dataclasses import dataclass, replace
@@ -30,18 +38,18 @@ from .geometry import (
     CorrelatedFamily,
     correlated_radius_general,
     delta0,
+    inversion_map,
 )
-from .harmonic import KelvinFunction, holomorphic_polynomial
+from .harmonic import holomorphic_polynomial
 from .quadrature import (
     BallRule,
-    NormValue,
+    Column,
     SphereRule,
-    analytic_degree,
+    abs2,
     ball_integral,
     ball_volume,
+    integrals,
     surface_integral,
-    weighted_ball_integral_mua,
-    weighted_surface_integral_sa,
 )
 
 __all__ = [
@@ -152,40 +160,80 @@ class ConvexityGridReport:
     passed: bool
 
 
+def error_row(name, exc, tolerance, mode="upper", exponent=math.nan,
+              **meta) -> InequalityReport:
+    """Failed placeholder row for a check that raised ``exc``."""
+    return InequalityReport(
+        name=f"{name}:error:{type(exc).__name__}", lhs=math.nan, rhs=math.nan,
+        ratio=math.nan, exponent_used=exponent, tolerance=tolerance,
+        stderr_budget=0.0, passed=False, mode=mode, **meta)
+
+
 def _degree_of(f, default: int = 8) -> int:
     return int(getattr(f, "degree", default))
 
 
-def _abs2(f):
-    def g(pts):
-        v = np.asarray(f(pts))
-        return v.real ** 2 + v.imag ** 2 if np.iscomplexobj(v) else v * v
-    return g
+# ---------------------------------------------------------------------------
+# ball integrals
 
 
-def _sphere_rule(n, degree, kappa=None, digits=12, mc_samples=200_000, seed=0,
-                 pole_order=4):
-    if n <= 3:
-        return SphereRule.product(n, analytic_degree(degree, kappa, digits,
-                                                     pole_order))
-    return SphereRule.monte_carlo(n, samples=mc_samples, seed=seed)
+def _ball_integrals(fn, center: np.ndarray, radius: float, degree: int,
+                   inv=None, plain: bool = True, mc_samples: int = 200_000,
+                   seed: int = 0):
+    """(dmu_a-weighted, plain) column integrals of ``fn`` over
+    B_{center, radius}, the first only when ``inv`` is given and the second
+    only when ``plain``; both come from one evaluation, shell by shell.
+
+    The ball-rule policy: the angular rule is sized to ten digits for the
+    annulus ratio |a - center|/radius and turned toward a when the ball is
+    weighted (the inequality margins are far above the 1e-9 tolerance, so
+    ten digits suffice), and is exact for degree-``degree`` polynomials
+    (kappa None) when it is not; 16 radial points, more when a
+    degree-``degree`` polynomial needs them to stay exact.
+    """
+    n = center.size
+    kappa = axis = None
+    if inv is not None:
+        axis = inv.a - center
+        kappa = float(np.linalg.norm(axis)) / radius
+        axis = axis / (kappa * radius)
+    rule = BallRule(SphereRule.default(n, degree, kappa, digits=10,
+                                       samples=mc_samples, seed=seed),
+                    radial_points=max(16, (degree + n + 1) // 2))
+    weights = (("mu_a",) if inv is not None else ()) + ((None,) if plain else ())
+    cols = integrals(fn, rule, center, radius, axis, inv, weights)
+    return (cols[0] if inv is not None else None), (cols[-1] if plain else None)
 
 
-def _ball_rule(n, degree, kappa=None, digits=12, radial=32, mc_samples=200_000,
-               seed=0):
-    return BallRule(_sphere_rule(n, degree, kappa, digits, mc_samples, seed),
-                    radial_points=radial)
+# ---------------------------------------------------------------------------
+# the three-spheres exponent and Monte Carlo budgets
 
 
-def _wsa_sq(f, fam: CorrelatedFamily, center_norm: float, radius: float,
-            degree: int, mc_samples: int, seed: int) -> NormValue:
-    """int |f|^2 ds_a over the sphere at center_norm * e with given radius."""
-    inv = fam.inversion
-    kappa = (inv.a_norm - center_norm) / radius
-    rule = _sphere_rule(fam.dimension, degree, kappa, mc_samples=mc_samples,
-                        seed=seed)
-    return weighted_surface_integral_sa(_abs2(f), center_norm * fam.e, radius,
-                                        inv, rule)
+def _resolve_beta(rec, beta, unchecked: bool = False) -> float:
+    """The three-spheres exponent: omega (default), alpha, or a number in
+    (0, alpha] (any number when ``unchecked``)."""
+    if beta == "omega" or beta is None:
+        return rec.omega
+    if beta == "alpha":
+        return rec.alpha
+    beta = float(beta)
+    if not unchecked and not 0 < beta <= rec.alpha * (1 + 1e-12):
+        raise BetaOutOfRange(
+            f"beta = {beta} outside (0, alpha] with alpha = {rec.alpha}")
+    return beta
+
+
+def _rel_err(exponent, inner, outer, p) -> float:
+    """Relative standard error of I^exponent O^(1-exponent) in column p, to
+    first order."""
+    (iv, ie), (ov, oe) = inner, outer
+    return (exponent * ie[p] / max(iv[p], 1e-300)
+            + (1 - exponent) * oe[p] / max(ov[p], 1e-300))
+
+
+def _budget(lhs_err, rhs, exponent, inner, outer, p) -> float:
+    """4 sigma for lhs <= rhs = c I^exponent O^(1-exponent) in column p."""
+    return 4.0 * (lhs_err + rhs * _rel_err(exponent, inner, outer, p))
 
 
 # ---------------------------------------------------------------------------
@@ -210,11 +258,12 @@ def gradient_identity_check(f, x, r: float, e=None, h: float = 1e-5,
     else:
         e = np.asarray(e, dtype=float)
         e = e / np.linalg.norm(e)
-    brule = _ball_rule(n, deg)
-    srule = _sphere_rule(n, deg + 1)
+    srule = SphereRule.default(n, deg + 1)
+    col = Column(f)
 
     def vol(center, radius):
-        return complex(ball_integral(f, Ball(center, radius), brule).value)
+        _, (vals, _) = _ball_integrals(col.values, center, radius, deg)
+        return complex(vals[0])
 
     fd_dir = (vol(x + h * e, r) - vol(x - h * e, r)) / (2 * h)
     fd_rad = (vol(x, r + h) - vol(x, r - h)) / (2 * h)
@@ -253,12 +302,14 @@ def derivative_identity_check(f, fam: CorrelatedFamily, t: float,
                          "difference")
     n = fam.dimension
     deg = degree if degree is not None else _degree_of(f)
-    brule = _ball_rule(n, deg)
-    srule = _sphere_rule(n, deg + 2)
+    srule = SphereRule.default(n, deg + 2)
     inv = fam.inversion
+    col = Column(f)
 
     def vol(s):
-        return complex(ball_integral(f, fam.ball(s), brule).value)
+        ball = fam.ball(s)
+        _, (vals, _) = _ball_integrals(col.values, ball.center, ball.radius, deg)
+        return complex(vals[0])
 
     fd = (vol(t + h) - vol(t - h)) / (2 * h)
 
@@ -291,39 +342,7 @@ def derivative_identity_check(f, fam: CorrelatedFamily, t: float,
 
 
 # ---------------------------------------------------------------------------
-# transfer identity and log-convexity
-
-
-def transfer_identity_check(f, fam: CorrelatedFamily, t: float,
-                            degree: int | None = None,
-                            mc_samples: int = 200_000,
-                            seed: int = 0) -> InequalityReport:
-    """Check L_2^2(r_t*, f*) = rho^2 (r_t/r_t*) int_{S_{x_t,r_t}} |f|^2 ds_a."""
-    x_norm = fam.x_norm
-    if not 0 < t <= x_norm * (1 + 1e-12):
-        raise OutOfRange("t must lie in (0, |x|]")
-    n = fam.dimension
-    deg2 = 2 * (degree if degree is not None else _degree_of(f))
-    inv = fam.inversion
-    rt = float(fam.radius(t))
-    rts = float(fam.image_radius(t))
-
-    rhs_int = _wsa_sq(f, fam, t, rt, deg2, mc_samples, seed)
-    rhs = inv.rho2 * (rt / rts) * rhs_int.real
-
-    kelvin = KelvinFunction(f, inv)
-    kappa = inv.a_norm / rts
-    # |f(phi(y))|^2 has a high-order pole at a: generous pole allowance
-    lhs_rule = _sphere_rule(n, deg2, kappa, mc_samples=mc_samples,
-                            seed=seed + 1, pole_order=12)
-    lhs_int = surface_integral(_abs2(kelvin), np.zeros(n), rts, lhs_rule,
-                               axis=inv.a)
-    lhs = lhs_int.real
-
-    budget = 4.0 * (lhs_int.stderr + inv.rho2 * (rt / rts) * rhs_int.stderr)
-    return identity_report("transfer_identity_eq22", lhs, rhs, TRANSFER_TOL,
-                           budget=budget, n=n, x_norm=x_norm, r=fam.r,
-                           t=float(t))
+# log-convexity
 
 
 def log_convexity_check(L, grid, tolerance: float = CONVEXITY_SLACK
@@ -342,41 +361,98 @@ def log_convexity_check(L, grid, tolerance: float = CONVEXITY_SLACK
     values = np.asarray([float(L(r)) for r in radii])
     if np.any(values <= 0):
         raise NonpositiveL("log-convexity requires L > 0 on the grid")
-    logs = np.log(values)
-    logr = np.log(radii)
-    worst = (0, 1, 2)
-    margin = math.inf
-    m = radii.size
-    for i in range(m - 2):
-        for j in range(i + 1, m - 1):
-            for k in range(j + 1, m):
-                alpha = (logr[k] - logr[j]) / (logr[k] - logr[i])
-                bound = alpha * logs[i] + (1 - alpha) * logs[k]
-                gap = bound - logs[j]
-                if gap < margin:
-                    margin = gap
-                    worst = (i, j, k)
-    passed = margin >= -tolerance
+    margin, worst = convexity_margins(np.log(radii), np.log(values)[:, None])
     return ConvexityGridReport(radii=radii, values=values,
-                               worst_triple=tuple(radii[list(worst)]),
-                               margin=float(margin), tolerance=tolerance,
-                               passed=bool(passed))
+                               worst_triple=tuple(radii[worst[0]]),
+                               margin=float(margin[0]), tolerance=tolerance,
+                               passed=bool(margin[0] >= -tolerance))
+
+
+def convexity_margins(logr: np.ndarray, logs: np.ndarray):
+    """Smallest signed gap of log L(r_j) below the chord through
+    (log r_i, log L(r_i)) and (log r_k, log L(r_k)) over all triples
+    i < j < k, per column of ``logs`` (m, P), and the first triple (i, j, k)
+    attaining it."""
+    i, j, k = np.array(list(itertools.combinations(range(logr.size), 3))).T
+    alpha = ((logr[k] - logr[j]) / (logr[k] - logr[i]))[:, None]
+    gaps = alpha * logs[i] + (1 - alpha) * logs[k] - logs[j]
+    worst = np.argmin(gaps, axis=0)
+    return (gaps[worst, np.arange(logs.shape[1])],
+            np.stack([i[worst], j[worst], k[worst]], axis=1))
 
 
 # ---------------------------------------------------------------------------
-# the three-spheres inequality
+# the three-spheres inequality and the transfer identity
 
 
-def _resolve_beta(rec, beta, unchecked: bool) -> float:
-    if beta == "omega" or beta is None:
-        return rec.omega
-    if beta == "alpha":
-        return rec.alpha
-    beta = float(beta)
-    if not unchecked and not 0 < beta <= rec.alpha * (1 + 1e-12):
-        raise BetaOutOfRange(
-            f"beta = {beta} outside (0, alpha] with alpha = {rec.alpha}")
-    return beta
+def sphere_rows(ev, fam: CorrelatedFamily, ts, checks, beta="omega",
+                degree: int = 16, mc_samples: int = 200_000, seed: int = 0,
+                unchecked_beta: bool = False,
+                tolerance: float = INEQUALITY_TOL) -> list:
+    """Three-spheres (24) and transfer (22) rows at each t of ``ts``, per
+    column of ``ev``, for the names in ``checks``.
+
+    (24) is rbar M <= (r I)^beta O^(1-beta) for the ds_a integrals of |f|^2
+    over the inner sphere (I), the unit sphere (O) and the family sphere at
+    t (M, radius rbar); a beta outside (0, alpha_t] gives failed error rows.
+    (22) compares the integral of |f*|^2 over S_{0, r_t*} with
+    rho^2 (r_t/r_t*) M.  Rules are seeded ``seed`` (I) and seed + 1 (O),
+    then seed + 2 + 3j (M) and seed + 3 + 3j (Kelvin side) at ts[j].
+    """
+    n, r, x_norm, inv = fam.dimension, fam.r, fam.x_norm, fam.inversion
+
+    def sa_sphere(center_norm, radius, s):
+        # polar axis on e, toward a: a and the centers lie on the +e ray
+        rule = SphereRule.default(n, degree, (inv.a_norm - center_norm) / radius,
+                                  samples=mc_samples, seed=s)
+        return integrals(ev.squared_values, rule, center_norm * fam.e, radius,
+                         fam.e, inv, ("s_a",))[0]
+
+    def kelvin_squared(pts):
+        # |f*|^2 = |f(phi(y))|^2 (rho^2/|y-a|^2)^(n-2)
+        sq = abs2(ev.values(inversion_map(inv, pts)))
+        if n == 2:
+            return sq
+        d = pts - inv.a
+        return sq * ((inv.rho2 / np.einsum("ij,ij->i", d, d)) ** (n - 2))[:, None]
+
+    if "three_spheres" in checks:
+        inner = sa_sphere(x_norm, r, seed)
+        outer = sa_sphere(0.0, 1.0, seed + 1)
+        (iv, _), (ov, _) = inner, outer
+    rows = []
+    for j, t in enumerate(ts):
+        meta = {"n": n, "x_norm": x_norm, "r": r, "t": t}
+        rt = float(fam.radius(t))
+        mv, me = sa_sphere(t, rt, seed + 2 + 3 * j)
+        if "three_spheres" in checks:
+            try:
+                b = _resolve_beta(fam.exponents(t), beta, unchecked_beta)
+            except BetaOutOfRange as exc:
+                rows.extend(error_row("three_spheres_eq24", exc, tolerance,
+                                      exponent=float(beta), **meta)
+                            for _ in mv)
+            else:
+                for p in range(mv.size):
+                    lhs = rt * mv[p]
+                    rhs = (r * iv[p]) ** b * ov[p] ** (1 - b)
+                    rows.append(upper_report(
+                        "three_spheres_eq24", lhs, rhs, tolerance,
+                        budget=_budget(rt * me[p], rhs, b, inner, outer, p),
+                        exponent=b, **meta))
+        if "transfer_identity" in checks:
+            rts = float(fam.image_radius(t))
+            # the Kelvin side has a high-order pole at a: generous allowance
+            rule = SphereRule.default(n, degree, inv.a_norm / rts,
+                                      samples=mc_samples, seed=seed + 3 + 3 * j,
+                                      pole_order=12)
+            (kv, ke), = integrals(kelvin_squared, rule, np.zeros(n), rts, fam.e)
+            factor = inv.rho2 * rt / rts
+            rows.extend(identity_report(
+                "transfer_identity_eq22", kv[p], factor * mv[p], TRANSFER_TOL,
+                budget=4.0 * (ke[p] + factor * me[p]), **meta)
+                for p in range(kv.size))
+    return rows
 
 
 def three_spheres_check(f, x, r: float, t: float, beta="omega",
@@ -394,26 +470,24 @@ def three_spheres_check(f, x, r: float, t: float, beta="omega",
     alpha for negative controls, where the inequality may genuinely fail.
     """
     fam = CorrelatedFamily.create(x, r, R=1.0)
-    n = fam.dimension
     if not 0 < t <= fam.x_norm * (1 + 1e-12):
         raise OutOfRange("t must lie in (0, |x|]")
-    rec = fam.exponents(t)
-    beta_val = _resolve_beta(rec, beta, unchecked_beta)
+    _resolve_beta(fam.exponents(t), beta, unchecked_beta)
     deg2 = 2 * (degree if degree is not None else _degree_of(f))
+    return sphere_rows(Column(f), fam, [float(t)], ("three_spheres",), beta,
+                       deg2, mc_samples, seed, unchecked_beta, tolerance)[0]
 
-    rbar = float(fam.radius(t))
-    inner = _wsa_sq(f, fam, fam.x_norm, r, deg2, mc_samples, seed)
-    outer = _wsa_sq(f, fam, 0.0, 1.0, deg2, mc_samples, seed + 1)
-    middle = _wsa_sq(f, fam, t, rbar, deg2, mc_samples, seed + 2)
 
-    lhs = rbar * middle.real
-    rhs = (r * inner.real) ** beta_val * outer.real ** (1 - beta_val)
-    budget = 4.0 * (rbar * middle.stderr + rhs * (
-        beta_val * inner.stderr / max(inner.real, 1e-300)
-        + (1 - beta_val) * outer.stderr / max(outer.real, 1e-300)))
-    return upper_report("three_spheres_eq24", lhs, rhs, tolerance,
-                        budget=budget, exponent=beta_val, n=n,
-                        x_norm=fam.x_norm, r=float(r), t=float(t))
+def transfer_identity_check(f, fam: CorrelatedFamily, t: float,
+                            degree: int | None = None,
+                            mc_samples: int = 200_000,
+                            seed: int = 0) -> InequalityReport:
+    """Check L_2^2(r_t*, f*) = rho^2 (r_t/r_t*) int_{S_{x_t,r_t}} |f|^2 ds_a."""
+    if not 0 < t <= fam.x_norm * (1 + 1e-12):
+        raise OutOfRange("t must lie in (0, |x|]")
+    deg2 = 2 * (degree if degree is not None else _degree_of(f))
+    return sphere_rows(Column(f), fam, [float(t)], ("transfer_identity",),
+                       degree=deg2, mc_samples=mc_samples, seed=seed)[0]
 
 
 def holomorphic_variant_check(coeffs, x, r: float, t: float, beta="omega",
@@ -449,6 +523,83 @@ def holomorphic_variant_check(coeffs, x, r: float, t: float, beta="omega",
 # three balls and the embedded bounds
 
 
+def ball_rows(ev, fam: CorrelatedFamily, xbar_norm: float, checks,
+              lambdas=(), degree: int = 16, mc_samples: int = 200_000,
+              seed: int = 0, delta=None, variant: str = "scaled",
+              tolerance: float = INEQUALITY_TOL) -> list:
+    """Three-balls (27) rows and, for each lambda, embedded-bound rows (29)
+    (at R = 1), (36) and (37), per column of ``ev``, for the names in
+    ``checks``.
+
+    (27) is M <= I^delta O^(1-delta) for the dmu_a integrals of |u|^2 over
+    B_{x0,r0} (I), the correlated ball B_{xbar,rbar} (M) and B_R (O).  The
+    embedded bounds set the plain integral over B_{xbar, lambda rbar}
+    against the plain I and O.  The inner and outer balls are evaluated once
+    for both measures.  Rules are seeded ``seed`` (inner), seed + 1
+    (middle), seed + 2 (outer) and seed + 3 + int(1000 lambda).
+    """
+    n, r0, R, x0n = fam.dimension, fam.r, fam.R, fam.x_norm
+    if not 0 < xbar_norm <= x0n * (1 + 1e-12):
+        raise OutOfRange("need 0 < |xbar| <= |x0|")
+    rbar = correlated_radius_general(x0n, r0, xbar_norm, R)
+    d0 = delta0(x0n, r0, xbar_norm, R, variant=variant)
+    delta = d0 if delta is None else float(delta)
+    if not 0 < delta <= d0 * (1 + 1e-12):
+        raise DeltaOutOfRange(f"delta = {delta} outside (0, {d0}]")
+    inv = fam.inversion if "three_balls" in checks else None
+    embedded = "embedded_bound" in checks
+    sq = ev.squared_values
+    in_mu, inner = _ball_integrals(sq, x0n * fam.e, r0, degree, inv, embedded,
+                                  mc_samples, seed)
+    out_mu, outer = _ball_integrals(sq, np.zeros(n), R, degree, inv, embedded,
+                                   mc_samples, seed + 2)
+    meta = {"n": n, "x_norm": x0n, "r": r0}
+    rows = []
+    if inv is not None:
+        (mv, me), _ = _ball_integrals(sq, xbar_norm * fam.e, rbar, degree, inv,
+                                     False, mc_samples, seed + 1)
+        (iv, _), (ov, _) = in_mu, out_mu
+        for p in range(mv.size):
+            rhs = iv[p] ** delta * ov[p] ** (1 - delta)
+            rows.append(upper_report(
+                "three_balls_eq27", mv[p], rhs, tolerance,
+                budget=_budget(me[p], rhs, delta, in_mu, out_mu, p),
+                exponent=delta, t=xbar_norm, **meta))
+    vol = ball_volume(n)
+    for lam in lambdas if embedded else ():
+        _, (lv, le) = _ball_integrals(sq, xbar_norm * fam.e, lam * rbar, degree,
+                                     None, True, mc_samples,
+                                     seed + 3 + int(lam * 1000))
+        (iv, _), (ov, _) = inner, outer
+        for p in range(lv.size):
+            core = iv[p] ** delta * ov[p] ** (1 - delta)
+            rhs_by_name = {}
+            if abs(R - 1.0) < 1e-14:
+                rhs_by_name["embedded_bound_eq29"] = (
+                    EMBED_CONSTANT / (rbar * (1 - lam * lam) ** 2.5) * core)
+            rhs_by_name["embedded_bound_eq36"] = (
+                EMBED_CONSTANT / (1 - lam * lam) ** 2.5 * (R / rbar) ** 5
+                * core)
+            for name, rhs in rhs_by_name.items():
+                rows.append(upper_report(
+                    name, lv[p], rhs, tolerance,
+                    budget=_budget(le[p], rhs, delta, inner, outer, p),
+                    exponent=delta, t=lam, **meta))
+            a2_lam, a2_in, a2_out = (
+                math.sqrt(max(v, 0.0) / (vol * radius ** n))
+                for v, radius in ((lv[p], lam * rbar), (iv[p], r0), (ov[p], R)))
+            rhs37 = (math.sqrt(EMBED_CONSTANT) / (1 - lam * lam) ** 1.25
+                     * (R / rbar) ** ((n + 5) / 2)
+                     * a2_in ** delta * a2_out ** (1 - delta))
+            budget37 = (2.0 * (le[p] / max(lv[p], 1e-300)
+                               + _rel_err(delta, inner, outer, p))
+                        * max(a2_lam, rhs37))
+            rows.append(upper_report("embedded_bound_eq37", a2_lam, rhs37,
+                                     tolerance, budget=budget37,
+                                     exponent=delta, t=lam, **meta))
+    return rows
+
+
 def three_balls_check(u, x0, r0: float, xbar_norm: float, delta=None,
                       delta0_variant: str = "scaled",
                       degree: int | None = None, mc_samples: int = 200_000,
@@ -461,38 +612,11 @@ def three_balls_check(u, x0, r0: float, xbar_norm: float, delta=None,
 
     for delta in (0, delta_0] (default delta_0 itself).
     """
-    x0 = np.asarray(x0, dtype=float)
     fam = CorrelatedFamily.create(x0, r0, R=1.0)
-    n = fam.dimension
-    inv = fam.inversion
-    x0n = fam.x_norm
-    if not 0 < xbar_norm <= x0n * (1 + 1e-12):
-        raise OutOfRange("need 0 < |xbar| <= |x0|")
-    rbar = correlated_radius_general(x0n, r0, xbar_norm, 1.0)
-    d0 = delta0(x0n, r0, xbar_norm, 1.0, variant=delta0_variant)
-    delta_val = d0 if delta is None else float(delta)
-    if not 0 < delta_val <= d0 * (1 + 1e-12):
-        raise DeltaOutOfRange(f"delta = {delta_val} outside (0, {d0}]")
     deg2 = 2 * (degree if degree is not None else _degree_of(u))
-
-    def mua_ball(center_norm, radius, s):
-        kappa = (inv.a_norm - center_norm) / radius
-        rule = _ball_rule(n, deg2, kappa, mc_samples=mc_samples, seed=s)
-        return weighted_ball_integral_mua(_abs2(u),
-                                          Ball(center_norm * fam.e, radius),
-                                          rule, inv)
-
-    inner = mua_ball(x0n, r0, seed)
-    middle = mua_ball(xbar_norm, rbar, seed + 1)
-    outer = mua_ball(0.0, 1.0, seed + 2)
-    lhs = middle.real
-    rhs = inner.real ** delta_val * outer.real ** (1 - delta_val)
-    budget = 4.0 * (middle.stderr + rhs * (
-        delta_val * inner.stderr / max(inner.real, 1e-300)
-        + (1 - delta_val) * outer.stderr / max(outer.real, 1e-300)))
-    return upper_report("three_balls_eq27", lhs, rhs, tolerance, budget=budget,
-                        exponent=delta_val, n=n, x_norm=x0n, r=float(r0),
-                        t=float(xbar_norm))
+    return ball_rows(Column(u), fam, float(xbar_norm), ("three_balls",), (),
+                     deg2, mc_samples, seed, delta, delta0_variant,
+                     tolerance)[0]
 
 
 def embedded_bound_check(u, x0, r0: float, xbar_norm: float, lam: float,
@@ -508,68 +632,17 @@ def embedded_bound_check(u, x0, r0: float, xbar_norm: float, lam: float,
     prefactor sqrt(405)/(1-lam^2)^{5/4} (R/rbar)^{(n+5)/2}.
     """
     x0 = np.asarray(x0, dtype=float)
-    n = x0.size
     x0n = float(np.linalg.norm(x0))
     if x0n < R / 2 - 1e-12:
         raise PreconditionViolated(f"|x0| = {x0n} < R/2 = {R / 2}")
     if not 0 < lam < 1:
         raise OutOfRange("lambda must lie in (0, 1)")
-    if not 0 < xbar_norm <= x0n * (1 + 1e-12):
-        raise OutOfRange("need 0 < |xbar| <= |x0|")
-    rbar = correlated_radius_general(x0n, r0, xbar_norm, R)
-    d0 = delta0(x0n, r0, xbar_norm, R, variant="scaled")
-    delta_val = d0 if delta is None else float(delta)
-    if not 0 < delta_val <= d0 * (1 + 1e-12):
-        raise DeltaOutOfRange(f"delta = {delta_val} outside (0, {d0}]")
+    fam = CorrelatedFamily.create(x0, r0, R=R)
     deg2 = 2 * (degree if degree is not None else _degree_of(u))
-    e = x0 / x0n
-    rule = _ball_rule(n, deg2, mc_samples=mc_samples, seed=seed)
-
-    b_in = Ball(x0, r0)
-    b_lam = Ball(xbar_norm * e, lam * rbar)
-    b_out = Ball(np.zeros(n), R)
-    I_in = ball_integral(_abs2(u), b_in, rule)
-    I_lam = ball_integral(_abs2(u), b_lam, rule)
-    I_out = ball_integral(_abs2(u), b_out, rule)
-
-    def budget_for(lhs_err, rhs, in_v, out_v):
-        return 4.0 * (lhs_err + rhs * (
-            delta_val * in_v.stderr / max(in_v.real, 1e-300)
-            + (1 - delta_val) * out_v.stderr / max(out_v.real, 1e-300)))
-
-    meta = {"n": n, "x_norm": x0n, "r": float(r0), "t": float(xbar_norm)}
-    reports = []
-    core = I_in.real ** delta_val * I_out.real ** (1 - delta_val)
-    if abs(R - 1.0) < 1e-14:
-        rhs29 = EMBED_CONSTANT / (rbar * (1 - lam * lam) ** 2.5) * core
-        reports.append(upper_report("embedded_bound_eq29", I_lam.real, rhs29,
-                                    tolerance,
-                                    budget=budget_for(I_lam.stderr, rhs29, I_in, I_out),
-                                    exponent=delta_val, **meta))
-    rhs36 = EMBED_CONSTANT / (1 - lam * lam) ** 2.5 * (R / rbar) ** 5 * core
-    reports.append(upper_report("embedded_bound_eq36", I_lam.real, rhs36,
-                                tolerance,
-                                budget=budget_for(I_lam.stderr, rhs36, I_in, I_out),
-                                exponent=delta_val, **meta))
-
-    def a2_from(I, ball):
-        vol = ball_volume(n) * ball.radius ** n
-        return math.sqrt(max(I.real, 0.0) / vol)
-
-    a2_lam = a2_from(I_lam, b_lam)
-    a2_in = a2_from(I_in, b_in)
-    a2_out = a2_from(I_out, b_out)
-    rhs37 = (math.sqrt(EMBED_CONSTANT) / (1 - lam * lam) ** 1.25
-             * (R / rbar) ** ((n + 5) / 2)
-             * a2_in ** delta_val * a2_out ** (1 - delta_val))
-    budget37 = 2.0 * (I_lam.stderr / max(I_lam.real, 1e-300)
-                      + delta_val * I_in.stderr / max(I_in.real, 1e-300)
-                      + (1 - delta_val) * I_out.stderr / max(I_out.real, 1e-300)
-                      ) * max(a2_lam, rhs37)
-    reports.append(upper_report("embedded_bound_eq37", a2_lam, rhs37,
-                                tolerance, budget=budget37,
-                                exponent=delta_val, **meta))
-    return reports
+    rows = ball_rows(Column(u), fam, float(xbar_norm), ("embedded_bound",),
+                     (lam,), deg2, mc_samples, seed, delta,
+                     tolerance=tolerance)
+    return [replace(rep, t=float(xbar_norm)) for rep in rows]
 
 
 def embedding_identity_check(g, b, l: float, g_degree: int = 6,

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from threespheres.errors import ConfigError
+from threespheres.errors import ConfigError, UnderResolved
 from threespheres.quadrature import SphereRule, analytic_degree
 from threespheres.sweep import (
     ALL_CHECKS,
@@ -34,6 +34,9 @@ def test_analytic_degree_monotonicity():
         16, 1.5, pole_order=4)
     with pytest.raises(Exception):
         analytic_degree(16, 0.9)
+    # too close to resolve: a typed error, not a silently clamped rule
+    with pytest.raises(UnderResolved):
+        analytic_degree(16, 1.01)
 
 
 def test_sample_determinism():
@@ -63,6 +66,15 @@ def test_config_validation_messages():
         SweepConfig.from_dict({"beta": []})
     with pytest.raises(ConfigError, match="checks"):
         SweepConfig.from_dict({"checks": []})
+    # wrong types are config errors, not TypeErrors
+    with pytest.raises(ConfigError, match="geometry.xbar_fraction"):
+        SweepConfig.from_dict({"geometry": {"xbar_fraction": "a"}})
+    with pytest.raises(ConfigError, match="geometry.lambdas"):
+        SweepConfig.from_dict({"geometry": {"lambdas": ["a"]}})
+    with pytest.raises(ConfigError, match="geometry.x_norm_range"):
+        SweepConfig.from_dict({"geometry": {"x_norm_range": ["a", 0.5]}})
+    with pytest.raises(ConfigError, match="checks"):
+        SweepConfig.from_dict({"checks": [["x"]]})
     cfg = SweepConfig.from_dict({})
     assert cfg.checks == ALL_CHECKS
     assert cfg.dimensions == (2, 3)

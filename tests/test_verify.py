@@ -106,6 +106,20 @@ def test_transfer_identity_harsh_geometry():
     assert rep.passed and abs(rep.ratio - 1) < 1e-8
 
 
+def _loop_convexity_scan(L, grid):
+    """Reference: the triple loop, keeping the first smallest gap."""
+    logs, logr = np.log([L(r) for r in grid]), np.log(grid)
+    margin, worst = math.inf, None
+    for i in range(len(grid) - 2):
+        for j in range(i + 1, len(grid) - 1):
+            for k in range(j + 1, len(grid)):
+                alpha = (logr[k] - logr[j]) / (logr[k] - logr[i])
+                gap = alpha * logs[i] + (1 - alpha) * logs[k] - logs[j]
+                if gap < margin:
+                    margin, worst = gap, (grid[i], grid[j], grid[k])
+    return margin, worst
+
+
 def test_log_convexity_power_equality_and_counterexample():
     grid = np.linspace(0.1, 0.9, 8)
     rep = log_convexity_check(lambda r: r ** 3, grid)
@@ -114,6 +128,9 @@ def test_log_convexity_power_equality_and_counterexample():
     rep = log_convexity_check(lambda r: 2 - r, grid)
     assert not rep.passed
     assert rep.margin < -1e-3
+    for L in (lambda r: 2 - r, lambda r: np.exp(np.sin(7 * r))):
+        rep = log_convexity_check(L, grid)
+        assert (rep.margin, rep.worst_triple) == _loop_convexity_scan(L, grid)
     with pytest.raises(NonpositiveL):
         log_convexity_check(lambda r: r - 0.5, grid)
     with pytest.raises(OutOfRange):
@@ -309,27 +326,43 @@ def test_sweep_rows_match_single_checks():
     from threespheres.sweep import (SweepConfig, run_sweep, sample_corpus,
                                     sample_geometries)
 
-    cfg = SweepConfig.from_dict({
-        "dimensions": [2],
-        "corpus": {"count": 2, "max_degree": 6, "seed": 3},
-        "geometry": {"count": 1, "seed": 5, "t_count": 2},
-        "checks": ["three_spheres", "three_balls", "transfer_identity"],
-    })
-    reports, _ = run_sweep(cfg)
-    polys = sample_corpus(2, 2, 6, 3)
-    (x_vec, r), = sample_geometries(2, 1, 5)
-    x_norm = float(np.linalg.norm(x_vec))
-    rows = [r_ for r_ in reports if r_.name == "three_spheres_eq24"]
-    # rows are ordered polynomial-major within each t
-    t1 = 0.5 * x_norm
-    direct = three_spheres_check(polys[0], x_vec, r, t1, degree=6)
-    assert abs(rows[0].lhs - direct.lhs) < 1e-11 * max(1.0, direct.lhs)
-    assert abs(rows[0].rhs - direct.rhs) < 1e-11 * max(1.0, direct.rhs)
-    row3 = [r_ for r_ in reports if r_.name == "three_balls_eq27"][0]
-    direct = three_balls_check(polys[0], x_vec, r, 0.5 * x_norm, degree=6)
-    assert abs(row3.lhs - direct.lhs) < 1e-9 * max(1.0, direct.lhs)
-    assert abs(row3.rhs - direct.rhs) < 1e-9 * max(1.0, direct.rhs)
-    rowt = [r_ for r_ in reports if r_.name == "transfer_identity_eq22"][0]
-    direct = transfer_identity_check(polys[0], CorrelatedFamily.create(x_vec, r),
-                                     t1, degree=6)
-    assert abs(rowt.lhs - direct.lhs) < 1e-10 * max(1.0, direct.lhs)
+    for n in (2, 3):
+        # |x| >= 1/2 is the precondition of the embedded bounds
+        cfg = SweepConfig.from_dict({
+            "dimensions": [n],
+            "corpus": {"count": 2, "max_degree": 6, "seed": 3},
+            "geometry": {"count": 1, "seed": 5, "t_count": 2,
+                         "x_norm_range": [0.5, 0.7]},
+            "checks": ["three_spheres", "three_balls", "transfer_identity",
+                       "embedded_bound"],
+        })
+        reports, _ = run_sweep(cfg)
+        polys = sample_corpus(n, 2, 6, 3)
+        (x_vec, r), = sample_geometries(n, 1, 5, x_range=(0.5, 0.7))
+        x_norm = float(np.linalg.norm(x_vec))
+        rows = [r_ for r_ in reports if r_.name == "three_spheres_eq24"]
+        # rows are ordered polynomial-major within each t
+        t1 = 0.5 * x_norm
+        direct = three_spheres_check(polys[0], x_vec, r, t1, degree=6)
+        assert abs(rows[0].lhs - direct.lhs) < 1e-11 * max(1.0, direct.lhs)
+        assert abs(rows[0].rhs - direct.rhs) < 1e-11 * max(1.0, direct.rhs)
+        row3 = [r_ for r_ in reports if r_.name == "three_balls_eq27"][0]
+        direct = three_balls_check(polys[0], x_vec, r, 0.5 * x_norm, degree=6)
+        assert abs(row3.lhs - direct.lhs) < 1e-11 * max(1.0, direct.lhs)
+        assert abs(row3.rhs - direct.rhs) < 1e-11 * max(1.0, direct.rhs)
+        rowt = [r_ for r_ in reports if r_.name == "transfer_identity_eq22"][0]
+        direct = transfer_identity_check(polys[0],
+                                         CorrelatedFamily.create(x_vec, r),
+                                         t1, degree=6)
+        assert abs(rowt.lhs - direct.lhs) < 1e-10 * max(1.0, direct.lhs)
+        # the first embedded rows of each name: lambda = 0.3, polynomial 0
+        directs = embedded_bound_check(polys[0], x_vec, r, 0.5 * x_norm, 0.3,
+                                       degree=6)
+        assert [d.name for d in directs] == ["embedded_bound_eq29",
+                                             "embedded_bound_eq36",
+                                             "embedded_bound_eq37"]
+        for direct in directs:
+            row = [r_ for r_ in reports if r_.name == direct.name][0]
+            assert row.t == 0.3
+            assert abs(row.lhs - direct.lhs) < 1e-11 * max(1.0, direct.lhs)
+            assert abs(row.rhs - direct.rhs) < 1e-11 * max(1.0, direct.rhs)
