@@ -181,70 +181,70 @@ class HarmonicPolynomial:
 class PolynomialEvaluator:
     """Vectorized evaluation of a batch of same-dimension polynomials.
 
-    Builds the shared monomial basis once; ``values(points)`` returns the
-    (N_points, N_polys) complex matrix via one basis-matrix product, which is
-    what the corpus sweeps rely on.
+    The monomials, closed downward (a missing parent gets zero coefficients)
+    and sorted by degree, are each a parent monomial times one coordinate;
+    ``values(points)`` returns the (N_points, N_polys) complex matrix from
+    one real basis-matrix product per chunk of points.
     """
 
     def __init__(self, polys):
         polys = list(polys)
         if not polys:
             raise OutOfRange("empty polynomial batch")
-        self.dimension = polys[0].dimension
-        if any(p.dimension != self.dimension for p in polys):
+        n = self.dimension = polys[0].dimension
+        if any(p.dimension != n for p in polys):
             raise OutOfRange("mixed dimensions in polynomial batch")
-        exps = sorted({e for p in polys for e in p.terms})
-        if not exps:
-            exps = [tuple([0] * self.dimension)]
+        # every prefix e_1..e_{k-1}, then m <= e_k, then zeros
+        exps = {(0,) * n} | {e[:k] + (m,) + (0,) * (n - k - 1)
+                             for p in polys for e in p.terms
+                             for k in range(n) for m in range(e[k] + 1)}
+        exps = sorted(exps, key=lambda e: (sum(e), e))
+        index = {e: i for i, e in enumerate(exps)}
+        # basis row j is row parent(j) times coordinate axis(j), the parent
+        # having one less in its last nonzero coordinate
+        axes = [max(k for k in range(n) if e[k]) for e in exps[1:]]
+        self._steps = [(index[e[:k] + (e[k] - 1,) + e[k + 1:]], k)
+                       for e, k in zip(exps[1:], axes)]
         self.exponents = np.array(exps, dtype=np.int64)
         coeffs = np.zeros((len(exps), len(polys)), dtype=complex)
-        index = {e: i for i, e in enumerate(exps)}
         for j, p in enumerate(polys):
             for e, c in p.terms.items():
                 coeffs[index[e], j] = c
         self.coeffs = coeffs
-        # split parts keep the basis product in real dgemm territory
-        self._re = np.ascontiguousarray(coeffs.real)
-        self._im = np.ascontiguousarray(coeffs.imag)
+        # (M, 2P) real view, re and im interleaved: products read as complex
+        self._reim = coeffs.view(float)
 
     def _basis(self, pts: np.ndarray) -> np.ndarray:
-        n = self.dimension
-        basis = np.ones((pts.shape[0], self.exponents.shape[0]))
-        for k in range(n):
-            maxe = int(self.exponents[:, k].max())
-            if maxe == 0:
-                continue
-            powers = np.empty((pts.shape[0], maxe + 1))
-            powers[:, 0] = 1.0
-            for p in range(1, maxe + 1):
-                powers[:, p] = powers[:, p - 1] * pts[:, k]
-            basis *= powers[:, self.exponents[:, k]]
+        """(M, N) monomial values at the (N, n) points, one row per monomial."""
+        basis = np.empty((len(self._steps) + 1, pts.shape[0]))
+        basis[0] = 1.0
+        for j, (parent, axis) in enumerate(self._steps, 1):
+            np.multiply(basis[parent], pts[:, axis], out=basis[j])
         return basis
 
-    def values(self, points, chunk: int = 32768) -> np.ndarray:
+    def _evaluate(self, points, chunk: int) -> np.ndarray:
+        """(N, 2P) real array: re and im of every polynomial, interleaved."""
         pts = np.asarray(points, dtype=float)
         if pts.ndim != 2 or pts.shape[1] != self.dimension:
             raise OutOfRange("points must be an (N, n) array")
-        out = np.empty((pts.shape[0], self.coeffs.shape[1]), dtype=complex)
+        # a spare row: BLAS sums a one-row product in another order, so a
+        # lone point is evaluated as a repeated pair, bits as in any chunk
+        out = np.empty((pts.shape[0] + 1, self._reim.shape[1]))
         for lo in range(0, pts.shape[0], chunk):
-            hi = min(lo + chunk, pts.shape[0])
-            basis = self._basis(pts[lo:hi])
-            out[lo:hi].real = basis @ self._re
-            out[lo:hi].imag = basis @ self._im
-        return out
+            block = pts[lo:lo + chunk]
+            if len(block) == 1:
+                block = np.repeat(block, 2, axis=0)
+            np.matmul(self._basis(block).T, self._reim,
+                      out=out[lo:lo + len(block)])
+        return out[:-1]
+
+    def values(self, points, chunk: int = 32768) -> np.ndarray:
+        return self._evaluate(points, chunk).view(complex)
 
     def squared_values(self, points, chunk: int = 32768) -> np.ndarray:
-        pts = np.asarray(points, dtype=float)
-        if pts.ndim != 2 or pts.shape[1] != self.dimension:
-            raise OutOfRange("points must be an (N, n) array")
-        out = np.empty((pts.shape[0], self.coeffs.shape[1]))
-        for lo in range(0, pts.shape[0], chunk):
-            hi = min(lo + chunk, pts.shape[0])
-            basis = self._basis(pts[lo:hi])
-            re = basis @ self._re
-            im = basis @ self._im
-            out[lo:hi] = re * re + im * im
-        return out
+        sq = self._evaluate(points, chunk)
+        sq *= sq
+        return sq[:, 0::2] + sq[:, 1::2]
 
 
 def random_harmonic_polynomial(n: int, max_degree: int, seed: int) -> HarmonicPolynomial:

@@ -158,7 +158,7 @@ class SweepConfig:
             fail("corpus.count", "empty corpus")
 
         beta = raw.get("beta", "omega")
-        if beta not in ("omega", "alpha") and not isinstance(beta, (int, float)):
+        if beta not in ("omega", "alpha") and not real(beta):
             fail("beta", f"must be 'omega', 'alpha', or a number, got {beta!r}")
 
         mc_samples = get_int(raw, "mc_samples", 20_000, "mc_samples", minimum=100)

@@ -34,7 +34,6 @@ from .errors import (
     PreconditionViolated,
 )
 from .geometry import (
-    Ball,
     CorrelatedFamily,
     correlated_radius_general,
     delta0,
@@ -46,7 +45,6 @@ from .quadrature import (
     Column,
     SphereRule,
     abs2,
-    ball_integral,
     ball_volume,
     integrals,
     surface_integral,
@@ -666,11 +664,13 @@ def embedding_identity_check(g, b, l: float, g_degree: int = 6,
     m = n + 5
     lhs_rule = BallRule(SphereRule.product(m, g_degree + 2), radial_points=32)
     center = np.concatenate([b, np.zeros(5)])
-    big_ball = Ball(center, l)
-    lhs = ball_integral(g, big_ball, lhs_rule).real
-    # absolute scale so odd integrands (both sides ~ 0) compare sanely
-    abs_scale = ball_integral(lambda p: np.abs(np.asarray(g(p))), big_ball,
-                              lhs_rule).real
+
+    def g_and_abs(p):  # |g| scales odd integrands, whose sides are ~ 0
+        v = np.asarray(g(p))
+        return np.stack([v, np.abs(v)], axis=1)
+
+    (vals, _), = integrals(g_and_abs, lhs_rule, center, l)
+    lhs, abs_scale = map(float, vals.real)
 
     # inner 5-ball template: displacements and weights for unit radius
     s4 = SphereRule.product(5, g_degree + 2)

@@ -74,15 +74,42 @@ def test_json_roundtrip():
     assert g.terms == f.terms
 
 
-def test_evaluator_matches_single_evaluation(rng):
-    polys = [random_harmonic_polynomial(2, 6, seed=s) for s in range(4)]
-    ev = PolynomialEvaluator(polys)
-    pts = rng.uniform(-1, 1, size=(50, 2))
-    vals = ev.values(pts)
+def direct_sum(polys, pts):
+    """sum_e c_e prod_i x_i^{e_i}, term by term, one column per polynomial."""
+    out = np.zeros((len(pts), len(polys)), dtype=complex)
     for j, p in enumerate(polys):
-        np.testing.assert_allclose(vals[:, j], p(pts), rtol=1e-13, atol=1e-13)
-    sq = ev.squared_values(pts)
-    np.testing.assert_allclose(sq, np.abs(vals) ** 2, rtol=1e-13)
+        for e, c in p.terms.items():
+            out[:, j] += c * np.prod(pts ** np.array(e), axis=1)
+    return out
+
+
+def test_evaluator_matches_single_evaluation(rng):
+    batches = [[random_harmonic_polynomial(n, 8, seed=s) for s in range(4)]
+               for n in (2, 3, 4)]
+    # sparse sets whose monomials need parents added with zero coefficients
+    batches += [[HarmonicPolynomial(3, {(3, 0, 1): 1, (1, 0, 3): -1})],
+                [HarmonicPolynomial(3, {(1, 1, 1): 2})],
+                [holomorphic_polynomial([0] * 7 + [1])],
+                [HarmonicPolynomial(2, {(0, 0): 1.5 - 0.5j})]]
+    for polys in batches:
+        n = polys[0].dimension
+        ev = PolynomialEvaluator(polys)
+        pts = rng.uniform(-1, 1, size=(50, n))
+        exact = direct_sum(polys, pts)
+        vals = ev.values(pts)
+        sq = ev.squared_values(pts)
+        np.testing.assert_allclose(vals, exact, rtol=1e-13, atol=1e-13)
+        np.testing.assert_allclose(sq, np.abs(exact) ** 2, rtol=1e-13,
+                                   atol=1e-13)
+        for j, p in enumerate(polys):
+            np.testing.assert_allclose(p(pts), exact[:, j], rtol=1e-13,
+                                       atol=1e-13)
+        # the chunking, a one-point last chunk included, moves no bit
+        assert np.array_equal(ev.values(pts, chunk=7), vals)
+        assert np.array_equal(ev.squared_values(pts, chunk=7), sq)
+        none = np.empty((0, n))
+        assert ev.values(none).shape == (0, len(polys))
+        assert ev.squared_values(none).shape == (0, len(polys))
 
 
 def test_kelvin_constant_n2_is_one(rng):

@@ -6,13 +6,14 @@ import pytest
 from conftest import exact_ball_monomial, exact_sphere_monomial
 from threespheres.errors import OutOfRange, RuleDimensionMismatch
 from threespheres.geometry import Ball, solve_inversion_center
-from threespheres.harmonic import random_harmonic_polynomial
+from threespheres.harmonic import PolynomialEvaluator, random_harmonic_polynomial
 from threespheres.quadrature import (
     BallRule,
     SphereRule,
     analytic_degree,
     ball_integral,
     ball_volume,
+    integrals,
     l2_sphere_norm,
     normalized_average_A2,
     sphere_area,
@@ -211,3 +212,26 @@ def test_product_rule_matches_spec_structure():
     u, _ = roots_legendre(6)
     assert np.allclose(np.unique(np.round(rule3.nodes[:, 0], 12)),
                        np.round(np.sort(u), 12))
+
+
+def test_corpus_sphere_integrals_match_exact_moments():
+    # independent of the evaluator and of the rule: int_{S^{n-1}} |f|^2 ds
+    # = sum_{e,e'} Re(c_e conj(c_e')) int u^(e+e') ds, from the Gamma formula
+    for n in (2, 3, 4):
+        polys = [random_harmonic_polynomial(n, 8, seed=s) for s in range(4)]
+        ev = PolynomialEvaluator(polys)
+        (vals, errs), = integrals(ev.squared_values, SphereRule.product(n, 16),
+                                  np.zeros(n), 1.0)
+        assert not errs.any()
+        exps = sorted({e for p in polys for e in p.terms})
+        moments = {}
+        gram = np.empty((len(exps), len(exps)))
+        for i, e in enumerate(exps):
+            for k, e2 in enumerate(exps):
+                key = tuple(a + b for a, b in zip(e, e2))
+                if key not in moments:
+                    moments[key] = exact_sphere_monomial(n, key)
+                gram[i, k] = moments[key]
+        coeffs = np.array([[p.terms.get(e, 0) for e in exps] for p in polys])
+        exact = np.einsum("pi,ik,pk->p", coeffs, gram, coeffs.conj()).real
+        np.testing.assert_allclose(vals, exact, rtol=1e-12, atol=0)

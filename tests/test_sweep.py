@@ -64,6 +64,8 @@ def test_config_validation_messages():
         SweepConfig.from_dict({"geometry": {"x_norm_range": [0.5, 0.99]}})
     with pytest.raises(ConfigError, match="beta"):
         SweepConfig.from_dict({"beta": []})
+    with pytest.raises(ConfigError, match="beta"):
+        SweepConfig.from_dict({"beta": True})
     with pytest.raises(ConfigError, match="checks"):
         SweepConfig.from_dict({"checks": []})
     # wrong types are config errors, not TypeErrors
