@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+from functools import lru_cache
 from itertools import product as _iproduct
 
 import numpy as np
@@ -54,20 +55,31 @@ def _times_norm2(terms: dict, n: int) -> dict:
     return out
 
 
-def _monomials(n: int, degree: int) -> list:
-    return [e for e in _iproduct(range(degree + 1), repeat=n) if sum(e) == degree]
+@lru_cache(maxsize=None)
+def _monomials(n: int, degree: int) -> tuple:
+    return tuple(e for e in _iproduct(range(degree + 1), repeat=n)
+                 if sum(e) == degree)
 
 
-def _harmonic_component(homog: dict, degree: int, n: int) -> dict:
-    """Harmonic part of a homogeneous polynomial via the correction solve."""
-    if degree < 2:
-        return dict(homog)
+@lru_cache(maxsize=None)
+def _correction_system(n: int, degree: int):
+    """Basis, index and matrix of Laplacian(|y|^2 q) for the degree-(degree-2)
+    polynomials q, which depend only on (n, degree)."""
     basis = _monomials(n, degree - 2)
     index = {e: i for i, e in enumerate(basis)}
     mat = np.zeros((len(basis), len(basis)))
     for j, e in enumerate(basis):
         for e2, c in _laplacian_terms(_times_norm2({e: 1.0}, n), n).items():
             mat[index[e2], j] = c
+    mat.setflags(write=False)
+    return basis, index, mat
+
+
+def _harmonic_component(homog: dict, degree: int, n: int) -> dict:
+    """Harmonic part of a homogeneous polynomial via the correction solve."""
+    if degree < 2:
+        return dict(homog)
+    basis, index, mat = _correction_system(n, degree)
     rhs = np.zeros(len(basis), dtype=complex)
     for e, c in _laplacian_terms(homog, n).items():
         rhs[index[e]] = c

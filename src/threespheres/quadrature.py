@@ -3,16 +3,20 @@
 Deterministic rules: equispaced trapezoid on the circle (n = 2), Gauss-
 Legendre x trapezoid on S^2, and Gauss-Gegenbauer products for higher
 dimensions; all are exact for polynomials up to their declared degree.
-Monte Carlo rules (seeded, normalized-Gaussian directions) carry an honest
-standard-error estimate and are the default for norm integrals in n >= 4.
+Seeded Monte Carlo rules (normalized-Gaussian directions) carry a standard-
+error estimate; no check uses them, but the integrals accept them.
 
 Weighted integrals carry the densities induced by the inversion:
 
     ds_a = (|y-a|^2 + R^2 - |y|^2)/|y-a|^4 ds,     dmu_a = |y-a|^(-4) dy.
 
 Both densities are analytic near the closed ball (a lies strictly outside),
-so deterministic rules converge geometrically; node counts are sized from
-the annulus ratio, distance(center, a)/radius.
+so deterministic rules converge geometrically.  The centres and a lie on one
+ray, so the densities (and the Kelvin factor) depend on a node only through
+its coordinate along that ray: the weighted rules are anisotropic, with the
+first polar axis turned toward a and sized from the annulus ratio
+distance(center, a)/radius, and the S^{n-2} across it sized only for the
+polynomial degree of the integrand (Stroud, 1971).
 
 Integration works on columns: :func:`integrals` places a rule on a sphere or
 ball, calls a function mapping (N, n) points to (N, P) values (once per
@@ -82,8 +86,10 @@ class SphereRule:
     """Quadrature nodes (unit vectors) and weights on S^{n-1}.
 
     ``kind`` is "exact" for deterministic rules (with ``degree`` the largest
-    polynomial degree integrated exactly) or "monte-carlo" (with ``samples``
-    and ``seed`` recorded).  Weights always sum to the surface area.
+    polynomial degree integrated exactly, and ``transverse`` the largest
+    degree across the first axis, see :meth:`product`) or "monte-carlo"
+    (with ``samples`` and ``seed`` recorded).  Weights always sum to the
+    surface area.
     """
 
     n: int
@@ -93,23 +99,33 @@ class SphereRule:
     degree: int | None = None
     samples: int | None = None
     seed: int | None = None
+    transverse: int | None = None
 
     def __len__(self):
         return self.weights.size
 
     @classmethod
-    def product(cls, n: int, degree: int) -> "SphereRule":
-        """Deterministic product rule exact for polynomials up to ``degree``.
+    def product(cls, n: int, degree: int,
+                transverse: int | None = None) -> "SphereRule":
+        """Deterministic product rule exact for the polynomials of degree up
+        to ``degree`` whose degree in the coordinates across the first axis
+        is at most ``transverse`` (default ``degree``, the isotropic rule).
 
-        n = 2: equispaced trapezoid.  n = 3: Gauss-Legendre in the polar
-        cosine times trapezoid in the azimuth.  n >= 4: Gauss-Gegenbauer in
-        each polar cosine times trapezoid (Stroud's S_n product form).
+        n = 2: equispaced trapezoid (no transverse direction).  n = 3:
+        Gauss-Legendre in the polar cosine times trapezoid in the azimuth.
+        n >= 4: Gauss-Gegenbauer in each polar cosine times trapezoid
+        (Stroud's S_n product form).  The first polar cosine takes
+        degree // 2 + 1 nodes; the S^{n-2} across it is the isotropic rule of
+        degree ``transverse``.
         """
         if n < 2:
             raise OutOfRange("sphere rules need n >= 2")
-        nodes, weights = _product_rule_cached(n, max(int(degree), 0))
+        degree = max(int(degree), 0)
+        transverse = (degree if transverse is None or n == 2
+                      else min(max(int(transverse), 0), degree))
+        nodes, weights = _product_rule_cached(n, degree, transverse)
         return cls(n=n, nodes=nodes, weights=weights, kind="exact",
-                   degree=max(int(degree), 0))
+                   degree=degree, transverse=transverse)
 
     @classmethod
     def monte_carlo(cls, n: int, samples: int = 200_000, seed: int = 0) -> "SphereRule":
@@ -123,19 +139,20 @@ class SphereRule:
 
     @classmethod
     def default(cls, n: int, degree: int, kappa: float | None = None,
-                digits: int = 12, samples: int = 200_000, seed: int = 0,
-                method: str = "auto", pole_order: int = 4) -> "SphereRule":
-        """Policy rule: deterministic for n <= 3, Monte Carlo for n >= 4.
+                digits: int = 12, pole_order: int = 4) -> "SphereRule":
+        """Policy rule for a degree-``degree`` polynomial integrand.
 
-        ``kappa`` > 1 is the annulus ratio distance/radius of the nearest
-        integrand singularity; deterministic node counts grow like
-        digits/log(kappa) to integrate such analytic densities to ``digits``
-        accurate digits (see :func:`analytic_degree` for ``pole_order``).
+        Without ``kappa``: the isotropic product rule, with a margin of 8
+        degrees.  With ``kappa`` > 1, the annulus ratio distance/radius of a
+        singularity on the first axis of a density that depends on the
+        point only through that axis (as ds_a, dmu_a and the Kelvin factor
+        do once the axis is turned toward a): the first axis takes the
+        degree of :func:`analytic_degree`, whose node count grows like
+        digits/log(kappa), and the S^{n-2} across it only ``degree``.
         """
-        if method == "monte-carlo" or (method == "auto" and n >= 4):
-            return cls.monte_carlo(n, samples=samples, seed=seed)
         return cls.product(n, analytic_degree(degree, kappa, digits,
-                                              pole_order))
+                                              pole_order),
+                           None if kappa is None else degree)
 
 
 def analytic_degree(degree: int, kappa: float | None, digits: int = 12,
@@ -169,8 +186,8 @@ def analytic_degree(degree: int, kappa: float | None, digits: int = 12,
 
 
 @lru_cache(maxsize=256)
-def _product_rule_cached(n: int, degree: int):
-    N = degree + 1
+def _product_rule_cached(n: int, degree: int, transverse: int):
+    N = transverse + 1
     theta = 2 * math.pi * np.arange(N) / N
     if n == 2:
         nodes = np.stack([np.cos(theta), np.sin(theta)], axis=1)
@@ -178,15 +195,14 @@ def _product_rule_cached(n: int, degree: int):
         nodes.setflags(write=False)
         weights.setflags(write=False)
         return nodes, weights
-    q = degree // 2 + 1
     axes = []
     for k in range(1, n - 1):
+        # the first polar axis carries the full degree, the S^{n-2} across
+        # it (the other polar axes and the azimuth) the transverse degree
+        q = (degree if k == 1 else transverse) // 2 + 1
         gamma = (n - 2 - k) / 2.0
-        if gamma == 0.0:
-            u, w = roots_legendre(q)
-        else:
-            u, w = roots_jacobi(q, gamma, gamma)
-        axes.append((u, w))
+        axes.append(roots_legendre(q) if gamma == 0.0
+                    else roots_jacobi(q, gamma, gamma))
     # accumulate polar coordinates left to right
     coords = np.ones((1, 0))
     sin_accum = np.ones(1)
@@ -316,10 +332,11 @@ def _points(rule, center: np.ndarray, radius: float, axis=None):
 
 def _contract(w: np.ndarray, values: np.ndarray, mc: bool):
     """Integral of each column of ``values`` against the weights ``w``, and
-    its Monte Carlo standard error (zero for deterministic rules).  Ball
-    shells are summed per direction first, so the error reflects the
-    independent direction samples only."""
-    vals = w.reshape(-1) @ values.reshape(w.size, -1)
+    its Monte Carlo standard error (zero for deterministic rules).  Nodes
+    are summed in node order, without BLAS (whose threads would split the
+    sum and change its bits).  Ball shells are summed per direction first,
+    so the error reflects the independent direction samples only."""
+    vals = np.einsum("i,ij->j", w.reshape(-1), values.reshape(w.size, -1))
     if not mc:
         return vals, np.zeros(vals.shape)
     N = w.shape[-1]

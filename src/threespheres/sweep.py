@@ -4,8 +4,10 @@ A sweep draws a corpus of random harmonic polynomials and a grid of random
 inner-ball configurations per dimension, then runs the selected checks on
 every combination.  Work fans out over (dimension, config) tasks; the row
 order is fixed by (dimension, config index, check, polynomial index, t
-index) regardless of scheduling, and Monte Carlo streams use seeds derived
-from the root seed, so identical configs produce byte-identical CSV output.
+index) regardless of scheduling, and every integral is deterministic and
+summed in a fixed order, so identical configs produce byte-identical CSV
+output whatever the thread counts.  ``mc_samples`` is accepted in configs
+(and validated) but ignored: no check uses Monte Carlo.
 """
 
 from __future__ import annotations
@@ -78,7 +80,7 @@ class SweepConfig:
     xbar_fraction: float = 0.5
     checks: tuple = ALL_CHECKS
     beta: object = "omega"
-    mc_samples: int = 20_000
+    mc_samples: int = 20_000  # accepted and ignored: no Monte Carlo
     out_csv: str | None = None
     out_json: str | None = None
 
@@ -208,16 +210,14 @@ def _config_rows(n, cfg: SweepConfig, ci, x_vec, r, polys, evaluator):
     fam = CorrelatedFamily.create(x_vec, r, R=1.0)
     x_norm = fam.x_norm
     deg2 = 2 * cfg.corpus_max_degree
-    seed0 = 90_000_019 * (ci + 1) + 101 * n
     meta = {"n": n, "x_norm": x_norm, "r": r}
     if "three_spheres" in cfg.checks or "transfer_identity" in cfg.checks:
         ts = [(j + 1) / cfg.t_count * x_norm for j in range(cfg.t_count)]
         rows.extend(sphere_rows(evaluator, fam, ts, cfg.checks, cfg.beta,
-                                deg2, cfg.mc_samples, seed0))
+                                deg2))
     if "three_balls" in cfg.checks or "embedded_bound" in cfg.checks:
         rows.extend(ball_rows(evaluator, fam, cfg.xbar_fraction * x_norm,
-                              cfg.checks, cfg.lambdas, deg2, cfg.mc_samples,
-                              seed0 + 50))
+                              cfg.checks, cfg.lambdas, deg2))
 
     if "gradient_identity" in cfg.checks or "derivative_identity" in cfg.checks:
         # row order identifies the test function: a constant, a coordinate,
@@ -329,13 +329,11 @@ def run_sweep(cfg: SweepConfig):
         geoms = sample_geometries(n, cfg.geometry_count, cfg.geometry_seed,
                                   cfg.x_norm_range, cfg.touch_margin)
         if n >= 4:
+            untested = "not yet validated for n >= 4"
             reasons = {
-                "gradient_identity": "finite differences of Monte Carlo "
-                                     "integrals are noise-dominated",
-                "derivative_identity": "finite differences of Monte Carlo "
-                                       "integrals are noise-dominated",
-                "log_convexity": "Monte Carlo noise exceeds the convexity "
-                                 "slack",
+                "gradient_identity": untested,
+                "derivative_identity": untested,
+                "log_convexity": untested,
                 "embedding_identity": "deterministic (n+5)-dimensional rule "
                                       "too large",
             }

@@ -5,9 +5,15 @@ Every check emits an :class:`InequalityReport`.  Upper-bound checks pass iff
 
     lhs <= rhs * (1 + tolerance) + stderr_budget,
 
-identity checks iff |lhs - rhs| <= tolerance * max(|lhs|, |rhs|) +
-stderr_budget.  The stderr budget is 4x the combined Monte Carlo standard
-error and is zero for deterministic quadrature.
+identity checks iff |lhs - rhs| <= tolerance * max(|lhs|, |rhs|).  Every
+integral is deterministic in every dimension, so no row carries a Monte
+Carlo budget: ``stderr_budget`` is zero but for the log-convexity rows,
+which carry their slack there.
+
+A check's ``degree`` must bound the polynomial degree of its function: the
+weighted rules integrate exactly only up to it across the axis toward the
+inversion center a (see ``quadrature``), and gain their extra accuracy along
+that axis alone.
 
 The inequalities and the transfer identity are written once, over columns:
 an evaluator maps (N, n) points to the (N, P) values or squared moduli of P
@@ -131,7 +137,7 @@ def upper_report(name, lhs, rhs, tolerance, budget=0.0, exponent=math.nan,
                             mode="upper", **meta)
 
 
-def identity_report(name, lhs, rhs, tolerance, budget=0.0, exponent=math.nan,
+def identity_report(name, lhs, rhs, tolerance, exponent=math.nan,
                     scale_floor=0.0, **meta) -> InequalityReport:
     """Two-sided comparison; complex sides are recorded by magnitude but the
     pass decision uses the full complex gap.  ``scale_floor`` keeps the
@@ -139,10 +145,10 @@ def identity_report(name, lhs, rhs, tolerance, budget=0.0, exponent=math.nan,
     gap = abs(complex(lhs) - complex(rhs))
     lhs, rhs = abs(complex(lhs)), abs(complex(rhs))
     scale = max(lhs, rhs, scale_floor, 1e-300)
-    passed = gap <= tolerance * scale + budget
+    passed = gap <= tolerance * scale
     return InequalityReport(name=name, lhs=lhs, rhs=rhs, ratio=_ratio(lhs, rhs),
                             exponent_used=float(exponent), tolerance=tolerance,
-                            stderr_budget=float(budget), passed=bool(passed),
+                            stderr_budget=0.0, passed=bool(passed),
                             mode="identity", **meta)
 
 
@@ -176,8 +182,7 @@ def _degree_of(f, default: int = 8) -> int:
 
 
 def _ball_integrals(fn, center: np.ndarray, radius: float, degree: int,
-                   inv=None, plain: bool = True, mc_samples: int = 200_000,
-                   seed: int = 0):
+                   inv=None, plain: bool = True):
     """(dmu_a-weighted, plain) column integrals of ``fn`` over
     B_{center, radius}, the first only when ``inv`` is given and the second
     only when ``plain``; both come from one evaluation, shell by shell.
@@ -185,9 +190,10 @@ def _ball_integrals(fn, center: np.ndarray, radius: float, degree: int,
     The ball-rule policy: the angular rule is sized to ten digits for the
     annulus ratio |a - center|/radius and turned toward a when the ball is
     weighted (the inequality margins are far above the 1e-9 tolerance, so
-    ten digits suffice), and is exact for degree-``degree`` polynomials
-    (kappa None) when it is not; 16 radial points, more when a
-    degree-``degree`` polynomial needs them to stay exact.
+    ten digits suffice), and is exact across that axis for degree-``degree``
+    polynomials; an unweighted ball takes the isotropic rule exact for them.
+    16 radial points, more when a degree-``degree`` polynomial needs them to
+    stay exact.
     """
     n = center.size
     kappa = axis = None
@@ -195,16 +201,16 @@ def _ball_integrals(fn, center: np.ndarray, radius: float, degree: int,
         axis = inv.a - center
         kappa = float(np.linalg.norm(axis)) / radius
         axis = axis / (kappa * radius)
-    rule = BallRule(SphereRule.default(n, degree, kappa, digits=10,
-                                       samples=mc_samples, seed=seed),
+    rule = BallRule(SphereRule.default(n, degree, kappa, digits=10),
                     radial_points=max(16, (degree + n + 1) // 2))
     weights = (("mu_a",) if inv is not None else ()) + ((None,) if plain else ())
-    cols = integrals(fn, rule, center, radius, axis, inv, weights)
+    cols = [vals for vals, _ in integrals(fn, rule, center, radius, axis, inv,
+                                          weights)]
     return (cols[0] if inv is not None else None), (cols[-1] if plain else None)
 
 
 # ---------------------------------------------------------------------------
-# the three-spheres exponent and Monte Carlo budgets
+# the three-spheres exponent
 
 
 def _resolve_beta(rec, beta, unchecked: bool = False) -> float:
@@ -219,19 +225,6 @@ def _resolve_beta(rec, beta, unchecked: bool = False) -> float:
         raise BetaOutOfRange(
             f"beta = {beta} outside (0, alpha] with alpha = {rec.alpha}")
     return beta
-
-
-def _rel_err(exponent, inner, outer, p) -> float:
-    """Relative standard error of I^exponent O^(1-exponent) in column p, to
-    first order."""
-    (iv, ie), (ov, oe) = inner, outer
-    return (exponent * ie[p] / max(iv[p], 1e-300)
-            + (1 - exponent) * oe[p] / max(ov[p], 1e-300))
-
-
-def _budget(lhs_err, rhs, exponent, inner, outer, p) -> float:
-    """4 sigma for lhs <= rhs = c I^exponent O^(1-exponent) in column p."""
-    return 4.0 * (lhs_err + rhs * _rel_err(exponent, inner, outer, p))
 
 
 # ---------------------------------------------------------------------------
@@ -260,7 +253,7 @@ def gradient_identity_check(f, x, r: float, e=None, h: float = 1e-5,
     col = Column(f)
 
     def vol(center, radius):
-        _, (vals, _) = _ball_integrals(col.values, center, radius, deg)
+        _, vals = _ball_integrals(col.values, center, radius, deg)
         return complex(vals[0])
 
     fd_dir = (vol(x + h * e, r) - vol(x - h * e, r)) / (2 * h)
@@ -306,7 +299,7 @@ def derivative_identity_check(f, fam: CorrelatedFamily, t: float,
 
     def vol(s):
         ball = fam.ball(s)
-        _, (vals, _) = _ball_integrals(col.values, ball.center, ball.radius, deg)
+        _, vals = _ball_integrals(col.values, ball.center, ball.radius, deg)
         return complex(vals[0])
 
     fd = (vol(t + h) - vol(t - h)) / (2 * h)
@@ -384,8 +377,7 @@ def convexity_margins(logr: np.ndarray, logs: np.ndarray):
 
 
 def sphere_rows(ev, fam: CorrelatedFamily, ts, checks, beta="omega",
-                degree: int = 16, mc_samples: int = 200_000, seed: int = 0,
-                unchecked_beta: bool = False,
+                degree: int = 16, unchecked_beta: bool = False,
                 tolerance: float = INEQUALITY_TOL) -> list:
     """Three-spheres (24) and transfer (22) rows at each t of ``ts``, per
     column of ``ev``, for the names in ``checks``.
@@ -394,20 +386,19 @@ def sphere_rows(ev, fam: CorrelatedFamily, ts, checks, beta="omega",
     over the inner sphere (I), the unit sphere (O) and the family sphere at
     t (M, radius rbar); a beta outside (0, alpha_t] gives failed error rows.
     (22) compares the integral of |f*|^2 over S_{0, r_t*} with
-    rho^2 (r_t/r_t*) M.  Rules are seeded ``seed`` (I) and seed + 1 (O),
-    then seed + 2 + 3j (M) and seed + 3 + 3j (Kelvin side) at ts[j].
+    rho^2 (r_t/r_t*) M.  ``degree`` bounds the degree of |f|^2.
     """
     n, r, x_norm, inv = fam.dimension, fam.r, fam.x_norm, fam.inversion
 
-    def sa_sphere(center_norm, radius, s):
+    def sa_sphere(center_norm, radius):
         # polar axis on e, toward a: a and the centers lie on the +e ray
-        rule = SphereRule.default(n, degree, (inv.a_norm - center_norm) / radius,
-                                  samples=mc_samples, seed=s)
+        rule = SphereRule.default(n, degree, (inv.a_norm - center_norm) / radius)
         return integrals(ev.squared_values, rule, center_norm * fam.e, radius,
-                         fam.e, inv, ("s_a",))[0]
+                         fam.e, inv, ("s_a",))[0][0]
 
     def kelvin_squared(pts):
-        # |f*|^2 = |f(phi(y))|^2 (rho^2/|y-a|^2)^(n-2)
+        # |f*|^2 = |f(phi(y))|^2 (rho^2/|y-a|^2)^(n-2): on a slice across e,
+        # phi is affine and the factor constant, so degree <= ``degree`` there
         sq = abs2(ev.values(inversion_map(inv, pts)))
         if n == 2:
             return sq
@@ -415,14 +406,13 @@ def sphere_rows(ev, fam: CorrelatedFamily, ts, checks, beta="omega",
         return sq * ((inv.rho2 / np.einsum("ij,ij->i", d, d)) ** (n - 2))[:, None]
 
     if "three_spheres" in checks:
-        inner = sa_sphere(x_norm, r, seed)
-        outer = sa_sphere(0.0, 1.0, seed + 1)
-        (iv, _), (ov, _) = inner, outer
+        iv = sa_sphere(x_norm, r)
+        ov = sa_sphere(0.0, 1.0)
     rows = []
-    for j, t in enumerate(ts):
+    for t in ts:
         meta = {"n": n, "x_norm": x_norm, "r": r, "t": t}
         rt = float(fam.radius(t))
-        mv, me = sa_sphere(t, rt, seed + 2 + 3 * j)
+        mv = sa_sphere(t, rt)
         if "three_spheres" in checks:
             try:
                 b = _resolve_beta(fam.exponents(t), beta, unchecked_beta)
@@ -431,32 +421,26 @@ def sphere_rows(ev, fam: CorrelatedFamily, ts, checks, beta="omega",
                                       exponent=float(beta), **meta)
                             for _ in mv)
             else:
-                for p in range(mv.size):
-                    lhs = rt * mv[p]
-                    rhs = (r * iv[p]) ** b * ov[p] ** (1 - b)
-                    rows.append(upper_report(
-                        "three_spheres_eq24", lhs, rhs, tolerance,
-                        budget=_budget(rt * me[p], rhs, b, inner, outer, p),
-                        exponent=b, **meta))
+                rows.extend(upper_report(
+                    "three_spheres_eq24", rt * mv[p],
+                    (r * iv[p]) ** b * ov[p] ** (1 - b), tolerance,
+                    exponent=b, **meta) for p in range(mv.size))
         if "transfer_identity" in checks:
             rts = float(fam.image_radius(t))
             # the Kelvin side has a high-order pole at a: generous allowance
             rule = SphereRule.default(n, degree, inv.a_norm / rts,
-                                      samples=mc_samples, seed=seed + 3 + 3 * j,
                                       pole_order=12)
-            (kv, ke), = integrals(kelvin_squared, rule, np.zeros(n), rts, fam.e)
+            (kv, _), = integrals(kelvin_squared, rule, np.zeros(n), rts, fam.e)
             factor = inv.rho2 * rt / rts
             rows.extend(identity_report(
                 "transfer_identity_eq22", kv[p], factor * mv[p], TRANSFER_TOL,
-                budget=4.0 * (ke[p] + factor * me[p]), **meta)
-                for p in range(kv.size))
+                **meta) for p in range(kv.size))
     return rows
 
 
 def three_spheres_check(f, x, r: float, t: float, beta="omega",
                         unchecked_beta: bool = False,
                         degree: int | None = None,
-                        mc_samples: int = 200_000, seed: int = 0,
                         tolerance: float = INEQUALITY_TOL) -> InequalityReport:
     """Check the weighted three-spheres inequality on the correlated family.
 
@@ -466,6 +450,7 @@ def three_spheres_check(f, x, r: float, t: float, beta="omega",
     with (xbar, rbar) the family ball at arclength t, beta in (0, alpha]
     (default the explicit bound omega).  ``unchecked_beta`` admits beta >
     alpha for negative controls, where the inequality may genuinely fail.
+    ``degree`` (default ``f.degree``, else 8) must bound the degree of f.
     """
     fam = CorrelatedFamily.create(x, r, R=1.0)
     if not 0 < t <= fam.x_norm * (1 + 1e-12):
@@ -473,25 +458,21 @@ def three_spheres_check(f, x, r: float, t: float, beta="omega",
     _resolve_beta(fam.exponents(t), beta, unchecked_beta)
     deg2 = 2 * (degree if degree is not None else _degree_of(f))
     return sphere_rows(Column(f), fam, [float(t)], ("three_spheres",), beta,
-                       deg2, mc_samples, seed, unchecked_beta, tolerance)[0]
+                       deg2, unchecked_beta, tolerance)[0]
 
 
 def transfer_identity_check(f, fam: CorrelatedFamily, t: float,
-                            degree: int | None = None,
-                            mc_samples: int = 200_000,
-                            seed: int = 0) -> InequalityReport:
+                            degree: int | None = None) -> InequalityReport:
     """Check L_2^2(r_t*, f*) = rho^2 (r_t/r_t*) int_{S_{x_t,r_t}} |f|^2 ds_a."""
     if not 0 < t <= fam.x_norm * (1 + 1e-12):
         raise OutOfRange("t must lie in (0, |x|]")
     deg2 = 2 * (degree if degree is not None else _degree_of(f))
     return sphere_rows(Column(f), fam, [float(t)], ("transfer_identity",),
-                       degree=deg2, mc_samples=mc_samples, seed=seed)[0]
+                       degree=deg2)[0]
 
 
 def holomorphic_variant_check(coeffs, x, r: float, t: float, beta="omega",
-                              unchecked_beta: bool = False,
-                              mc_samples: int = 200_000,
-                              seed: int = 0) -> InequalityReport:
+                              unchecked_beta: bool = False) -> InequalityReport:
     """Planar holomorphic variant: ds_a replaced by (|y-a|^2+1-|y|^2) ds.
 
     Implemented by applying the three-spheres check to (z - z_a)^2 f(z),
@@ -512,8 +493,7 @@ def holomorphic_variant_check(coeffs, x, r: float, t: float, beta="omega",
     g = holomorphic_polynomial(shifted)
     report = three_spheres_check(g, x, r, t, beta=beta,
                                  unchecked_beta=unchecked_beta,
-                                 degree=g.degree, mc_samples=mc_samples,
-                                 seed=seed)
+                                 degree=g.degree)
     return replace(report, name="holomorphic_variant_remark3")
 
 
@@ -522,9 +502,9 @@ def holomorphic_variant_check(coeffs, x, r: float, t: float, beta="omega",
 
 
 def ball_rows(ev, fam: CorrelatedFamily, xbar_norm: float, checks,
-              lambdas=(), degree: int = 16, mc_samples: int = 200_000,
-              seed: int = 0, delta=None, variant: str = "scaled",
-              tolerance: float = INEQUALITY_TOL) -> list:
+              lambdas=(), degree: int = 16, delta=None,
+              variant: str = "scaled", tolerance: float = INEQUALITY_TOL
+              ) -> list:
     """Three-balls (27) rows and, for each lambda, embedded-bound rows (29)
     (at R = 1), (36) and (37), per column of ``ev``, for the names in
     ``checks``.
@@ -533,8 +513,7 @@ def ball_rows(ev, fam: CorrelatedFamily, xbar_norm: float, checks,
     B_{x0,r0} (I), the correlated ball B_{xbar,rbar} (M) and B_R (O).  The
     embedded bounds set the plain integral over B_{xbar, lambda rbar}
     against the plain I and O.  The inner and outer balls are evaluated once
-    for both measures.  Rules are seeded ``seed`` (inner), seed + 1
-    (middle), seed + 2 (outer) and seed + 3 + int(1000 lambda).
+    for both measures.  ``degree`` bounds the degree of |u|^2.
     """
     n, r0, R, x0n = fam.dimension, fam.r, fam.R, fam.x_norm
     if not 0 < xbar_norm <= x0n * (1 + 1e-12):
@@ -547,28 +526,19 @@ def ball_rows(ev, fam: CorrelatedFamily, xbar_norm: float, checks,
     inv = fam.inversion if "three_balls" in checks else None
     embedded = "embedded_bound" in checks
     sq = ev.squared_values
-    in_mu, inner = _ball_integrals(sq, x0n * fam.e, r0, degree, inv, embedded,
-                                  mc_samples, seed)
-    out_mu, outer = _ball_integrals(sq, np.zeros(n), R, degree, inv, embedded,
-                                   mc_samples, seed + 2)
+    in_mu, iv = _ball_integrals(sq, x0n * fam.e, r0, degree, inv, embedded)
+    out_mu, ov = _ball_integrals(sq, np.zeros(n), R, degree, inv, embedded)
     meta = {"n": n, "x_norm": x0n, "r": r0}
     rows = []
     if inv is not None:
-        (mv, me), _ = _ball_integrals(sq, xbar_norm * fam.e, rbar, degree, inv,
-                                     False, mc_samples, seed + 1)
-        (iv, _), (ov, _) = in_mu, out_mu
-        for p in range(mv.size):
-            rhs = iv[p] ** delta * ov[p] ** (1 - delta)
-            rows.append(upper_report(
-                "three_balls_eq27", mv[p], rhs, tolerance,
-                budget=_budget(me[p], rhs, delta, in_mu, out_mu, p),
-                exponent=delta, t=xbar_norm, **meta))
+        mv, _ = _ball_integrals(sq, xbar_norm * fam.e, rbar, degree, inv, False)
+        rows.extend(upper_report(
+            "three_balls_eq27", mv[p],
+            in_mu[p] ** delta * out_mu[p] ** (1 - delta), tolerance,
+            exponent=delta, t=xbar_norm, **meta) for p in range(mv.size))
     vol = ball_volume(n)
     for lam in lambdas if embedded else ():
-        _, (lv, le) = _ball_integrals(sq, xbar_norm * fam.e, lam * rbar, degree,
-                                     None, True, mc_samples,
-                                     seed + 3 + int(lam * 1000))
-        (iv, _), (ov, _) = inner, outer
+        _, lv = _ball_integrals(sq, xbar_norm * fam.e, lam * rbar, degree)
         for p in range(lv.size):
             core = iv[p] ** delta * ov[p] ** (1 - delta)
             rhs_by_name = {}
@@ -579,29 +549,22 @@ def ball_rows(ev, fam: CorrelatedFamily, xbar_norm: float, checks,
                 EMBED_CONSTANT / (1 - lam * lam) ** 2.5 * (R / rbar) ** 5
                 * core)
             for name, rhs in rhs_by_name.items():
-                rows.append(upper_report(
-                    name, lv[p], rhs, tolerance,
-                    budget=_budget(le[p], rhs, delta, inner, outer, p),
-                    exponent=delta, t=lam, **meta))
+                rows.append(upper_report(name, lv[p], rhs, tolerance,
+                                         exponent=delta, t=lam, **meta))
             a2_lam, a2_in, a2_out = (
                 math.sqrt(max(v, 0.0) / (vol * radius ** n))
                 for v, radius in ((lv[p], lam * rbar), (iv[p], r0), (ov[p], R)))
             rhs37 = (math.sqrt(EMBED_CONSTANT) / (1 - lam * lam) ** 1.25
                      * (R / rbar) ** ((n + 5) / 2)
                      * a2_in ** delta * a2_out ** (1 - delta))
-            budget37 = (2.0 * (le[p] / max(lv[p], 1e-300)
-                               + _rel_err(delta, inner, outer, p))
-                        * max(a2_lam, rhs37))
             rows.append(upper_report("embedded_bound_eq37", a2_lam, rhs37,
-                                     tolerance, budget=budget37,
-                                     exponent=delta, t=lam, **meta))
+                                     tolerance, exponent=delta, t=lam, **meta))
     return rows
 
 
 def three_balls_check(u, x0, r0: float, xbar_norm: float, delta=None,
                       delta0_variant: str = "scaled",
-                      degree: int | None = None, mc_samples: int = 200_000,
-                      seed: int = 0,
+                      degree: int | None = None,
                       tolerance: float = INEQUALITY_TOL) -> InequalityReport:
     """Check the weighted three-balls inequality
 
@@ -613,14 +576,12 @@ def three_balls_check(u, x0, r0: float, xbar_norm: float, delta=None,
     fam = CorrelatedFamily.create(x0, r0, R=1.0)
     deg2 = 2 * (degree if degree is not None else _degree_of(u))
     return ball_rows(Column(u), fam, float(xbar_norm), ("three_balls",), (),
-                     deg2, mc_samples, seed, delta, delta0_variant,
-                     tolerance)[0]
+                     deg2, delta, delta0_variant, tolerance)[0]
 
 
 def embedded_bound_check(u, x0, r0: float, xbar_norm: float, lam: float,
                          R: float = 1.0, delta=None,
                          degree: int | None = None,
-                         mc_samples: int = 200_000, seed: int = 0,
                          tolerance: float = INEQUALITY_TOL
                          ) -> list[InequalityReport]:
     """Check the unweighted (plain dx) propagation bounds.
@@ -638,8 +599,7 @@ def embedded_bound_check(u, x0, r0: float, xbar_norm: float, lam: float,
     fam = CorrelatedFamily.create(x0, r0, R=R)
     deg2 = 2 * (degree if degree is not None else _degree_of(u))
     rows = ball_rows(Column(u), fam, float(xbar_norm), ("embedded_bound",),
-                     (lam,), deg2, mc_samples, seed, delta,
-                     tolerance=tolerance)
+                     (lam,), deg2, delta, tolerance=tolerance)
     return [replace(rep, t=float(xbar_norm)) for rep in rows]
 
 

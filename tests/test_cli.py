@@ -1,6 +1,9 @@
 import json
 import os
+import subprocess
+import sys
 
+import threespheres
 from threespheres.cli import main
 
 
@@ -81,6 +84,34 @@ def test_verify_determinism_across_thread_counts(tmp_path):
         else:
             os.environ["THREESPHERES_THREADS"] = old
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_verify_bytes_independent_of_blas_threads(tmp_path):
+    # the BLAS thread count is read when numpy is imported, so each run is
+    # a fresh process; with 30 columns, a BLAS node sum split over two
+    # threads changed the bits of some rows
+    cfg = write_config(tmp_path, {
+        "dimensions": [2, 3, 4],
+        "corpus": {"count": 30, "max_degree": 6, "seed": 3},
+        "geometry": {"count": 2, "seed": 5, "t_count": 2, "lambdas": [0.6]},
+        "checks": ["three_spheres", "transfer_identity", "three_balls",
+                   "embedded_bound", "log_convexity"],
+    })
+    src = os.path.dirname(os.path.dirname(threespheres.__file__))
+    outputs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"blas{threads}.csv"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   THREESPHERES_THREADS="1",
+                   PYTHONPATH=os.pathsep.join(
+                       [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "threespheres.cli", "verify", "--config",
+             cfg, "--out-csv", str(out)], env=env, capture_output=True,
+            text=True, timeout=300)
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
 
 
 def test_verify_beta_above_alpha_fails_with_rows(tmp_path, capsys):

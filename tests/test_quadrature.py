@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -51,6 +52,36 @@ def test_monomial_exactness_vs_gamma_oracle(n, rng):
         exact = exact_sphere_monomial(n, exps)
         assert abs(complex(val.value).real - exact) < 1e-12 * max(1.0, abs(exact))
         assert val.stderr == 0.0
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_anisotropic_product_exactness(n):
+    # exact for every monomial of degree <= ``degree`` whose exponents
+    # across the first axis total <= ``transverse``: on the first axis the
+    # monomial u1^a times the transverse part has degree a + |b|
+    degree, transverse = 14, 6
+    rule = SphereRule.product(n, degree, transverse)
+    assert (rule.degree, rule.transverse) == (degree, transverse)
+    assert len(rule) == ((degree // 2 + 1) * (transverse // 2 + 1) ** (n - 3)
+                         * (transverse + 1))
+    exps = np.array([(a,) + rest
+                     for rest in itertools.product(range(transverse + 1),
+                                                   repeat=n - 1)
+                     if sum(rest) <= transverse
+                     for a in range(degree - sum(rest) + 1)])
+    assert exps[:, 0].max() == degree and exps[:, 1:].sum(axis=1).max() == transverse
+
+    def monomials(pts):
+        return np.prod(pts[:, None, :] ** exps[None, :, :], axis=2)
+
+    (vals, errs), = integrals(monomials, rule, np.zeros(n), 1.0)
+    assert not errs.any()
+    exact = np.array([exact_sphere_monomial(n, e) for e in exps])
+    np.testing.assert_allclose(vals, exact, rtol=0, atol=1e-12)
+    # no transverse degree is the isotropic rule; it is capped at the degree
+    iso = SphereRule.product(n, degree)
+    assert iso.transverse == degree
+    assert SphereRule.product(n, degree, degree + 4).nodes is iso.nodes
 
 
 def test_surface_area_and_disk_moment():

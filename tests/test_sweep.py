@@ -19,8 +19,13 @@ from threespheres.sweep import (
 def test_default_rule_policy():
     assert SphereRule.default(2, 8).kind == "exact"
     assert SphereRule.default(3, 8, kappa=1.5).kind == "exact"
-    assert SphereRule.default(4, 8, samples=500).kind == "monte-carlo"
-    assert SphereRule.default(4, 8, samples=500, method="product").kind == "exact"
+    assert SphereRule.default(4, 8).kind == "exact"
+    for n in (2, 3, 4, 5):
+        rule = SphereRule.default(n, 8, kappa=1.5)
+        assert rule.kind == "exact"
+        assert rule.degree == analytic_degree(8, 1.5)
+        # the circle has no transverse direction
+        assert rule.transverse == (rule.degree if n == 2 else 8)
 
 
 def test_analytic_degree_monotonicity():
@@ -106,7 +111,7 @@ def test_csv_floats_roundtrip(tmp_path):
     assert data[0]["lhs"] == reports[0].lhs
 
 
-def test_n4_monte_carlo_rows_have_budgets():
+def test_n4_rows_are_deterministic():
     cfg = SweepConfig.from_dict({
         "dimensions": [4],
         "corpus": {"count": 3, "max_degree": 6, "seed": 2},
@@ -117,5 +122,5 @@ def test_n4_monte_carlo_rows_have_budgets():
     reports, skipped = run_sweep(cfg)
     assert reports
     assert all(r.passed for r in reports)
-    assert all(r.stderr_budget > 0 for r in reports)
+    assert all(r.stderr_budget == 0 for r in reports)
     assert not skipped

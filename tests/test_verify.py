@@ -11,15 +11,21 @@ from threespheres.errors import (
     PreconditionViolated,
 )
 from threespheres.geometry import CorrelatedFamily
-from threespheres.harmonic import HarmonicPolynomial, random_harmonic_polynomial
-from threespheres.quadrature import ball_volume
+from threespheres.harmonic import (
+    HarmonicPolynomial,
+    PolynomialEvaluator,
+    random_harmonic_polynomial,
+)
+from threespheres.quadrature import SphereRule, analytic_degree, ball_volume
 from threespheres.verify import (
+    ball_rows,
     derivative_identity_check,
     embedded_bound_check,
     embedding_identity_check,
     gradient_identity_check,
     holomorphic_variant_check,
     log_convexity_check,
+    sphere_rows,
     three_balls_check,
     three_spheres_check,
     transfer_identity_check,
@@ -366,3 +372,39 @@ def test_sweep_rows_match_single_checks():
             assert row.t == 0.3
             assert abs(row.lhs - direct.lhs) < 1e-11 * max(1.0, direct.lhs)
             assert abs(row.rhs - direct.rhs) < 1e-11 * max(1.0, direct.rhs)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_anisotropic_rules_match_isotropic(n, monkeypatch):
+    # across the axis toward a, the s_a, Kelvin and mu_a integrands are
+    # polynomials of degree <= ``degree`` on each slice, so rules exact only
+    # to that degree across it agree with the isotropic rule of the same
+    # axial degree
+    ev = PolynomialEvaluator([random_harmonic_polynomial(n, 6, seed=s)
+                              for s in range(3)])
+    x = np.zeros(n)
+    x[:2] = 0.3, -0.1  # off the coordinate axes, so every rule is turned
+    fam = CorrelatedFamily.create(x, 0.2)
+
+    def rows():
+        return (sphere_rows(ev, fam, [0.6 * fam.x_norm, fam.x_norm],
+                            ("three_spheres", "transfer_identity"), degree=12)
+                + ball_rows(ev, fam, 0.5 * fam.x_norm,
+                            ("three_balls", "embedded_bound"), (0.6,),
+                            degree=12))
+
+    anisotropic = rows()
+    rule = SphereRule.default(n, 12, 1.5)
+    assert rule.transverse == 12 < rule.degree
+
+    def isotropic(cls, n, degree, kappa=None, digits=12, pole_order=4):
+        return cls.product(n, analytic_degree(degree, kappa, digits,
+                                              pole_order))
+
+    monkeypatch.setattr(SphereRule, "default", classmethod(isotropic))
+    reference = rows()
+    assert len(anisotropic) == len(reference) == 3 * 4 + 3 * 4
+    for got, want in zip(anisotropic, reference):
+        assert got.name == want.name and got.passed
+        assert abs(got.lhs - want.lhs) <= 1e-12 * abs(want.lhs)
+        assert abs(got.rhs - want.rhs) <= 1e-12 * abs(want.rhs)
