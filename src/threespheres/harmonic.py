@@ -3,8 +3,11 @@
 Polynomials are stored as sparse multi-index -> complex coefficient maps.
 Random test functions are produced by drawing dense random coefficients and
 projecting each homogeneous component onto its harmonic part: p = h + |y|^2 q
-where q solves the linear system Laplacian(|y|^2 q) = Laplacian(p) degree by
-degree.
+where q solves the linear system Laplacian(|y|^2 q) = Laplacian(p).  For a
+fixed (n, degree) that projection is one linear map, built once from dense
+matrices of the Laplacian L and the |y|^2 product T, and the harmonicity gate
+is the matrix product max |L h|; polynomials given by their terms are gated
+by the symbolic Laplacian.
 """
 
 from __future__ import annotations
@@ -44,17 +47,6 @@ def _laplacian_terms(terms: dict, n: int) -> dict:
     return out
 
 
-def _times_norm2(terms: dict, n: int) -> dict:
-    out: dict = {}
-    for e, c in terms.items():
-        for k in range(n):
-            e2 = list(e)
-            e2[k] += 2
-            key = tuple(e2)
-            out[key] = out.get(key, 0.0) + c
-    return out
-
-
 @lru_cache(maxsize=None)
 def _monomials(n: int, degree: int) -> tuple:
     return tuple(e for e in _iproduct(range(degree + 1), repeat=n)
@@ -62,32 +54,34 @@ def _monomials(n: int, degree: int) -> tuple:
 
 
 @lru_cache(maxsize=None)
-def _correction_system(n: int, degree: int):
-    """Basis, index and matrix of Laplacian(|y|^2 q) for the degree-(degree-2)
-    polynomials q, which depend only on (n, degree)."""
-    basis = _monomials(n, degree - 2)
-    index = {e: i for i, e in enumerate(basis)}
-    mat = np.zeros((len(basis), len(basis)))
-    for j, e in enumerate(basis):
-        for e2, c in _laplacian_terms(_times_norm2({e: 1.0}, n), n).items():
-            mat[index[e2], j] = c
-    mat.setflags(write=False)
-    return basis, index, mat
+def _degree_maps(n: int, degree: int):
+    """The degree-``degree`` monomials and the dense maps that depend only on
+    (n, degree): the Laplacian L (degree -> degree - 2), the |y|^2 product T
+    (degree - 2 -> degree) and the correction matrix L T."""
+    monos, lower = _monomials(n, degree), _monomials(n, degree - 2)
+    down = {e: i for i, e in enumerate(lower)}
+    up = {e: i for i, e in enumerate(monos)}
+    lap = np.zeros((len(lower), len(monos)))
+    for j, e in enumerate(monos):
+        for e2, c in _laplacian_terms({e: 1.0}, n).items():
+            lap[down[e2], j] = c
+    times = np.zeros((len(monos), len(lower)))
+    for j, e in enumerate(lower):
+        for k in range(n):
+            times[up[e[:k] + (e[k] + 2,) + e[k + 1:]], j] = 1.0
+    maps = (lap, times, lap @ times)
+    for m in maps:
+        m.setflags(write=False)
+    return (monos,) + maps
 
 
-def _harmonic_component(homog: dict, degree: int, n: int) -> dict:
-    """Harmonic part of a homogeneous polynomial via the correction solve."""
-    if degree < 2:
-        return dict(homog)
-    basis, index, mat = _correction_system(n, degree)
-    rhs = np.zeros(len(basis), dtype=complex)
-    for e, c in _laplacian_terms(homog, n).items():
-        rhs[index[e]] = c
-    q = np.linalg.solve(mat, rhs)
-    h = dict(homog)
-    for e, c in _times_norm2({basis[i]: q[i] for i in range(len(basis))}, n).items():
-        h[e] = h.get(e, 0.0) - c
-    return h
+def _check_residual(resid: float, scale: float) -> None:
+    # the gate is 10x the synthesis tolerance to admit round-tripped
+    # coefficients
+    if resid > 10 * HARMONICITY_TOL * max(scale, 1.0):
+        raise NonHarmonic(
+            f"Laplacian coefficient residual {resid:.3e} exceeds "
+            f"tolerance for coefficient scale {scale:.3e}")
 
 
 class HarmonicPolynomial:
@@ -122,13 +116,7 @@ class HarmonicPolynomial:
         if validate and clean:
             scale = max(abs(c) for c in clean.values())
             lap = _laplacian_terms(clean, dimension)
-            resid = max((abs(c) for c in lap.values()), default=0.0)
-            # constructor gate is 10x the synthesis tolerance to admit
-            # round-tripped coefficients
-            if resid > 10 * HARMONICITY_TOL * max(scale, 1.0):
-                raise NonHarmonic(
-                    f"Laplacian coefficient residual {resid:.3e} exceeds "
-                    f"tolerance for coefficient scale {scale:.3e}")
+            _check_residual(max(map(abs, lap.values()), default=0.0), scale)
 
     @property
     def degree(self) -> int:
@@ -206,9 +194,10 @@ class PolynomialEvaluator:
         n = self.dimension = polys[0].dimension
         if any(p.dimension != n for p in polys):
             raise OutOfRange("mixed dimensions in polynomial batch")
-        # every prefix e_1..e_{k-1}, then m <= e_k, then zeros
+        # every prefix e_1..e_{k-1}, then m <= e_k, then zeros, closing the
+        # distinct exponents (a dense corpus shares them all)
         exps = {(0,) * n} | {e[:k] + (m,) + (0,) * (n - k - 1)
-                             for p in polys for e in p.terms
+                             for e in set().union(*(p.terms for p in polys))
                              for k in range(n) for m in range(e[k] + 1)}
         exps = sorted(exps, key=lambda e: (sum(e), e))
         index = {e: i for i, e in enumerate(exps)}
@@ -263,19 +252,24 @@ def random_harmonic_polynomial(n: int, max_degree: int, seed: int) -> HarmonicPo
     """Random harmonic polynomial of degree <= max_degree, deterministic in seed.
 
     Dense standard complex-normal coefficients are drawn for every monomial
-    and each homogeneous slice is replaced by its harmonic part.
+    and each homogeneous slice h is replaced by its harmonic part
+    h - T solve(L T, L h); the constructor's gate then runs as max |L h|.
     """
     if n < 2 or max_degree < 0:
         raise OutOfRange("need n >= 2 and max_degree >= 0")
     rng = np.random.default_rng(seed)
     terms: dict = {}
+    resid = scale = 0.0
     for degree in range(max_degree + 1):
-        homog = {}
-        for e in _monomials(n, degree):
-            homog[e] = complex(rng.standard_normal(), rng.standard_normal())
-        for e, c in _harmonic_component(homog, degree, n).items():
-            terms[e] = terms.get(e, 0.0) + c
-    return HarmonicPolynomial(n, terms)
+        monos, lap, times, mat = _degree_maps(n, degree)
+        h = rng.standard_normal(2 * len(monos)).view(complex)
+        if degree >= 2:
+            h -= times @ np.linalg.solve(mat, lap @ h)
+            resid = max(resid, np.abs(lap @ h).max())
+        scale = max(scale, np.abs(h).max())
+        terms.update(zip(monos, h.tolist()))
+    _check_residual(resid, scale)
+    return HarmonicPolynomial(n, terms, validate=False)
 
 
 def holomorphic_polynomial(coeffs) -> HarmonicPolynomial:

@@ -138,8 +138,9 @@ class SweepConfig:
         margin = geom.get("touch_margin", 0.05)
         if not real(margin) or not 0 < margin < 1:
             fail("geometry.touch_margin", f"must be in (0, 1), got {margin!r}")
-        if xr[1] + margin >= 1:
-            fail("geometry.x_norm_range", "hi + touch_margin must stay below 1")
+        # sample_geometries draws r from [0.02, 1 - |x| - touch_margin]
+        if 1.0 - xr[1] - margin < 0.02:
+            fail("geometry.x_norm_range", "hi + touch_margin must not exceed 0.98")
         t_count = get_int(geom, "t_count", 10, "geometry.t_count")
         lambdas = geom.get("lambdas", [0.3, 0.6, 0.9])
         if (not isinstance(lambdas, list) or not lambdas
@@ -168,6 +169,9 @@ class SweepConfig:
         output = raw.get("output", {})
         if not isinstance(output, dict):
             fail("output", "must be an object")
+        for key in ("csv", "json"):
+            if output.get(key) is not None and not isinstance(output[key], str):
+                fail(f"output.{key}", f"must be a path string, got {output[key]!r}")
 
         return cls(dimensions=tuple(dims), corpus_count=count,
                    corpus_max_degree=max_degree, corpus_seed=corpus_seed,
@@ -395,8 +399,15 @@ def write_csv(reports, path: str) -> None:
 
 
 def write_json(reports, path: str) -> None:
-    """One JSON object per report, serialized as a JSON array."""
+    """One JSON object per report, serialized as a JSON array.
+
+    The bytes are those of ``json.dump(..., indent=1, sort_keys=True)``, but
+    each flat row goes through the C encoder, which ``indent`` would bypass.
+    """
+    encode = json.JSONEncoder(sort_keys=True, separators=(",\n  ", ": ")).encode
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        json.dump([rep.to_dict() for rep in reports], fh, indent=1,
-                  sort_keys=True)
-        fh.write("\n")
+        sep = "[\n"
+        for rep in reports:
+            fh.write(sep + " {\n  " + encode(rep.to_dict())[1:-1] + "\n }")
+            sep = ",\n"
+        fh.write("[]\n" if sep == "[\n" else "\n]\n")

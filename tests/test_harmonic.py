@@ -1,6 +1,9 @@
+from itertools import product
+
 import numpy as np
 import pytest
 
+from threespheres import harmonic
 from threespheres.errors import NonHarmonic, SingularPoint, StencilOutOfDomain
 from threespheres.geometry import solve_inversion_center
 from threespheres.harmonic import (
@@ -33,6 +36,68 @@ def test_synthesis_laplacian_residual():
         for seed in range(5):
             f = random_harmonic_polynomial(n, 8, seed=seed)
             assert lap_coeff_ratio(f) < 1e-13
+
+
+def _times_norm2(terms, n):
+    out = {}
+    for e, c in terms.items():
+        for k in range(n):
+            key = e[:k] + (e[k] + 2,) + e[k + 1:]
+            out[key] = out.get(key, 0.0) + c
+    return out
+
+
+def dict_harmonic_terms(n, max_degree, seed):
+    """The dict-based synthesis the per-degree maps replaced: each drawn
+    homogeneous slice minus |y|^2 q, q solving Laplacian(|y|^2 q) =
+    Laplacian(slice) on a system built term by term."""
+    lap = harmonic._laplacian_terms
+    rng = np.random.default_rng(seed)
+    terms = {}
+    for degree in range(max_degree + 1):
+        homog = {e: complex(rng.standard_normal(), rng.standard_normal())
+                 for e in product(range(degree + 1), repeat=n)
+                 if sum(e) == degree}
+        terms.update(homog)
+        if degree < 2:
+            continue
+        basis = [e for e in product(range(degree - 1), repeat=n)
+                 if sum(e) == degree - 2]
+        index = {e: i for i, e in enumerate(basis)}
+        mat = np.zeros((len(basis), len(basis)))
+        for j, e in enumerate(basis):
+            for e2, c in lap(_times_norm2({e: 1.0}, n), n).items():
+                mat[index[e2], j] = c
+        rhs = np.zeros(len(basis), dtype=complex)
+        for e, c in lap(homog, n).items():
+            rhs[index[e]] = c
+        q = np.linalg.solve(mat, rhs)
+        for e, c in _times_norm2(dict(zip(basis, q)), n).items():
+            terms[e] -= c
+    return terms
+
+
+def test_synthesis_matches_dict_oracle():
+    for n in (2, 3, 4, 5):
+        for max_degree in (0, 1, 2, 7, 12):
+            f = random_harmonic_polynomial(n, max_degree, seed=n + max_degree)
+            want = dict_harmonic_terms(n, max_degree, seed=n + max_degree)
+            assert set(f.terms) == set(want)
+            scale = max(abs(c) for c in want.values())
+            assert max(abs(f.terms[e] - c) for e, c in want.items()) \
+                <= 1e-15 * scale
+
+
+def test_synthesis_gate_fires(monkeypatch):
+    maps = harmonic._degree_maps
+
+    def corrupt(n, degree):
+        monos, lap, times, mat = maps(n, degree)
+        return monos, lap, 1.001 * times, mat
+
+    monkeypatch.setattr(harmonic, "_degree_maps", corrupt)
+    with pytest.raises(NonHarmonic):
+        random_harmonic_polynomial(3, 4, seed=0)
 
 
 def test_classical_harmonic_accepted():

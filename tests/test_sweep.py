@@ -1,4 +1,7 @@
+import io
 import json
+import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,6 +17,7 @@ from threespheres.sweep import (
     write_csv,
     write_json,
 )
+from threespheres.verify import InequalityReport
 
 
 def test_default_rule_policy():
@@ -82,6 +86,15 @@ def test_config_validation_messages():
         SweepConfig.from_dict({"geometry": {"x_norm_range": ["a", 0.5]}})
     with pytest.raises(ConfigError, match="checks"):
         SweepConfig.from_dict({"checks": [["x"]]})
+    # an integer path would be opened as a file descriptor
+    with pytest.raises(ConfigError, match="output.csv"):
+        SweepConfig.from_dict({"output": {"csv": 5}})
+    with pytest.raises(ConfigError, match="output.json"):
+        SweepConfig.from_dict({"output": {"json": ["r.json"]}})
+    # no room for r in [0.02, 1 - |x| - touch_margin]
+    with pytest.raises(ConfigError, match="geometry.x_norm_range"):
+        SweepConfig.from_dict({"geometry": {"x_norm_range": [0.9, 0.94],
+                                            "touch_margin": 0.05}})
     cfg = SweepConfig.from_dict({})
     assert cfg.checks == ALL_CHECKS
     assert cfg.dimensions == (2, 3)
@@ -109,6 +122,25 @@ def test_csv_floats_roundtrip(tmp_path):
     write_json(reports, str(jpath))
     data = json.loads(jpath.read_text())
     assert data[0]["lhs"] == reports[0].lhs
+
+
+def test_write_json_bytes_match_json_dump(tmp_path):
+    cfg = SweepConfig.from_dict({
+        "dimensions": [2],
+        "corpus": {"count": 2, "max_degree": 4, "seed": 1},
+        "geometry": {"count": 1, "seed": 1, "t_count": 2},
+        "checks": ["three_spheres", "transfer_identity"],
+    })
+    reports, _ = run_sweep(cfg)
+    odd = [InequalityReport('say "ü"', math.nan, math.inf, -math.inf,
+                            -0.0, 1e-9, 0.0, False, n=None, x_norm=-0.0),
+           replace(reports[0], lhs=-math.inf, ratio=math.nan, t=None)]
+    path = tmp_path / "r.json"
+    for reps in (reports, odd, [], reports[:1]):
+        write_json(reps, str(path))
+        buf = io.StringIO()
+        json.dump([r.to_dict() for r in reps], buf, indent=1, sort_keys=True)
+        assert path.read_bytes() == (buf.getvalue() + "\n").encode()
 
 
 def test_n4_rows_are_deterministic():
