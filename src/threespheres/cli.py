@@ -87,8 +87,6 @@ def cmd_uniqueness(args) -> int:
     try:
         with open(args.sequence, "r", encoding="utf-8") as fh:
             seq = SmallnessSequence.from_json(fh.read())
-    except FileNotFoundError:
-        raise ConfigError(f"sequence file not found: {args.sequence}")
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{args.sequence}: malformed JSON at line "
                           f"{exc.lineno} column {exc.colno}: {exc.msg}")
@@ -97,8 +95,6 @@ def cmd_uniqueness(args) -> int:
     try:
         with open(args.envelope, "r", encoding="utf-8") as fh:
             env_spec = json.load(fh)
-    except FileNotFoundError:
-        raise ConfigError(f"envelope file not found: {args.envelope}")
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{args.envelope}: malformed JSON at line "
                           f"{exc.lineno} column {exc.colno}: {exc.msg}")
@@ -139,8 +135,6 @@ def cmd_report(args) -> int:
     try:
         with open(args.json, "r", encoding="utf-8") as fh:
             rows = json.load(fh)
-    except FileNotFoundError:
-        raise ConfigError(f"report file not found: {args.json}")
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{args.json}: malformed JSON at line {exc.lineno} "
                           f"column {exc.colno}: {exc.msg}")
@@ -212,7 +206,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except ThreeSpheresError as exc:
+    except (ThreeSpheresError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -2,20 +2,18 @@
 
 A sweep draws a corpus of random harmonic polynomials and a grid of random
 inner-ball configurations per dimension, then runs the selected checks on
-every combination.  Work fans out over (dimension, config) tasks; the row
-order is fixed by (dimension, config index, check, polynomial index, t
-index) regardless of scheduling, and every integral is deterministic and
-summed in a fixed order, so identical configs produce byte-identical CSV
-output whatever the thread counts.  ``mc_samples`` is accepted in configs
-(and validated) but ignored: no check uses Monte Carlo.
+every combination, one configuration after another.  The row order is
+(dimension, config index, check, polynomial index, t index), and every
+integral is deterministic and summed in node order, so identical configs
+produce byte-identical CSV output at a fixed BLAS thread count.
+``mc_samples`` is accepted in configs (and validated) but ignored: no check
+uses Monte Carlo.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -46,8 +44,6 @@ __all__ = [
     "write_csv",
     "write_json",
 ]
-
-THREADS_ENV = "THREESPHERES_THREADS"
 
 ALL_CHECKS = (
     "gradient_identity",
@@ -80,7 +76,6 @@ class SweepConfig:
     xbar_fraction: float = 0.5
     checks: tuple = ALL_CHECKS
     beta: object = "omega"
-    mc_samples: int = 20_000  # accepted and ignored: no Monte Carlo
     out_csv: str | None = None
     out_json: str | None = None
 
@@ -114,21 +109,31 @@ class SweepConfig:
                 fail(fieldname, f"must be an integer >= {minimum}, got {v!r}")
             return v
 
+        def section(d, name, keys):
+            if not isinstance(d, dict):
+                fail(name, "must be an object")
+            for key in d:
+                if key not in keys:
+                    fail(f"{name}.{key}" if name else key,
+                         f"unknown key; known: {', '.join(keys)}")
+            return d
+
+        section(raw, "", ("dimensions", "corpus", "geometry", "checks", "beta",
+                          "mc_samples", "output"))
         dims = raw.get("dimensions", [2, 3])
         if (not isinstance(dims, list) or not dims
                 or any(not isinstance(d, int) or d < 2 for d in dims)):
             fail("dimensions", f"must be a nonempty list of integers >= 2, got {dims!r}")
 
-        corpus = raw.get("corpus", {})
-        if not isinstance(corpus, dict):
-            fail("corpus", "must be an object")
+        corpus = section(raw.get("corpus", {}), "corpus",
+                         ("count", "max_degree", "seed"))
         count = get_int(corpus, "count", 100, "corpus.count")
         max_degree = get_int(corpus, "max_degree", 8, "corpus.max_degree", minimum=0)
         corpus_seed = get_int(corpus, "seed", 7, "corpus.seed", minimum=0)
 
-        geom = raw.get("geometry", {})
-        if not isinstance(geom, dict):
-            fail("geometry", "must be an object")
+        geom = section(raw.get("geometry", {}), "geometry", (
+            "count", "seed", "x_norm_range", "touch_margin", "t_count",
+            "lambdas", "xbar_fraction"))
         gcount = get_int(geom, "count", 20, "geometry.count")
         gseed = get_int(geom, "seed", 11, "geometry.seed", minimum=0)
         xr = geom.get("x_norm_range", [0.1, 0.7])
@@ -164,11 +169,9 @@ class SweepConfig:
         if beta not in ("omega", "alpha") and not real(beta):
             fail("beta", f"must be 'omega', 'alpha', or a number, got {beta!r}")
 
-        mc_samples = get_int(raw, "mc_samples", 20_000, "mc_samples", minimum=100)
+        get_int(raw, "mc_samples", 20_000, "mc_samples", minimum=100)
 
-        output = raw.get("output", {})
-        if not isinstance(output, dict):
-            fail("output", "must be an object")
+        output = section(raw.get("output", {}), "output", ("csv", "json"))
         for key in ("csv", "json"):
             if output.get(key) is not None and not isinstance(output[key], str):
                 fail(f"output.{key}", f"must be a path string, got {output[key]!r}")
@@ -180,7 +183,7 @@ class SweepConfig:
                    touch_margin=float(margin), t_count=t_count,
                    lambdas=tuple(float(v) for v in lambdas),
                    xbar_fraction=float(xbar_fraction), checks=tuple(checks),
-                   beta=beta, mc_samples=mc_samples,
+                   beta=beta,
                    out_csv=output.get("csv"), out_json=output.get("json"))
 
 
@@ -226,14 +229,19 @@ def _config_rows(n, cfg: SweepConfig, ci, x_vec, r, polys, evaluator):
     if "gradient_identity" in cfg.checks or "derivative_identity" in cfg.checks:
         # row order identifies the test function: a constant, a coordinate,
         # the non-harmonic |y|^2 and two corpus polynomials (the identities
-        # hold for any continuous f)
-        fns = [_ConstFn(), _CoordFn(), _Norm2Fn()] + list(polys[:2])
-        for p, f in enumerate(fns):
+        # hold for any continuous f), each with its degree
+        fns = [(lambda pts: np.ones(len(pts)), 0),
+               (lambda pts: np.asarray(pts)[:, 0], 1),
+               (lambda pts: np.einsum("ij,ij->i", pts, pts), 2)]
+        fns += [(poly, poly.degree) for poly in polys[:2]]
+        for p, (f, deg) in enumerate(fns):
             try:
                 if "gradient_identity" in cfg.checks:
-                    rows.extend(gradient_identity_check(f, x_vec, r))
+                    rows.extend(gradient_identity_check(f, x_vec, r,
+                                                        degree=deg))
                 if "derivative_identity" in cfg.checks:
-                    rows.extend(derivative_identity_check(f, fam, 0.5 * x_norm))
+                    rows.extend(derivative_identity_check(
+                        f, fam, 0.5 * x_norm, degree=deg))
             except ThreeSpheresError as exc:
                 rows.append(error_row("identity", exc, IDENTITY_FD_TOL,
                                       mode="identity", t=float(p), **meta))
@@ -246,28 +254,6 @@ def _config_rows(n, cfg: SweepConfig, ci, x_vec, r, polys, evaluator):
             rows.append(holomorphic_variant_check(coeffs, x_vec, r,
                                                   0.5 * x_norm, beta="omega"))
     return rows
-
-
-class _ConstFn:
-    degree = 0
-
-    def __call__(self, pts):
-        return np.ones(len(pts))
-
-
-class _CoordFn:
-    degree = 1
-
-    def __call__(self, pts):
-        return np.asarray(pts)[:, 0]
-
-
-class _Norm2Fn:
-    degree = 2
-
-    def __call__(self, pts):
-        pts = np.asarray(pts)
-        return np.einsum("ij,ij->i", pts, pts)
 
 
 def _dimension_rows(n, cfg: SweepConfig, polys, evaluator):
@@ -320,12 +306,6 @@ def run_sweep(cfg: SweepConfig):
     """Execute the sweep; returns (reports, skipped_messages)."""
     reports: list = []
     skipped: list = []
-    max_workers = os.environ.get(THREADS_ENV)
-    try:
-        max_workers = max(1, int(max_workers)) if max_workers else None
-    except ValueError:
-        raise ConfigError(f"{THREADS_ENV} must be an integer")
-
     for n in cfg.dimensions:
         polys = sample_corpus(n, cfg.corpus_count, cfg.corpus_max_degree,
                               cfg.corpus_seed)
@@ -351,19 +331,9 @@ def run_sweep(cfg: SweepConfig):
             skipped.append(f"holomorphic_variant skipped for n={n}: planar "
                            "check")
         cfg_n = replace(cfg, checks=per_cfg_checks)
-
-        def task(item):
-            ci, (x_vec, r) = item
-            return ci, _config_rows(n, cfg_n, ci, x_vec, r, polys, evaluator)
-
-        items = list(enumerate(geoms))
-        if max_workers == 1:
-            results = [task(it) for it in items]
-        else:
-            with ThreadPoolExecutor(max_workers=max_workers) as pool:
-                results = list(pool.map(task, items))
-        for ci, rows in sorted(results, key=lambda kv: kv[0]):
-            reports.extend(rows)
+        for ci, (x_vec, r) in enumerate(geoms):
+            reports.extend(_config_rows(n, cfg_n, ci, x_vec, r, polys,
+                                        evaluator))
         reports.extend(_dimension_rows(n, cfg_n, polys, evaluator))
     if "delta_lower_bound" in cfg.checks:
         reports.extend(_delta_lower_bound_rows())

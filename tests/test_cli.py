@@ -2,9 +2,11 @@ import json
 import os
 import subprocess
 import sys
+import threading
 
 import threespheres
 from threespheres.cli import main
+from threespheres.sweep import SweepConfig, run_sweep
 
 
 SMALL_CONFIG = {
@@ -69,21 +71,15 @@ def test_verify_determinism_byte_identical(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_verify_determinism_across_thread_counts(tmp_path):
-    cfg = write_config(tmp_path)
-    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-    old = os.environ.get("THREESPHERES_THREADS")
-    try:
-        os.environ["THREESPHERES_THREADS"] = "1"
-        assert main(["verify", "--config", cfg, "--out-csv", str(a)]) == 0
-        os.environ["THREESPHERES_THREADS"] = "3"
-        assert main(["verify", "--config", cfg, "--out-csv", str(b)]) == 0
-    finally:
-        if old is None:
-            os.environ.pop("THREESPHERES_THREADS", None)
-        else:
-            os.environ["THREESPHERES_THREADS"] = old
-    assert a.read_bytes() == b.read_bytes()
+def test_sweep_starts_no_thread(monkeypatch):
+    monkeypatch.delenv("THREESPHERES_THREADS", raising=False)
+
+    def refuse(self):
+        raise AssertionError(f"the sweep started a thread: {self!r}")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    reports, _ = run_sweep(SweepConfig.from_dict(SMALL_CONFIG))
+    assert reports and all(r.passed for r in reports)
 
 
 def test_verify_bytes_independent_of_blas_threads(tmp_path):
@@ -102,7 +98,6 @@ def test_verify_bytes_independent_of_blas_threads(tmp_path):
     for threads in ("1", "2"):
         out = tmp_path / f"blas{threads}.csv"
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
-                   THREESPHERES_THREADS="1",
                    PYTHONPATH=os.pathsep.join(
                        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
         proc = subprocess.run(
@@ -143,6 +138,33 @@ def test_verify_config_errors(tmp_path, capsys):
     assert main(["verify", "--config", unknown]) == 2
     err = capsys.readouterr().err
     assert "unknown check" in err
+
+    # misspelt keys, at the top level and inside a section, are not ignored
+    typo = tmp_path / "typo.json"
+    typo.write_text(json.dumps({"chekcs": ["three_spheres"]}))
+    assert main(["verify", "--config", str(typo)]) == 2
+    assert "'chekcs': unknown key" in capsys.readouterr().err
+    typo.write_text(json.dumps({"corpus": {"sed": 5}}))
+    assert main(["verify", "--config", str(typo)]) == 2
+    assert "'corpus.sed': unknown key" in capsys.readouterr().err
+
+
+def test_file_errors_exit_2(tmp_path, capsys):
+    cfg = write_config(tmp_path)
+    # an unwritable output path
+    missing_dir = str(tmp_path / "no" / "such" / "dir" / "x.csv")
+    assert main(["verify", "--config", cfg, "--out-csv", missing_dir]) == 2
+    assert "No such file or directory" in capsys.readouterr().err
+    # a directory where a file is expected
+    assert main(["verify", "--config", str(tmp_path)]) == 2
+    assert "Is a directory" in capsys.readouterr().err
+    assert main(["report", "--json", str(tmp_path)]) == 2
+    assert "Is a directory" in capsys.readouterr().err
+    # a config that is not UTF-8
+    latin1 = tmp_path / "latin1.json"
+    latin1.write_bytes(b'{"beta": "\xe9"}')
+    assert main(["verify", "--config", str(latin1)]) == 2
+    assert "codec can't decode" in capsys.readouterr().err
 
 
 def test_verify_skips_are_reported(tmp_path, capsys):

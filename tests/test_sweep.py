@@ -95,6 +95,9 @@ def test_config_validation_messages():
     with pytest.raises(ConfigError, match="geometry.x_norm_range"):
         SweepConfig.from_dict({"geometry": {"x_norm_range": [0.9, 0.94],
                                             "touch_margin": 0.05}})
+    # mc_samples selects nothing but is still validated
+    with pytest.raises(ConfigError, match="mc_samples"):
+        SweepConfig.from_dict({"mc_samples": 10})
     cfg = SweepConfig.from_dict({})
     assert cfg.checks == ALL_CHECKS
     assert cfg.dimensions == (2, 3)
