@@ -57,6 +57,10 @@ def cmd_verify(args) -> int:
     cfg = SweepConfig.from_file(args.config)
     out_csv = args.out_csv or cfg.out_csv
     out_json = args.out_json or cfg.out_json
+    for path in (out_csv, out_json):
+        if path:  # an unwritable path fails here, not after the sweep
+            with open(path, "a", encoding="utf-8"):
+                pass
     reports, skipped = run_sweep(cfg)
     if out_csv:
         write_csv(reports, out_csv)

@@ -33,6 +33,8 @@ __all__ = [
 ]
 
 HARMONICITY_TOL = 1e-13
+# points per basis-matrix product of PolynomialEvaluator
+CHUNK = 32768
 
 
 def _laplacian_terms(terms: dict, n: int) -> dict:
@@ -223,7 +225,7 @@ class PolynomialEvaluator:
             np.multiply(basis[parent], pts[:, axis], out=basis[j])
         return basis
 
-    def _evaluate(self, points, chunk: int) -> np.ndarray:
+    def _evaluate(self, points) -> np.ndarray:
         """(N, 2P) real array: re and im of every polynomial, interleaved."""
         pts = np.asarray(points, dtype=float)
         if pts.ndim != 2 or pts.shape[1] != self.dimension:
@@ -231,19 +233,19 @@ class PolynomialEvaluator:
         # a spare row: BLAS sums a one-row product in another order, so a
         # lone point is evaluated as a repeated pair, bits as in any chunk
         out = np.empty((pts.shape[0] + 1, self._reim.shape[1]))
-        for lo in range(0, pts.shape[0], chunk):
-            block = pts[lo:lo + chunk]
+        for lo in range(0, pts.shape[0], CHUNK):
+            block = pts[lo:lo + CHUNK]
             if len(block) == 1:
                 block = np.repeat(block, 2, axis=0)
             np.matmul(self._basis(block).T, self._reim,
                       out=out[lo:lo + len(block)])
         return out[:-1]
 
-    def values(self, points, chunk: int = 32768) -> np.ndarray:
-        return self._evaluate(points, chunk).view(complex)
+    def values(self, points) -> np.ndarray:
+        return self._evaluate(points).view(complex)
 
-    def squared_values(self, points, chunk: int = 32768) -> np.ndarray:
-        sq = self._evaluate(points, chunk)
+    def squared_values(self, points) -> np.ndarray:
+        sq = self._evaluate(points)
         sq *= sq
         return sq[:, 0::2] + sq[:, 1::2]
 

@@ -243,7 +243,7 @@ class BallRule:
     t^{n-1}) times a :class:`SphereRule` for the angular directions."""
 
     angular: SphereRule
-    radial_points: int = 64
+    radial_points: int
 
     @property
     def n(self) -> int:
@@ -269,11 +269,8 @@ class Column:
         return abs2(self.values(pts))
 
 
-def _unit(v) -> np.ndarray | None:
-    """v / |v|, or None for a missing or zero vector."""
-    if v is None:
-        return None
-    v = np.asarray(v, dtype=float)
+def _unit(v: np.ndarray) -> np.ndarray | None:
+    """v / |v|, or None for a zero vector."""
     norm = float(np.linalg.norm(v))
     return None if norm == 0.0 else v / norm
 
@@ -379,8 +376,7 @@ def _integral(fn, rule, center, radius: float, axis=None, inv=None,
     return NormValue(value=vals[0], stderr=float(errs[0]))
 
 
-def surface_integral(f, center, radius: float, rule: SphereRule,
-                     axis=None) -> NormValue:
+def surface_integral(f, center, radius: float, rule: SphereRule) -> NormValue:
     """Integral of f over the sphere S_{center, radius}.
 
     Parameters
@@ -390,12 +386,8 @@ def surface_integral(f, center, radius: float, rule: SphereRule,
     center : array_like
     radius : float
     rule : SphereRule
-    axis : array_like, optional
-        Direction toward an off-sphere singularity of the integrand; the
-        deterministic rule's polar axis is rotated onto it so the density
-        varies only along the Gauss direction.
     """
-    return _integral(Column(f).values, rule, center, radius, _unit(axis))
+    return _integral(Column(f).values, rule, center, radius)
 
 
 def weighted_surface_integral_sa(f, center, radius: float, inv: InversionData,

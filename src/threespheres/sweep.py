@@ -162,8 +162,6 @@ class SweepConfig:
         for c in checks:
             if not isinstance(c, str) or c not in known:
                 fail("checks", f"unknown check {c!r}; known: {sorted(known)}")
-        if count < 1:
-            fail("corpus.count", "empty corpus")
 
         beta = raw.get("beta", "omega")
         if beta not in ("omega", "alpha") and not real(beta):

@@ -196,16 +196,20 @@ class CriterionTrace:
         return self.x_norms.size
 
 
-def _trend_verdict(terms: np.ndarray, window: int, threshold: float) -> str:
-    if terms.size < window:
-        return VERDICT_INCONCLUSIVE
-    tail = terms[-window:]
-    decreasing = bool(np.all(np.diff(tail) < 0))
-    if decreasing and tail[-1] < -threshold:
-        return VERDICT_DIVERGES
-    if not decreasing:
-        return VERDICT_DOES_NOT
-    return VERDICT_INCONCLUSIVE
+def _running_verdicts(terms: np.ndarray, window: int,
+                      threshold: float) -> tuple:
+    """The trend verdict of each prefix of ``terms``.  A prefix shorter than
+    ``window`` is inconclusive; otherwise its last ``window`` terms either
+    fall at every step (diverges if the last is below -``threshold``, else
+    inconclusive) or do not.  A running count of the falling steps tests
+    every window at once."""
+    falls = np.concatenate([[0], np.cumsum(np.diff(terms) < 0)])
+    end = np.arange(window - 1, terms.size)
+    falling = falls[end] - falls[end - window + 1] == window - 1
+    fallen = np.where(terms[end] < -threshold, VERDICT_DIVERGES,
+                      VERDICT_INCONCLUSIVE)
+    return ((VERDICT_INCONCLUSIVE,) * min(window - 1, terms.size)
+            + tuple(np.where(falling, fallen, VERDICT_DOES_NOT).tolist()))
 
 
 def criterion_trace(seq: SmallnessSequence, phi: GrowthEnvelope,
@@ -236,29 +240,27 @@ def criterion_trace(seq: SmallnessSequence, phi: GrowthEnvelope,
         terms_b.append(base + math.log(phi_val))
     terms_a = np.asarray(terms_a)
     terms_b = np.asarray(terms_b)
-    running_a = tuple(_trend_verdict(terms_a[:i + 1], window, threshold)
-                      for i in range(terms_a.size))
-    running_b = tuple(_trend_verdict(terms_b[:i + 1], window, threshold)
-                      for i in range(terms_b.size))
+    running_a = _running_verdicts(terms_a, window, threshold)
+    running_b = _running_verdicts(terms_b, window, threshold)
     return CriterionTrace(
         x_norms=np.asarray(x_norms), radii=np.asarray(radii),
         rhos=np.asarray(rhos), terms_a=terms_a, terms_b=terms_b,
         running_a=running_a, running_b=running_b,
-        verdict_a=_trend_verdict(terms_a, window, threshold),
-        verdict_b=_trend_verdict(terms_b, window, threshold),
+        verdict_a=running_a[-1] if running_a else VERDICT_INCONCLUSIVE,
+        verdict_b=running_b[-1] if running_b else VERDICT_INCONCLUSIVE,
         window=window, threshold=threshold)
 
 
 def propagation_bound(x0, r0: float, xbar_norm: float, lam: float, R: float,
-                      eps: float, M: float,
-                      delta0_variant: str = "scaled") -> float:
+                      eps: float, M: float) -> float:
     """Certified bound on A_2(xbar, lam*rbar, u) from A_2(x0,r0,u) <= eps and
     A_2(R,u) <= M:
 
         sqrt(405)/(1-lam^2)^{5/4} (R/rbar)^{(n+5)/2} eps^delta M^{1-delta}
 
-    with delta = delta_0 of the correlated pair.  The hypotheses on u are the
-    caller's responsibility; this evaluates the certificate only.
+    with delta = delta_0 (the scaled formula) of the correlated pair.  The
+    hypotheses on u are the caller's responsibility; this evaluates the
+    certificate only.
     """
     x0 = np.asarray(x0, dtype=float)
     n = x0.size
@@ -270,7 +272,7 @@ def propagation_bound(x0, r0: float, xbar_norm: float, lam: float, R: float,
     if eps <= 0 or M <= 0:
         raise OutOfRange("eps and M must be positive")
     rbar = correlated_radius_general(x0n, r0, xbar_norm, R)
-    d = delta0(x0n, r0, xbar_norm, R, variant=delta0_variant)
+    d = delta0(x0n, r0, xbar_norm, R)
     prefactor = (math.sqrt(405.0) / (1 - lam * lam) ** 1.25
                  * (R / rbar) ** ((n + 5) / 2))
     return prefactor * eps ** d * M ** (1 - d)

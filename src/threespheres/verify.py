@@ -73,6 +73,7 @@ __all__ = [
 log = logging.getLogger(__name__)
 
 IDENTITY_FD_TOL = 1e-5
+FD_STEP = 1e-5
 TRANSFER_TOL = 1e-8
 INEQUALITY_TOL = 1e-9
 EMBEDDING_TOL = 1e-6
@@ -137,8 +138,8 @@ def upper_report(name, lhs, rhs, tolerance, budget=0.0, exponent=math.nan,
                             mode="upper", **meta)
 
 
-def identity_report(name, lhs, rhs, tolerance, exponent=math.nan,
-                    scale_floor=0.0, **meta) -> InequalityReport:
+def identity_report(name, lhs, rhs, tolerance, scale_floor=0.0,
+                    **meta) -> InequalityReport:
     """Two-sided comparison; complex sides are recorded by magnitude but the
     pass decision uses the full complex gap.  ``scale_floor`` keeps the
     relative test meaningful when both sides nearly vanish."""
@@ -147,7 +148,7 @@ def identity_report(name, lhs, rhs, tolerance, exponent=math.nan,
     scale = max(lhs, rhs, scale_floor, 1e-300)
     passed = gap <= tolerance * scale
     return InequalityReport(name=name, lhs=lhs, rhs=rhs, ratio=_ratio(lhs, rhs),
-                            exponent_used=float(exponent), tolerance=tolerance,
+                            exponent_used=math.nan, tolerance=tolerance,
                             stderr_budget=0.0, passed=bool(passed),
                             mode="identity", **meta)
 
@@ -173,8 +174,10 @@ def error_row(name, exc, tolerance, mode="upper", exponent=math.nan,
         stderr_budget=0.0, passed=False, mode=mode, **meta)
 
 
-def _degree_of(f, default: int = 8) -> int:
-    return int(getattr(f, "degree", default))
+def _degree_of(f, degree: int | None = None) -> int:
+    """The degree a check assumes for ``f``: ``degree`` if given, else
+    ``f.degree``, else 8."""
+    return int(degree if degree is not None else getattr(f, "degree", 8))
 
 
 # ---------------------------------------------------------------------------
@@ -231,24 +234,29 @@ def _resolve_beta(rec, beta, unchecked: bool = False) -> float:
 # derivative identities
 
 
-def gradient_identity_check(f, x, r: float, e=None, h: float = 1e-5,
+def gradient_identity_check(f, x, r: float, e=None,
                             degree: int | None = None) -> list[InequalityReport]:
     """Check the two ball-average derivative identities.
 
     The directional derivative of a(x, r, f) = int_{B_{x,r}} f equals
     int_{S_{x,r}} f (e . n) ds, and its radial derivative equals
-    int_{S_{x,r}} f ds; both finite-difference derivatives (step ``h``) must
-    match quadrature to relative 1e-5.
+    int_{S_{x,r}} f ds; both finite-difference derivatives (step
+    ``FD_STEP``) must match quadrature to relative 1e-5.  ``e`` (default the
+    first axis) must be a nonzero vector of length n.
     """
     x = np.asarray(x, dtype=float)
     n = x.size
-    deg = degree if degree is not None else _degree_of(f)
+    deg = _degree_of(f, degree)
     if e is None:
         e = np.zeros(n)
         e[0] = 1.0
     else:
         e = np.asarray(e, dtype=float)
-        e = e / np.linalg.norm(e)
+        norm = float(np.linalg.norm(e))
+        if e.shape != (n,) or not 0 < norm < math.inf:
+            raise OutOfRange(f"direction e must be a nonzero finite vector "
+                             f"of length {n}, got {e.tolist()!r}")
+        e = e / norm
     srule = SphereRule.default(n, deg + 1)
     col = Column(f)
 
@@ -256,6 +264,7 @@ def gradient_identity_check(f, x, r: float, e=None, h: float = 1e-5,
         _, vals = _ball_integrals(col.values, center, radius, deg)
         return complex(vals[0])
 
+    h = FD_STEP
     fd_dir = (vol(x + h * e, r) - vol(x - h * e, r)) / (2 * h)
     fd_rad = (vol(x, r + h) - vol(x, r - h)) / (2 * h)
 
@@ -278,21 +287,20 @@ def gradient_identity_check(f, x, r: float, e=None, h: float = 1e-5,
 
 
 def derivative_identity_check(f, fam: CorrelatedFamily, t: float,
-                              h: float = 1e-5,
                               degree: int | None = None) -> list[InequalityReport]:
     """Check d/dt int_{B_{x_t,r_t}} f dy against the two surface forms.
 
     The curve form integrates f (e . n + r_t'); substituting the closed-form
     r_t' turns it into -(2|a| r_t)^{-1} int f [|y-a|^2 + R^2 - |y|^2] ds.
-    Both must match the central finite difference of the family volume
-    integral to relative 1e-5.
+    Both must match the central finite difference (step ``FD_STEP``) of the
+    family volume integral to relative 1e-5.
     """
     x_norm = fam.x_norm
     if not 0 < t < x_norm:
         raise OutOfRange("t must be interior to (0, |x|) for the central "
                          "difference")
     n = fam.dimension
-    deg = degree if degree is not None else _degree_of(f)
+    deg = _degree_of(f, degree)
     srule = SphereRule.default(n, deg + 2)
     inv = fam.inversion
     col = Column(f)
@@ -302,7 +310,7 @@ def derivative_identity_check(f, fam: CorrelatedFamily, t: float,
         _, vals = _ball_integrals(col.values, ball.center, ball.radius, deg)
         return complex(vals[0])
 
-    fd = (vol(t + h) - vol(t - h)) / (2 * h)
+    fd = (vol(t + FD_STEP) - vol(t - FD_STEP)) / (2 * FD_STEP)
 
     rt = float(fam.radius(t))
     rpt = float(fam.radius_derivative(t))
@@ -336,13 +344,12 @@ def derivative_identity_check(f, fam: CorrelatedFamily, t: float,
 # log-convexity
 
 
-def log_convexity_check(L, grid, tolerance: float = CONVEXITY_SLACK
-                        ) -> ConvexityGridReport:
+def log_convexity_check(L, grid) -> ConvexityGridReport:
     """Scan all triples r1 < r < r2 of the grid for log-log convexity of L.
 
     Passes iff L(r) <= L(r1)^alpha L(r2)^(1-alpha) (alpha from the log ratio)
-    up to the relative slack for every triple; the worst triple and its
-    signed log-margin are reported.
+    up to the relative slack ``CONVEXITY_SLACK`` for every triple; the worst
+    triple and its signed log-margin are reported.
     """
     radii = np.asarray(grid, dtype=float)
     if radii.ndim != 1 or radii.size < 3:
@@ -355,8 +362,9 @@ def log_convexity_check(L, grid, tolerance: float = CONVEXITY_SLACK
     margin, worst = convexity_margins(np.log(radii), np.log(values)[:, None])
     return ConvexityGridReport(radii=radii, values=values,
                                worst_triple=tuple(radii[worst[0]]),
-                               margin=float(margin[0]), tolerance=tolerance,
-                               passed=bool(margin[0] >= -tolerance))
+                               margin=float(margin[0]),
+                               tolerance=CONVEXITY_SLACK,
+                               passed=bool(margin[0] >= -CONVEXITY_SLACK))
 
 
 def convexity_margins(logr: np.ndarray, logs: np.ndarray):
@@ -377,8 +385,7 @@ def convexity_margins(logr: np.ndarray, logs: np.ndarray):
 
 
 def sphere_rows(ev, fam: CorrelatedFamily, ts, checks, beta="omega",
-                degree: int = 16, unchecked_beta: bool = False,
-                tolerance: float = INEQUALITY_TOL) -> list:
+                degree: int = 16, unchecked_beta: bool = False) -> list:
     """Three-spheres (24) and transfer (22) rows at each t of ``ts``, per
     column of ``ev``, for the names in ``checks``.
 
@@ -417,13 +424,14 @@ def sphere_rows(ev, fam: CorrelatedFamily, ts, checks, beta="omega",
             try:
                 b = _resolve_beta(fam.exponents(t), beta, unchecked_beta)
             except BetaOutOfRange as exc:
-                rows.extend(error_row("three_spheres_eq24", exc, tolerance,
-                                      exponent=float(beta), **meta)
+                rows.extend(error_row("three_spheres_eq24", exc,
+                                      INEQUALITY_TOL, exponent=float(beta),
+                                      **meta)
                             for _ in mv)
             else:
                 rows.extend(upper_report(
                     "three_spheres_eq24", rt * mv[p],
-                    (r * iv[p]) ** b * ov[p] ** (1 - b), tolerance,
+                    (r * iv[p]) ** b * ov[p] ** (1 - b), INEQUALITY_TOL,
                     exponent=b, **meta) for p in range(mv.size))
         if "transfer_identity" in checks:
             rts = float(fam.image_radius(t))
@@ -440,8 +448,7 @@ def sphere_rows(ev, fam: CorrelatedFamily, ts, checks, beta="omega",
 
 def three_spheres_check(f, x, r: float, t: float, beta="omega",
                         unchecked_beta: bool = False,
-                        degree: int | None = None,
-                        tolerance: float = INEQUALITY_TOL) -> InequalityReport:
+                        degree: int | None = None) -> InequalityReport:
     """Check the weighted three-spheres inequality on the correlated family.
 
         rbar * int_{S_{xbar,rbar}} |f|^2 ds_a
@@ -456,9 +463,8 @@ def three_spheres_check(f, x, r: float, t: float, beta="omega",
     if not 0 < t <= fam.x_norm * (1 + 1e-12):
         raise OutOfRange("t must lie in (0, |x|]")
     _resolve_beta(fam.exponents(t), beta, unchecked_beta)
-    deg2 = 2 * (degree if degree is not None else _degree_of(f))
     return sphere_rows(Column(f), fam, [float(t)], ("three_spheres",), beta,
-                       deg2, unchecked_beta, tolerance)[0]
+                       2 * _degree_of(f, degree), unchecked_beta)[0]
 
 
 def transfer_identity_check(f, fam: CorrelatedFamily, t: float,
@@ -466,9 +472,8 @@ def transfer_identity_check(f, fam: CorrelatedFamily, t: float,
     """Check L_2^2(r_t*, f*) = rho^2 (r_t/r_t*) int_{S_{x_t,r_t}} |f|^2 ds_a."""
     if not 0 < t <= fam.x_norm * (1 + 1e-12):
         raise OutOfRange("t must lie in (0, |x|]")
-    deg2 = 2 * (degree if degree is not None else _degree_of(f))
     return sphere_rows(Column(f), fam, [float(t)], ("transfer_identity",),
-                       degree=deg2)[0]
+                       degree=2 * _degree_of(f, degree))[0]
 
 
 def holomorphic_variant_check(coeffs, x, r: float, t: float, beta="omega",
@@ -502,9 +507,7 @@ def holomorphic_variant_check(coeffs, x, r: float, t: float, beta="omega",
 
 
 def ball_rows(ev, fam: CorrelatedFamily, xbar_norm: float, checks,
-              lambdas=(), degree: int = 16, delta=None,
-              variant: str = "scaled", tolerance: float = INEQUALITY_TOL
-              ) -> list:
+              lambdas=(), degree: int = 16, delta=None) -> list:
     """Three-balls (27) rows and, for each lambda, embedded-bound rows (29)
     (at R = 1), (36) and (37), per column of ``ev``, for the names in
     ``checks``.
@@ -519,7 +522,7 @@ def ball_rows(ev, fam: CorrelatedFamily, xbar_norm: float, checks,
     if not 0 < xbar_norm <= x0n * (1 + 1e-12):
         raise OutOfRange("need 0 < |xbar| <= |x0|")
     rbar = correlated_radius_general(x0n, r0, xbar_norm, R)
-    d0 = delta0(x0n, r0, xbar_norm, R, variant=variant)
+    d0 = delta0(x0n, r0, xbar_norm, R)
     delta = d0 if delta is None else float(delta)
     if not 0 < delta <= d0 * (1 + 1e-12):
         raise DeltaOutOfRange(f"delta = {delta} outside (0, {d0}]")
@@ -534,7 +537,7 @@ def ball_rows(ev, fam: CorrelatedFamily, xbar_norm: float, checks,
         mv, _ = _ball_integrals(sq, xbar_norm * fam.e, rbar, degree, inv, False)
         rows.extend(upper_report(
             "three_balls_eq27", mv[p],
-            in_mu[p] ** delta * out_mu[p] ** (1 - delta), tolerance,
+            in_mu[p] ** delta * out_mu[p] ** (1 - delta), INEQUALITY_TOL,
             exponent=delta, t=xbar_norm, **meta) for p in range(mv.size))
     vol = ball_volume(n)
     for lam in lambdas if embedded else ():
@@ -549,7 +552,7 @@ def ball_rows(ev, fam: CorrelatedFamily, xbar_norm: float, checks,
                 EMBED_CONSTANT / (1 - lam * lam) ** 2.5 * (R / rbar) ** 5
                 * core)
             for name, rhs in rhs_by_name.items():
-                rows.append(upper_report(name, lv[p], rhs, tolerance,
+                rows.append(upper_report(name, lv[p], rhs, INEQUALITY_TOL,
                                          exponent=delta, t=lam, **meta))
             a2_lam, a2_in, a2_out = (
                 math.sqrt(max(v, 0.0) / (vol * radius ** n))
@@ -558,14 +561,13 @@ def ball_rows(ev, fam: CorrelatedFamily, xbar_norm: float, checks,
                      * (R / rbar) ** ((n + 5) / 2)
                      * a2_in ** delta * a2_out ** (1 - delta))
             rows.append(upper_report("embedded_bound_eq37", a2_lam, rhs37,
-                                     tolerance, exponent=delta, t=lam, **meta))
+                                     INEQUALITY_TOL, exponent=delta, t=lam,
+                                     **meta))
     return rows
 
 
 def three_balls_check(u, x0, r0: float, xbar_norm: float, delta=None,
-                      delta0_variant: str = "scaled",
-                      degree: int | None = None,
-                      tolerance: float = INEQUALITY_TOL) -> InequalityReport:
+                      degree: int | None = None) -> InequalityReport:
     """Check the weighted three-balls inequality
 
         int_{B_{xbar,rbar}} |u|^2 dmu_a
@@ -574,15 +576,12 @@ def three_balls_check(u, x0, r0: float, xbar_norm: float, delta=None,
     for delta in (0, delta_0] (default delta_0 itself).
     """
     fam = CorrelatedFamily.create(x0, r0, R=1.0)
-    deg2 = 2 * (degree if degree is not None else _degree_of(u))
     return ball_rows(Column(u), fam, float(xbar_norm), ("three_balls",), (),
-                     deg2, delta, delta0_variant, tolerance)[0]
+                     2 * _degree_of(u, degree), delta)[0]
 
 
 def embedded_bound_check(u, x0, r0: float, xbar_norm: float, lam: float,
-                         R: float = 1.0, delta=None,
-                         degree: int | None = None,
-                         tolerance: float = INEQUALITY_TOL
+                         R: float = 1.0, degree: int | None = None
                          ) -> list[InequalityReport]:
     """Check the unweighted (plain dx) propagation bounds.
 
@@ -597,15 +596,13 @@ def embedded_bound_check(u, x0, r0: float, xbar_norm: float, lam: float,
     if not 0 < lam < 1:
         raise OutOfRange("lambda must lie in (0, 1)")
     fam = CorrelatedFamily.create(x0, r0, R=R)
-    deg2 = 2 * (degree if degree is not None else _degree_of(u))
     rows = ball_rows(Column(u), fam, float(xbar_norm), ("embedded_bound",),
-                     (lam,), deg2, delta, tolerance=tolerance)
+                     (lam,), 2 * _degree_of(u, degree))
     return [replace(rep, t=float(xbar_norm)) for rep in rows]
 
 
 def embedding_identity_check(g, b, l: float, g_degree: int = 6,
-                             convention: str = "squared",
-                             tolerance: float = EMBEDDING_TOL
+                             convention: str = "squared"
                              ) -> InequalityReport:
     """Check the slice identity behind the R^{n+5} embedding.
 
@@ -664,7 +661,7 @@ def embedding_identity_check(g, b, l: float, g_degree: int = 6,
         rhs += wout[j] * radius ** (n - 1) * float(out_sphere.weights @ inner_vals)
 
     report = identity_report(f"embedding_identity_eq30_{convention}", lhs, rhs,
-                             tolerance, scale_floor=1e-3 * abs_scale, n=n,
+                             EMBEDDING_TOL, scale_floor=1e-3 * abs_scale, n=n,
                              r=float(l))
     log.debug("embedding identity (%s): lhs=%.12g rhs=%.12g", convention, lhs,
               rhs)

@@ -149,12 +149,21 @@ def test_verify_config_errors(tmp_path, capsys):
     assert "'corpus.sed': unknown key" in capsys.readouterr().err
 
 
-def test_file_errors_exit_2(tmp_path, capsys):
+def test_file_errors_exit_2(tmp_path, capsys, monkeypatch):
     cfg = write_config(tmp_path)
     # an unwritable output path
     missing_dir = str(tmp_path / "no" / "such" / "dir" / "x.csv")
     assert main(["verify", "--config", cfg, "--out-csv", missing_dir]) == 2
     assert "No such file or directory" in capsys.readouterr().err
+    # ... is found before the sweep runs
+    def no_sweep(cfg):
+        raise AssertionError("the sweep ran before the outputs were checked")
+
+    with monkeypatch.context() as mp:
+        mp.setattr("threespheres.cli.run_sweep", no_sweep)
+        for flag in ("--out-csv", "--out-json"):
+            assert main(["verify", "--config", cfg, flag, missing_dir]) == 2
+            assert "No such file or directory" in capsys.readouterr().err
     # a directory where a file is expected
     assert main(["verify", "--config", str(tmp_path)]) == 2
     assert "Is a directory" in capsys.readouterr().err

@@ -148,7 +148,7 @@ def direct_sum(polys, pts):
     return out
 
 
-def test_evaluator_matches_single_evaluation(rng):
+def test_evaluator_matches_single_evaluation(rng, monkeypatch):
     batches = [[random_harmonic_polynomial(n, 8, seed=s) for s in range(4)]
                for n in (2, 3, 4)]
     # sparse sets whose monomials need parents added with zero coefficients
@@ -170,8 +170,10 @@ def test_evaluator_matches_single_evaluation(rng):
             np.testing.assert_allclose(p(pts), exact[:, j], rtol=1e-13,
                                        atol=1e-13)
         # the chunking, a one-point last chunk included, moves no bit
-        assert np.array_equal(ev.values(pts, chunk=7), vals)
-        assert np.array_equal(ev.squared_values(pts, chunk=7), sq)
+        with monkeypatch.context() as mp:
+            mp.setattr(harmonic, "CHUNK", 7)
+            assert np.array_equal(ev.values(pts), vals)
+            assert np.array_equal(ev.squared_values(pts), sq)
         none = np.empty((0, n))
         assert ev.values(none).shape == (0, len(polys))
         assert ev.squared_values(none).shape == (0, len(polys))

@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from threespheres.cli import main
 from threespheres.errors import ConfigError, UnderResolved
 from threespheres.quadrature import SphereRule, analytic_degree
 from threespheres.sweep import (
@@ -159,3 +160,49 @@ def test_n4_rows_are_deterministic():
     assert all(r.passed for r in reports)
     assert all(r.stderr_budget == 0 for r in reports)
     assert not skipped
+
+
+def test_sweep_runs_every_check(tmp_path, capsys):
+    raw = {"corpus": {"count": 2, "max_degree": 6, "seed": 3},
+           "geometry": {"count": 1, "seed": 5, "x_norm_range": [0.5, 0.7],
+                        "t_count": 2, "lambdas": [0.6]}}
+    reports, skipped = run_sweep(SweepConfig.from_dict(
+        dict(raw, dimensions=[2, 3])))
+    counts = {}
+    for rep in reports:
+        counts[rep.name] = counts.get(rep.name, 0) + 1
+    # per dimension: 2 polynomials x 2 t values, 2 x 1 lambda, five identity
+    # test functions, three holomorphic functions at n = 2, three embedding
+    # integrands
+    assert counts == {
+        "three_spheres_eq24": 8, "transfer_identity_eq22": 8,
+        "three_balls_eq27": 4, "embedded_bound_eq29": 4,
+        "embedded_bound_eq36": 4, "embedded_bound_eq37": 4,
+        "gradient_identity_eq2": 10, "gradient_identity_eq3": 10,
+        "derivative_identity_eq5": 10, "derivative_identity_eq13": 10,
+        "holomorphic_variant_remark3": 3, "log_convexity_eq18": 4,
+        "embedding_identity_eq30[one]": 2,
+        "embedding_identity_eq30[extra_norm2]": 2,
+        "embedding_identity_eq30[mixed]": 2,
+    }
+    assert set(ALL_CHECKS) == {
+        "gradient_identity", "derivative_identity", "transfer_identity",
+        "log_convexity", "three_spheres", "holomorphic_variant",
+        "three_balls", "embedded_bound", "embedding_identity"}
+    assert all(rep.passed for rep in reports)
+    assert skipped == ["holomorphic_variant skipped for n=3: planar check"]
+
+    cfg = tmp_path / "n4.json"
+    cfg.write_text(json.dumps(dict(raw, dimensions=[4])))
+    assert main(["verify", "--config", str(cfg)]) == 0
+    printed = [line for line in capsys.readouterr().out.splitlines()
+               if line.startswith("skipped:")]
+    untested = "not yet validated for n >= 4"
+    assert printed == [
+        f"skipped: gradient_identity skipped for n=4: {untested}",
+        f"skipped: derivative_identity skipped for n=4: {untested}",
+        f"skipped: log_convexity skipped for n=4: {untested}",
+        "skipped: embedding_identity skipped for n=4: deterministic "
+        "(n+5)-dimensional rule too large",
+        "skipped: holomorphic_variant skipped for n=4: planar check",
+    ]

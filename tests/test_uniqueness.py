@@ -19,6 +19,7 @@ from threespheres.uniqueness import (
     VERDICT_INCONCLUSIVE,
     GrowthEnvelope,
     SmallnessSequence,
+    _running_verdicts,
     criterion_trace,
     delta_lower_bound_check,
     propagation_bound,
@@ -97,6 +98,48 @@ def test_criterion_trace_empty_is_inconclusive():
     assert len(trace) == 0
     assert trace.verdict_a == VERDICT_INCONCLUSIVE
     assert trace.verdict_b == VERDICT_INCONCLUSIVE
+
+
+def trend_oracle(terms, window, threshold):
+    """The trend verdict of one prefix, straight from its definition."""
+    if terms.size < window:
+        return VERDICT_INCONCLUSIVE
+    tail = terms[-window:]
+    if not np.all(np.diff(tail) < 0):
+        return VERDICT_DOES_NOT
+    return VERDICT_DIVERGES if tail[-1] < -threshold else VERDICT_INCONCLUSIVE
+
+
+def test_running_verdicts_match_per_prefix_rule():
+    threshold = 3.0
+    cases = [(np.array([]), 3),  # m = 0
+             (np.array([-9.0, -10.0]), 3),  # m < window
+             (np.array([0.0, -5.0, -5.0, -6.0, -7.0]), 2),  # a tie
+             (np.array([0.0, -1.0, -2.0, -3.0]), 4),  # last term == -threshold
+             (np.array([0.0, -1.0, -2.0, -3.0, -4.0]), 4)]
+    rng = np.random.default_rng(9)
+    for _ in range(300):
+        # integer steps: ties, rises, and terms exactly at -threshold
+        steps = rng.choice([-2.0, -1.0, 0.0, 1.0], size=rng.integers(0, 30))
+        cases.append((np.cumsum(steps), int(rng.integers(2, 6))))
+    seen = set()
+    for terms, window in cases:
+        running = _running_verdicts(terms, window, threshold)
+        want = tuple(trend_oracle(terms[:i + 1], window, threshold)
+                     for i in range(terms.size))
+        assert running == want
+        seen.update(want)
+    assert seen == {VERDICT_DIVERGES, VERDICT_DOES_NOT, VERDICT_INCONCLUSIVE}
+    # criterion_trace: running verdicts of its terms, the final one last
+    ms = list(range(1, 21)) + [int(1500 * 1.2 ** k) for k in range(12)]
+    trace = criterion_trace(cubic_sequence(ms), GrowthEnvelope.power(2.0),
+                            window=5)
+    for terms, running, verdict in (
+            (trace.terms_a, trace.running_a, trace.verdict_a),
+            (trace.terms_b, trace.running_b, trace.verdict_b)):
+        assert running == tuple(trend_oracle(terms[:i + 1], 5, 1e3)
+                                for i in range(terms.size))
+        assert verdict == running[-1]
 
 
 def test_envelopes():

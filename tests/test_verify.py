@@ -61,6 +61,12 @@ def test_gradient_identity_coordinate():
     assert abs(eq2.lhs - ball_volume(2) * 0.09) < 1e-7
 
 
+def test_gradient_identity_rejects_bad_direction():
+    for e in ([0.0, 0.0], [1.0, 0.0, 0.0], [1.0]):
+        with pytest.raises(OutOfRange):
+            gradient_identity_check(Y1_2, [0.2, -0.3], 0.3, e=e)
+
+
 def test_gradient_identity_random_and_nonharmonic(rng):
     for n in (2, 3):
         f = random_harmonic_polynomial(n, 6, seed=3)
