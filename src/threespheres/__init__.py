@@ -4,7 +4,7 @@ The package constructs the correlated family of balls inside the unit ball,
 the orthogonal inversion that renders their images concentric, and the
 weighted L^2 machinery needed to verify the associated three-spheres and
 three-balls interpolation inequalities against synthesized harmonic
-polynomials, with finite-difference and Monte Carlo oracles throughout.
+polynomials, with deterministic quadrature and finite-difference oracles.
 """
 
 from .errors import (

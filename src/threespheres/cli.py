@@ -35,6 +35,18 @@ def _parse_t_grid(spec: str, x_norm: float):
     return np.linspace(start, stop, count)
 
 
+def _read_json(path: str, parse=json.loads):
+    """``parse`` applied to the text of the file at ``path``; malformed JSON
+    is a :class:`ConfigError` naming the file, line and column."""
+    with open(path, "r", encoding="utf-8") as fh:
+        text = fh.read()
+    try:
+        return parse(text)
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{path}: malformed JSON at line {exc.lineno} "
+                          f"column {exc.colno}: {exc.msg}") from None
+
+
 def cmd_correlate(args) -> int:
     fam = CorrelatedFamily.create([args.x_norm] + [0.0], args.r, R=args.R)
     grid = _parse_t_grid(args.t_grid, fam.x_norm)
@@ -88,21 +100,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_uniqueness(args) -> int:
-    try:
-        with open(args.sequence, "r", encoding="utf-8") as fh:
-            seq = SmallnessSequence.from_json(fh.read())
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{args.sequence}: malformed JSON at line "
-                          f"{exc.lineno} column {exc.colno}: {exc.msg}")
-    except KeyError as exc:
-        raise ConfigError(f"{args.sequence}: entry missing key {exc}")
-    try:
-        with open(args.envelope, "r", encoding="utf-8") as fh:
-            env_spec = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{args.envelope}: malformed JSON at line "
-                          f"{exc.lineno} column {exc.colno}: {exc.msg}")
-    phi = GrowthEnvelope.from_spec(env_spec)
+    seq = _read_json(args.sequence, SmallnessSequence.from_json)
+    phi = GrowthEnvelope.from_spec(_read_json(args.envelope))
     trace = criterion_trace(seq, phi, window=args.window,
                             threshold=args.threshold)
     lines = ["m,x_norm,r,rho,term_a,term_b,running_verdict_a,running_verdict_b"]
@@ -136,18 +135,15 @@ def cmd_uniqueness(args) -> int:
 
 
 def cmd_report(args) -> int:
-    try:
-        with open(args.json, "r", encoding="utf-8") as fh:
-            rows = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{args.json}: malformed JSON at line {exc.lineno} "
-                          f"column {exc.colno}: {exc.msg}")
-    if not isinstance(rows, list):
-        raise ConfigError(f"{args.json}: expected a JSON array of reports")
+    rows = _read_json(args.json)
+    if not (isinstance(rows, list)
+            and all(isinstance(row, dict) for row in rows)):
+        raise ConfigError(f"{args.json}: expected a JSON array of report "
+                          "objects")
     by_name: dict = {}
     worst: dict = {}
     for row in rows:
-        name = row.get("name", "?")
+        name = str(row.get("name", "?"))
         ok, bad = by_name.get(name, (0, 0))
         passed = bool(row.get("pass"))
         by_name[name] = (ok + passed, bad + (not passed))

@@ -15,7 +15,7 @@ origin with radius r_t*.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -166,11 +166,6 @@ class ExponentRecord:
 
     alpha: float
     omega: float
-    beta: float = field(default=0.0)
-
-    def __post_init__(self):
-        if self.beta == 0.0:
-            object.__setattr__(self, "beta", self.omega)
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,7 @@ from itertools import product as _iproduct
 import numpy as np
 
 from .errors import NonHarmonic, OutOfRange, SingularPoint, StencilOutOfDomain
-from .geometry import InversionData
+from .geometry import InversionData, inversion_map
 
 __all__ = [
     "HarmonicPolynomial",
@@ -33,8 +33,9 @@ __all__ = [
 ]
 
 HARMONICITY_TOL = 1e-13
-# points per basis-matrix product of PolynomialEvaluator
-CHUNK = 32768
+# basis entries (monomials x points) per basis-matrix product of
+# PolynomialEvaluator
+CHUNK = 1 << 19
 
 
 def _laplacian_terms(terms: dict, n: int) -> dict:
@@ -96,15 +97,20 @@ class HarmonicPolynomial:
     terms : dict
         Map from exponent tuple (length ``dimension``) to complex coefficient.
 
-    Construction validates the symbolic Laplacian; coefficients whose
-    Laplacian exceeds ``HARMONICITY_TOL`` relative to the coefficient scale
-    raise :class:`NonHarmonic`.
+    Construction validates the exponents and the symbolic Laplacian;
+    coefficients whose Laplacian exceeds ``HARMONICITY_TOL`` relative to the
+    coefficient scale raise :class:`NonHarmonic`.  ``validate=False`` takes
+    int-tuple keys and complex values as given, dropping zero coefficients.
     """
 
     def __init__(self, dimension: int, terms: dict, validate: bool = True):
         if dimension < 2:
             raise OutOfRange("dimension must be >= 2")
         self.dimension = int(dimension)
+        self._evaluator = None
+        if not validate:
+            self.terms = {e: c for e, c in terms.items() if c != 0}
+            return
         clean = {}
         for e, c in terms.items():
             e = tuple(int(k) for k in e)
@@ -114,8 +120,7 @@ class HarmonicPolynomial:
             if c != 0:
                 clean[e] = clean.get(e, 0.0) + c
         self.terms = clean
-        self._evaluator = None
-        if validate and clean:
+        if clean:
             scale = max(abs(c) for c in clean.values())
             lap = _laplacian_terms(clean, dimension)
             _check_residual(max(map(abs, lap.values()), default=0.0), scale)
@@ -147,19 +152,6 @@ class HarmonicPolynomial:
         vals = self._evaluator.values(pts)[:, 0]
         return vals[0] if single else vals
 
-    def __add__(self, other: "HarmonicPolynomial") -> "HarmonicPolynomial":
-        if other.dimension != self.dimension:
-            raise OutOfRange("dimension mismatch")
-        terms = dict(self.terms)
-        for e, c in other.terms.items():
-            terms[e] = terms.get(e, 0.0) + c
-        return HarmonicPolynomial(self.dimension, terms, validate=False)
-
-    def scaled(self, factor: complex) -> "HarmonicPolynomial":
-        return HarmonicPolynomial(
-            self.dimension, {e: factor * c for e, c in self.terms.items()},
-            validate=False)
-
     def to_json(self) -> str:
         return json.dumps({
             "n": self.dimension,
@@ -186,7 +178,8 @@ class PolynomialEvaluator:
     The monomials, closed downward (a missing parent gets zero coefficients)
     and sorted by degree, are each a parent monomial times one coordinate;
     ``values(points)`` returns the (N_points, N_polys) complex matrix from
-    one real basis-matrix product per chunk of points.
+    one real basis-matrix product per chunk of points, a chunk holding at
+    most ``CHUNK`` basis entries (one point at least).
     """
 
     def __init__(self, polys):
@@ -233,8 +226,9 @@ class PolynomialEvaluator:
         # a spare row: BLAS sums a one-row product in another order, so a
         # lone point is evaluated as a repeated pair, bits as in any chunk
         out = np.empty((pts.shape[0] + 1, self._reim.shape[1]))
-        for lo in range(0, pts.shape[0], CHUNK):
-            block = pts[lo:lo + CHUNK]
+        step = max(1, CHUNK // len(self.exponents))
+        for lo in range(0, pts.shape[0], step):
+            block = pts[lo:lo + step]
             if len(block) == 1:
                 block = np.repeat(block, 2, axis=0)
             np.matmul(self._basis(block).T, self._reim,
@@ -305,14 +299,12 @@ class KelvinFunction:
         single = pts.ndim == 1
         if single:
             pts = pts[None, :]
-        d = pts - self.inversion.a
-        dist2 = np.einsum("ij,ij->i", d, d)
-        if np.any(dist2 == 0.0):
-            raise SingularPoint("Kelvin transform undefined at y = a")
-        image = self.inversion.a + (self.inversion.rho2 / dist2)[:, None] * d
+        image = inversion_map(self.inversion, pts)
         vals = np.conj(np.asarray(self.base(image), dtype=complex))
         n = self.dimension
         if n != 2:
+            d = pts - self.inversion.a
+            dist2 = np.einsum("ij,ij->i", d, d)
             vals = vals * (self.inversion.rho2 / dist2) ** ((n - 2) / 2.0)
         return vals[0] if single else vals
 

@@ -19,9 +19,9 @@ distance(center, a)/radius, and the S^{n-2} across it sized only for the
 polynomial degree of the integrand (Stroud, 1971).
 
 Integration works on columns: :func:`integrals` places a rule on a sphere or
-ball, calls a function mapping (N, n) points to (N, P) values (once per
-radial shell on a ball), and contracts the values with plain, ds_a or dmu_a
-weights, returning each column's integral and Monte Carlo standard error.
+ball, calls a function mapping (N, n) points to (N, P) values once on all
+its nodes, and contracts the values with plain, ds_a or dmu_a weights,
+returning each column's integral and Monte Carlo standard error.
 The batched checks call it with P corpus functions; the public integrals
 below are its one-column case.
 """
@@ -349,21 +349,13 @@ def integrals(fn, rule, center, radius: float, axis=None, inv=None,
     """Column integrals of ``fn`` over the sphere (SphereRule) or ball
     (BallRule) of ``radius`` at ``center``.
 
-    ``fn`` maps (N, n) points to (N, P) values; on a ball it is called once
-    per radial shell.  One (values, stderrs) pair of length-P arrays is
-    returned per entry of ``weights``: None for the plain measure, "s_a" or
-    "mu_a" for the densities of ``inv``, all from the same evaluations.
+    ``fn`` maps (N, n) points to (N, P) values and is called once, on every
+    node of the sphere or ball.  One (values, stderrs) pair of length-P
+    arrays is returned per entry of ``weights``: None for the plain measure,
+    "s_a" or "mu_a" for the densities of ``inv``, all from the same values.
     """
     pts, w = _points(rule, np.asarray(center, dtype=float), radius, axis)
-    if pts.ndim == 2:
-        values = fn(pts)
-    else:
-        values = None
-        for s, shell in enumerate(pts):
-            v = fn(shell)
-            if values is None:
-                values = np.empty(pts.shape[:2] + v.shape[1:], dtype=v.dtype)
-            values[s] = v
+    values = fn(pts.reshape(-1, pts.shape[-1])).reshape(w.shape + (-1,))
     mc = getattr(rule, "angular", rule).kind == "monte-carlo"
     return [_contract(w if kind is None else w * _density(pts, inv, kind),
                       values, mc) for kind in weights]

@@ -13,7 +13,6 @@ uses Monte Carlo.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -346,8 +345,6 @@ def _fmt(v) -> str:
     if v is None:
         return ""
     if isinstance(v, float):
-        if math.isnan(v):
-            return "nan"
         return format(v, ".17g")
     return str(v)
 

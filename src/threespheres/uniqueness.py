@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -99,14 +99,26 @@ class GrowthEnvelope:
 
     @classmethod
     def from_spec(cls, spec: dict) -> "GrowthEnvelope":
+        """The envelope a JSON object describes: ``kind`` and the numbers
+        ``p`` (and optionally ``c``) or the arrays ``r`` and ``phi``."""
+        if not isinstance(spec, dict):
+            raise OutOfRange("envelope spec must be a JSON object")
         kind = spec.get("kind")
-        if kind == "power":
-            return cls.power(spec["p"], spec.get("c", 1.0))
-        if kind == "exp_power":
-            return cls.exp_power(spec["p"], spec.get("c", 1.0))
-        if kind == "table":
-            return cls.table(spec["r"], spec["phi"])
-        raise OutOfRange(f"unknown envelope kind {kind!r}")
+        make = {"power": cls.power, "exp_power": cls.exp_power,
+                "table": cls.table}.get(kind)
+        if make is None:
+            raise OutOfRange(f"unknown envelope kind {kind!r}")
+        try:
+            if kind == "table":
+                args = [np.asarray(spec[k], dtype=float) for k in ("r", "phi")]
+            else:
+                args = [float(spec["p"]), float(spec.get("c", 1.0))]
+        except KeyError as exc:
+            raise OutOfRange(f"{kind} envelope needs key {exc}") from None
+        except (TypeError, ValueError):
+            raise OutOfRange(
+                f"{kind} envelope parameters must be numbers") from None
+        return make(*args)
 
     def __call__(self, r: float) -> float:
         return float(self._fn(float(r)))
@@ -119,15 +131,17 @@ class SmallnessSequence:
     The criterion only ever consumes log eps_m, and the interesting decay
     rates (eps_m = exp(-m^3)) underflow double precision within a dozen
     entries; ``log_eps`` therefore stores the canonical value, and an entry
-    may be built from log eps directly.
+    may be built from log eps directly.  ``x_norms`` keeps each |x_m|.
     """
 
     entries: tuple
     log_eps: tuple = None
+    x_norms: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         norm_entries = []
         logs = []
+        x_norms = []
         given = self.log_eps
         for i, (x, r, eps) in enumerate(self.entries):
             x = np.asarray(x, dtype=float)
@@ -135,6 +149,7 @@ class SmallnessSequence:
             if not 0 < 2 * float(r) <= x_norm:
                 raise ConstraintViolated(
                     f"entry {i}: need 0 < 2 r <= |x| (r={r}, |x|={x_norm})")
+            x_norms.append(x_norm)
             if given is None:
                 if not float(eps) > 0:
                     raise ConstraintViolated(f"entry {i}: eps must be positive")
@@ -147,6 +162,7 @@ class SmallnessSequence:
                                      else _careful_exp(float(given[i]))))
         object.__setattr__(self, "entries", tuple(norm_entries))
         object.__setattr__(self, "log_eps", tuple(logs))
+        object.__setattr__(self, "x_norms", tuple(x_norms))
 
     def __len__(self):
         return len(self.entries)
@@ -159,20 +175,26 @@ class SmallnessSequence:
         entries = []
         logs = []
         for i, d in enumerate(data):
+            if not isinstance(d, dict):
+                raise ConstraintViolated(f"entry {i}: must be a JSON object")
             if "x" not in d or "r" not in d:
                 raise ConstraintViolated(f"entry {i}: needs keys 'x' and 'r'")
-            if "log_eps" in d:
-                logs.append(float(d["log_eps"]))
-                entries.append((d["x"], d["r"], d.get("eps")))
-            elif "eps" in d:
-                eps = float(d["eps"])
-                if not eps > 0:
-                    raise ConstraintViolated(f"entry {i}: eps must be positive")
-                logs.append(math.log(eps))
-                entries.append((d["x"], d["r"], eps))
-            else:
+            if "eps" not in d and "log_eps" not in d:
                 raise ConstraintViolated(
                     f"entry {i}: needs either 'eps' or 'log_eps'")
+            try:
+                x, r = np.asarray(d["x"], dtype=float), float(d["r"])
+                eps = None if d.get("eps") is None else float(d["eps"])
+                log_eps = (float(d["log_eps"]) if "log_eps" in d
+                           else math.log(eps) if eps > 0 else None)
+            except (TypeError, ValueError):
+                raise ConstraintViolated(
+                    f"entry {i}: 'x', 'r', 'eps' and 'log_eps' must be "
+                    "numbers") from None
+            if log_eps is None:
+                raise ConstraintViolated(f"entry {i}: eps must be positive")
+            logs.append(log_eps)
+            entries.append((x, r, eps))
         return cls(tuple(entries), tuple(logs))
 
 
@@ -225,8 +247,8 @@ def criterion_trace(seq: SmallnessSequence, phi: GrowthEnvelope,
     if window < 2:
         raise OutOfRange("window must be >= 2")
     x_norms, radii, rhos, terms_a, terms_b = [], [], [], [], []
-    for (x, r, _eps), log_eps in zip(seq.entries, seq.log_eps):
-        x_norm = float(np.linalg.norm(x))
+    for (_x, r, _eps), x_norm, log_eps in zip(seq.entries, seq.x_norms,
+                                              seq.log_eps):
         rho_m = rho(x_norm, r)
         phi_val = phi(4 * x_norm)
         if phi_val <= 0:

@@ -50,10 +50,10 @@ from .quadrature import (
     BallRule,
     Column,
     SphereRule,
+    _points,
     abs2,
     ball_volume,
     integrals,
-    surface_integral,
 )
 
 __all__ = [
@@ -188,7 +188,7 @@ def _ball_integrals(fn, center: np.ndarray, radius: float, degree: int,
                    inv=None, plain: bool = True):
     """(dmu_a-weighted, plain) column integrals of ``fn`` over
     B_{center, radius}, the first only when ``inv`` is given and the second
-    only when ``plain``; both come from one evaluation, shell by shell.
+    only when ``plain``; both come from one evaluation of every node.
 
     The ball-rule policy: the angular rule is sized to ten digits for the
     annulus ratio |a - center|/radius and turned toward a when the ball is
@@ -257,7 +257,6 @@ def gradient_identity_check(f, x, r: float, e=None,
             raise OutOfRange(f"direction e must be a nonzero finite vector "
                              f"of length {n}, got {e.tolist()!r}")
         e = e / norm
-    srule = SphereRule.default(n, deg + 1)
     col = Column(f)
 
     def vol(center, radius):
@@ -268,12 +267,12 @@ def gradient_identity_check(f, x, r: float, e=None,
     fd_dir = (vol(x + h * e, r) - vol(x - h * e, r)) / (2 * h)
     fd_rad = (vol(x, r + h) - vol(x, r - h)) / (2 * h)
 
-    def f_en(pts):
-        normal = (pts - x) / r
-        return np.asarray(f(pts)) * (normal @ e)
+    def surface_forms(pts):  # f (e . n) and f on S_{x,r}
+        v = np.asarray(f(pts))
+        return np.stack([v * ((pts - x) / r @ e), v], axis=1)
 
-    quad_dir = complex(surface_integral(f_en, x, r, srule).value)
-    quad_rad = complex(surface_integral(f, x, r, srule).value)
+    (quad, _), = integrals(surface_forms, SphereRule.default(n, deg + 1), x, r)
+    quad_dir, quad_rad = complex(quad[0]), complex(quad[1])
     # derivative-magnitude floor keeps the relative test sane when the
     # directional derivative vanishes by symmetry
     floor = 1e-3 * max(1.0, abs(quad_rad))
@@ -301,7 +300,6 @@ def derivative_identity_check(f, fam: CorrelatedFamily, t: float,
                          "difference")
     n = fam.dimension
     deg = _degree_of(f, degree)
-    srule = SphereRule.default(n, deg + 2)
     inv = fam.inversion
     col = Column(f)
 
@@ -316,21 +314,19 @@ def derivative_identity_check(f, fam: CorrelatedFamily, t: float,
     rpt = float(fam.radius_derivative(t))
     center = fam.center(t)
 
-    def f_curve(pts):
-        normal = (pts - center) / rt
-        return np.asarray(f(pts)) * (normal @ fam.e + rpt)
-
-    def f_weighted(pts):
+    def surface_forms(pts):  # the curve form, the weighted form and f
+        v = np.asarray(f(pts))
         d = pts - inv.a
         bracket = (np.einsum("ij,ij->i", d, d) + inv.R ** 2
                    - np.einsum("ij,ij->i", pts, pts))
-        return np.asarray(f(pts)) * bracket
+        return np.stack([v * ((pts - center) / rt @ fam.e + rpt),
+                         v * bracket, v], axis=1)
 
-    rhs5 = complex(surface_integral(f_curve, center, rt, srule).value)
-    rhs13 = complex(surface_integral(f_weighted, center, rt, srule).value)
-    rhs13 *= -1.0 / (2 * inv.a_norm * rt)
-    floor = 1e-3 * max(1.0, abs(complex(surface_integral(f, center, rt,
-                                                         srule).value)))
+    (quad, _), = integrals(surface_forms, SphereRule.default(n, deg + 2),
+                           center, rt)
+    rhs5 = complex(quad[0])
+    rhs13 = complex(quad[1]) * (-1.0 / (2 * inv.a_norm * rt))
+    floor = 1e-3 * max(1.0, abs(complex(quad[2])))
     meta = {"n": n, "x_norm": x_norm, "r": fam.r, "t": float(t)}
     return [
         identity_report("derivative_identity_eq5", fd, rhs5, IDENTITY_FD_TOL,
@@ -630,35 +626,22 @@ def embedding_identity_check(g, b, l: float, g_degree: int = 6,
     lhs, abs_scale = map(float, vals.real)
 
     # inner 5-ball template: displacements and weights for unit radius
-    s4 = SphereRule.product(5, g_degree + 2)
-    tref, wref = np.polynomial.legendre.leggauss(24)
-    tref = (tref + 1) / 2
-    wref = wref / 2
-    disp = (tref[:, None, None] * s4.nodes[None, :, :]).reshape(-1, 5)
-    wq = (wref * tref ** 4)[:, None] * s4.weights[None, :]
-    wq = wq.reshape(-1)
-
-    out_sphere = SphereRule.product(n, g_degree + 2)
-    rout, wout = np.polynomial.legendre.leggauss(48)
-    rout = (rout + 1) / 2 * l
-    wout = wout / 2 * l
-
+    disp, wq = _points(BallRule(SphereRule.product(5, g_degree + 2), 24),
+                       np.zeros(5), 1.0)
+    disp, wq = disp.reshape(-1, 5), wq.reshape(-1)
+    outer = BallRule(SphereRule.product(n, g_degree + 2), 48)
     rhs = 0.0
-    for j in range(rout.size):
-        radius = rout[j]
-        xs = b + radius * out_sphere.nodes
-        s2 = l * l - radius * radius if convention == "squared" else l - radius * radius
-        if s2 <= 0:
-            continue
-        s = math.sqrt(s2)
+    for xs, w in zip(*_points(outer, b, l)):  # one outer shell at a time
+        d = xs - b
+        s = np.sqrt((l * l if convention == "squared" else l)
+                    - np.einsum("ij,ij->i", d, d))
         # block-evaluate g on (outer node, inner node) pairs
         pts = np.concatenate([
             np.repeat(xs, disp.shape[0], axis=0),
-            np.tile(s * disp, (xs.shape[0], 1)),
+            (s[:, None, None] * disp).reshape(-1, 5),
         ], axis=1)
         vals = np.asarray(g(pts), dtype=float).reshape(xs.shape[0], disp.shape[0])
-        inner_vals = s ** 5 * (vals @ wq)
-        rhs += wout[j] * radius ** (n - 1) * float(out_sphere.weights @ inner_vals)
+        rhs += float(w @ (s ** 5 * (vals @ wq)))
 
     report = identity_report(f"embedding_identity_eq30_{convention}", lhs, rhs,
                              EMBEDDING_TOL, scale_floor=1e-3 * abs_scale, n=n,

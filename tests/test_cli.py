@@ -225,6 +225,42 @@ def test_uniqueness_malformed_json(tmp_path, capsys):
     assert "line 1 column" in err
 
 
+def test_wrong_json_shapes_exit_2(tmp_path, capsys):
+    good_seq = tmp_path / "seq.json"
+    good_seq.write_text(json.dumps([{"x": [2.0, 0.0], "r": 1.0, "eps": 0.5}]))
+    good_env = tmp_path / "env.json"
+    good_env.write_text(json.dumps({"kind": "power", "p": 2}))
+    cases = [
+        ("sequence", [1], "entry 0"),
+        ("sequence", [{"x": [2.0, 0.0], "r": "two", "eps": 0.5}],
+         "must be numbers"),
+        ("sequence", [{"x": [2.0, 0.0], "r": 1.0, "eps": None}],
+         "must be numbers"),
+        ("sequence", [{"x": [2.0, 0.0], "r": 1.0, "eps": 0.0}],
+         "eps must be positive"),
+        ("envelope", {"kind": "power"}, "needs key 'p'"),
+        ("envelope", [{"kind": "power", "p": 2}], "JSON object"),
+        ("envelope", {"kind": "power", "p": "two"}, "must be numbers"),
+    ]
+    for which, data, message in cases:
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(data))
+        seq, env = (bad, good_env) if which == "sequence" else (good_seq, bad)
+        rc = main(["uniqueness", "--sequence", str(seq),
+                   "--envelope", str(env)])
+        err = capsys.readouterr().err
+        assert rc == 2, (which, data)
+        assert err.startswith("error: ") and message in err, err
+    bad.write_text(json.dumps([1, 2]))
+    rc = main(["report", "--json", str(bad)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error: ") and "report objects" in err
+    bad.write_text(json.dumps([{"name": None, "pass": True}]))
+    assert main(["report", "--json", str(bad)]) == 0
+    assert "None" in capsys.readouterr().out
+
+
 def test_report_command(tmp_path, capsys):
     cfg = write_config(tmp_path)
     json_path = tmp_path / "rep.json"

@@ -133,8 +133,6 @@ def test_exponents_canonical_values():
     assert abs(rec.alpha - 1.0) < 1e-12
     assert abs(rec.omega - 0.25 * 0.3 / math.log(3.75)) < 1e-12
     assert abs(rec.omega - 0.05674270370615744) < 1e-12
-    # default beta is the usable omega bound
-    assert rec.beta == rec.omega
 
 
 def test_exponent_bound_alpha_above_omega(rng):

@@ -171,12 +171,35 @@ def test_evaluator_matches_single_evaluation(rng, monkeypatch):
                                        atol=1e-13)
         # the chunking, a one-point last chunk included, moves no bit
         with monkeypatch.context() as mp:
-            mp.setattr(harmonic, "CHUNK", 7)
+            mp.setattr(harmonic, "CHUNK", 7 * len(ev.exponents))
             assert np.array_equal(ev.values(pts), vals)
             assert np.array_equal(ev.squared_values(pts), sq)
         none = np.empty((0, n))
         assert ev.values(none).shape == (0, len(polys))
         assert ev.squared_values(none).shape == (0, len(polys))
+
+
+def test_evaluator_chunks_bounded_by_basis_entries(rng, monkeypatch):
+    ev = PolynomialEvaluator([random_harmonic_polynomial(3, 8, seed=s)
+                              for s in range(3)])
+    pts = rng.uniform(-1, 1, size=(5000, 3))
+    blocks = []
+    basis = ev._basis
+
+    def spy(block):
+        out = basis(block)
+        blocks.append(out.shape)
+        return out
+
+    monkeypatch.setattr(ev, "_basis", spy)
+    vals = ev.values(pts)
+    monomials = len(ev.exponents)
+    assert monomials == 165
+    step = harmonic.CHUNK // monomials
+    assert [cols for _, cols in blocks] == [
+        min(step, 5000 - lo) for lo in range(0, 5000, step)]
+    assert all(rows * cols <= harmonic.CHUNK for rows, cols in blocks)
+    assert vals.shape == (5000, 3)
 
 
 def test_kelvin_constant_n2_is_one(rng):

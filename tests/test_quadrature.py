@@ -116,6 +116,22 @@ def test_ball_monomials_including_shift(rng):
     assert abs(complex(v.value).real - exact) < 1e-14
 
 
+def test_ball_integrand_called_once():
+    rule = BallRule(SphereRule.product(3, 6), radial_points=5)
+    calls = []
+
+    def fn(pts):
+        calls.append(pts.shape)
+        return np.stack([np.ones(len(pts)), pts[:, 0] ** 2], axis=1)
+
+    (vals, errs), = integrals(fn, rule, np.zeros(3), 0.5)
+    assert calls == [(5 * len(rule.angular), 3)]
+    np.testing.assert_allclose(
+        vals, [ball_volume(3) * 0.5 ** 3, exact_ball_monomial(3, [2, 0, 0], 0.5)],
+        rtol=1e-13)
+    assert not errs.any()
+
+
 def test_monte_carlo_consistency_with_deterministic(rng):
     f = random_harmonic_polynomial(2, 6, seed=0)
 
