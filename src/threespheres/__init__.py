@@ -7,6 +7,9 @@ three-balls interpolation inequalities against synthesized harmonic
 polynomials, with deterministic quadrature and finite-difference oracles.
 """
 
+import ctypes
+import os
+
 from .errors import (
     BetaOutOfRange,
     ConcentricInput,
@@ -87,3 +90,31 @@ from .verify import (
 )
 
 __version__ = "0.1.0"
+
+
+def _pin_openblas() -> None:
+    """Set every OpenBLAS library mapped into the process to one thread.
+
+    The package computes on one Python thread: a second BLAS thread burns
+    CPU without saving time, and its split dgemm sums change the last bits
+    of n = 4 rows.  OpenBLAS reads OPENBLAS_NUM_THREADS when numpy loads,
+    before this package, so setting the variable here would be too late."""
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            paths = {line.split()[-1] for line in fh}
+        libs = [ctypes.CDLL(p) for p in sorted(paths)
+                if "openblas" in os.path.basename(p)]
+    except OSError:  # no /proc, or a library not found again: no change
+        return
+    for lib in libs:
+        for name in ("scipy_openblas_set_num_threads64_",
+                     "scipy_openblas_set_num_threads",
+                     "openblas_set_num_threads64_", "openblas_set_num_threads"):
+            if hasattr(lib, name):
+                setter = getattr(lib, name)
+                setter.argtypes, setter.restype = [ctypes.c_int], None
+                setter(1)
+                break
+
+
+_pin_openblas()

@@ -8,7 +8,6 @@ the config file; nothing is written implicitly.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 
@@ -16,7 +15,7 @@ import numpy as np
 
 from .errors import ConfigError, ThreeSpheresError
 from .geometry import CorrelatedFamily
-from .sweep import SweepConfig, run_sweep, write_csv, write_json
+from .sweep import SweepConfig, read_json, run_sweep, write_csv, write_json
 from .uniqueness import GrowthEnvelope, SmallnessSequence, criterion_trace
 
 _F = ".10g"
@@ -33,18 +32,6 @@ def _parse_t_grid(spec: str, x_norm: float):
     if count < 2 or not 0 <= start < stop <= x_norm * (1 + 1e-12):
         raise ConfigError("--t-grid must satisfy 0 <= start < stop <= |x|")
     return np.linspace(start, stop, count)
-
-
-def _read_json(path: str, parse=json.loads):
-    """``parse`` applied to the text of the file at ``path``; malformed JSON
-    is a :class:`ConfigError` naming the file, line and column."""
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    try:
-        return parse(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: malformed JSON at line {exc.lineno} "
-                          f"column {exc.colno}: {exc.msg}") from None
 
 
 def cmd_correlate(args) -> int:
@@ -100,8 +87,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_uniqueness(args) -> int:
-    seq = _read_json(args.sequence, SmallnessSequence.from_json)
-    phi = GrowthEnvelope.from_spec(_read_json(args.envelope))
+    seq = read_json(args.sequence, SmallnessSequence.from_json)
+    phi = GrowthEnvelope.from_spec(read_json(args.envelope))
     trace = criterion_trace(seq, phi, window=args.window,
                             threshold=args.threshold)
     lines = ["m,x_norm,r,rho,term_a,term_b,running_verdict_a,running_verdict_b"]
@@ -135,7 +122,7 @@ def cmd_uniqueness(args) -> int:
 
 
 def cmd_report(args) -> int:
-    rows = _read_json(args.json)
+    rows = read_json(args.json)
     if not (isinstance(rows, list)
             and all(isinstance(row, dict) for row in rows)):
         raise ConfigError(f"{args.json}: expected a JSON array of report "

@@ -5,7 +5,8 @@ inner-ball configurations per dimension, then runs the selected checks on
 every combination, one configuration after another.  The row order is
 (dimension, config index, check, polynomial index, t index), and every
 integral is deterministic and summed in node order, so identical configs
-produce byte-identical CSV output at a fixed BLAS thread count.
+produce byte-identical CSV output.  The package runs OpenBLAS on one thread,
+so the bytes do not depend on ``OPENBLAS_NUM_THREADS`` either.
 ``mc_samples`` is accepted in configs (and validated) but ignored: no check
 uses Monte Carlo.
 """
@@ -39,6 +40,7 @@ from .verify import (
 __all__ = [
     "ALL_CHECKS",
     "SweepConfig",
+    "read_json",
     "run_sweep",
     "write_csv",
     "write_json",
@@ -56,6 +58,18 @@ ALL_CHECKS = (
     "embedding_identity",
 )
 OPTIONAL_CHECKS = ("delta_lower_bound",)
+
+
+def read_json(path: str, parse=json.loads):
+    """``parse`` applied to the text of the file at ``path``; malformed JSON
+    is a :class:`ConfigError` naming the file, line and column."""
+    with open(path, "r", encoding="utf-8") as fh:
+        text = fh.read()
+    try:
+        return parse(text)
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{path}: malformed JSON at line {exc.lineno} "
+                          f"column {exc.colno}: {exc.msg}") from None
 
 
 @dataclass(frozen=True)
@@ -81,14 +95,9 @@ class SweepConfig:
     @classmethod
     def from_file(cls, path: str) -> "SweepConfig":
         try:
-            with open(path, "r", encoding="utf-8") as fh:
-                raw = json.load(fh)
+            raw = read_json(path)
         except FileNotFoundError:
-            raise ConfigError(f"config file not found: {path}")
-        except json.JSONDecodeError as exc:
-            raise ConfigError(
-                f"{path}: malformed JSON at line {exc.lineno} column "
-                f"{exc.colno}: {exc.msg}")
+            raise ConfigError(f"config file not found: {path}") from None
         return cls.from_dict(raw, where=path)
 
     @classmethod
@@ -254,8 +263,7 @@ def _config_rows(n, cfg: SweepConfig, ci, x_vec, r, polys, evaluator):
 
 
 def _dimension_rows(n, cfg: SweepConfig, polys, evaluator):
-    """Checks that do not depend on the geometry grid (origin-centered);
-    assumes ``cfg.checks`` was already filtered for this dimension."""
+    """Checks that do not depend on the geometry grid (origin-centered)."""
     rows = []
     if "log_convexity" in cfg.checks:
         grid = np.linspace(0.05, 0.95, 20)
@@ -268,7 +276,7 @@ def _dimension_rows(n, cfg: SweepConfig, polys, evaluator):
             rows.append(upper_report("log_convexity_eq18", -margin[p], 0.0,
                                      0.0, budget=CONVEXITY_SLACK,
                                      n=n, x_norm=0.0, r=0.0, t=float(p)))
-    if "embedding_identity" in cfg.checks:
+    if "embedding_identity" in cfg.checks and n < 4:
         b = np.zeros(n)
         b[0] = 0.2
         cases = [
@@ -309,29 +317,16 @@ def run_sweep(cfg: SweepConfig):
         evaluator = PolynomialEvaluator(polys)
         geoms = sample_geometries(n, cfg.geometry_count, cfg.geometry_seed,
                                   cfg.x_norm_range, cfg.touch_margin)
-        if n >= 4:
-            untested = "not yet validated for n >= 4"
-            reasons = {
-                "gradient_identity": untested,
-                "derivative_identity": untested,
-                "log_convexity": untested,
-                "embedding_identity": "deterministic (n+5)-dimensional rule "
-                                      "too large",
-            }
-            for name, why in reasons.items():
-                if name in cfg.checks:
-                    skipped.append(f"{name} skipped for n={n}: {why}")
-            per_cfg_checks = tuple(c for c in cfg.checks if c not in reasons)
-        else:
-            per_cfg_checks = cfg.checks
+        if "embedding_identity" in cfg.checks and n >= 4:
+            skipped.append(f"embedding_identity skipped for n={n}: "
+                           "deterministic (n+5)-dimensional rule too large")
         if "holomorphic_variant" in cfg.checks and n != 2:
             skipped.append(f"holomorphic_variant skipped for n={n}: planar "
                            "check")
-        cfg_n = replace(cfg, checks=per_cfg_checks)
         for ci, (x_vec, r) in enumerate(geoms):
-            reports.extend(_config_rows(n, cfg_n, ci, x_vec, r, polys,
+            reports.extend(_config_rows(n, cfg, ci, x_vec, r, polys,
                                         evaluator))
-        reports.extend(_dimension_rows(n, cfg_n, polys, evaluator))
+        reports.extend(_dimension_rows(n, cfg, polys, evaluator))
     if "delta_lower_bound" in cfg.checks:
         reports.extend(_delta_lower_bound_rows())
     return reports, skipped
@@ -349,16 +344,37 @@ def _fmt(v) -> str:
     return str(v)
 
 
+def _templates(reports, template) -> list:
+    """``template(rep)`` per report, made once per group of rows whose fields
+    but lhs, rhs, ratio and pass are the same objects: ids stay unique while
+    ``reports`` holds them, and equal values can print apart (0.0, -0.0)."""
+    cache: dict = {}
+    out = []
+    for rep in reports:
+        key = (id(rep.name), id(rep.mode), id(rep.n), id(rep.x_norm),
+               id(rep.r), id(rep.t), id(rep.exponent_used), id(rep.tolerance),
+               id(rep.stderr_budget))
+        tpl = cache.get(key)
+        if tpl is None:
+            tpl = cache[key] = template(rep)
+        out.append(tpl)
+    return out
+
+
 def write_csv(reports, path: str) -> None:
     """CSV summary, one row per report: full 17-significant-digit floats,
-    '.' decimal separator, LF line endings (byte-stable for golden files)."""
+    '.' decimal separator, LF line endings (byte-stable for golden files).
+    lhs, rhs and ratio are floats, as every report builder makes them."""
+
+    def head(rep):
+        return ",".join([rep.name, _fmt(rep.n), _fmt(rep.x_norm), _fmt(rep.r),
+                         _fmt(rep.t), _fmt(rep.exponent_used), ""]
+                        ).replace("%", "%%") + "%.17g,%.17g,%.17g,%s"
+
     lines = ["name,n,x_norm,r,t_or_xbar,exponent,lhs,rhs,ratio,pass"]
-    for rep in reports:
-        lines.append(",".join([
-            rep.name, _fmt(rep.n), _fmt(rep.x_norm), _fmt(rep.r), _fmt(rep.t),
-            _fmt(rep.exponent_used), _fmt(rep.lhs), _fmt(rep.rhs),
-            _fmt(rep.ratio), "true" if rep.passed else "false",
-        ]))
+    lines += [tpl % (rep.lhs, rep.rhs, rep.ratio,
+                     "true" if rep.passed else "false")
+              for tpl, rep in zip(_templates(reports, head), reports)]
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -366,13 +382,24 @@ def write_csv(reports, path: str) -> None:
 def write_json(reports, path: str) -> None:
     """One JSON object per report, serialized as a JSON array.
 
-    The bytes are those of ``json.dump(..., indent=1, sort_keys=True)``, but
-    each flat row goes through the C encoder, which ``indent`` would bypass.
+    The bytes are those of ``json.dump(..., indent=1, sort_keys=True)``:
+    each group's shared fields go through the C encoder once, and each row
+    spells its three floats as the encoder does.
     """
-    encode = json.JSONEncoder(sort_keys=True, separators=(",\n  ", ": ")).encode
+    special = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+    def body(rep):
+        return " {\n  " + ",\n  ".join(
+            f'"{key}": ' + ("%s" if key in ("lhs", "pass", "ratio", "rhs")
+                            else json.dumps(value).replace("%", "%%"))
+            for key, value in sorted(rep.to_dict().items())) + "\n }"
+
+    def num(v):
+        text = float.__repr__(v)
+        return special.get(text, text)
+
+    rows = [tpl % (num(rep.lhs), "true" if rep.passed else "false",
+                   num(rep.ratio), num(rep.rhs))
+            for tpl, rep in zip(_templates(reports, body), reports)]
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        sep = "[\n"
-        for rep in reports:
-            fh.write(sep + " {\n  " + encode(rep.to_dict())[1:-1] + "\n }")
-            sep = ",\n"
-        fh.write("[]\n" if sep == "[\n" else "\n]\n")
+        fh.write("[\n" + ",\n".join(rows) + "\n]\n" if rows else "[]\n")

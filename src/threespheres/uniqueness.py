@@ -26,7 +26,7 @@ from .errors import (
     OutOfRange,
 )
 from .geometry import correlated_radius_general, delta0
-from .verify import InequalityReport, upper_report
+from .verify import InequalityReport, certificate37, upper_report
 
 __all__ = [
     "CriterionTrace",
@@ -295,9 +295,7 @@ def propagation_bound(x0, r0: float, xbar_norm: float, lam: float, R: float,
         raise OutOfRange("eps and M must be positive")
     rbar = correlated_radius_general(x0n, r0, xbar_norm, R)
     d = delta0(x0n, r0, xbar_norm, R)
-    prefactor = (math.sqrt(405.0) / (1 - lam * lam) ** 1.25
-                 * (R / rbar) ** ((n + 5) / 2))
-    return prefactor * eps ** d * M ** (1 - d)
+    return certificate37(n, lam, R, rbar, eps, M, d)
 
 
 def delta_lower_bound_check(x_norm: float, r: float,

@@ -553,13 +553,20 @@ def ball_rows(ev, fam: CorrelatedFamily, xbar_norm: float, checks,
             a2_lam, a2_in, a2_out = (
                 math.sqrt(max(v, 0.0) / (vol * radius ** n))
                 for v, radius in ((lv[p], lam * rbar), (iv[p], r0), (ov[p], R)))
-            rhs37 = (math.sqrt(EMBED_CONSTANT) / (1 - lam * lam) ** 1.25
-                     * (R / rbar) ** ((n + 5) / 2)
-                     * a2_in ** delta * a2_out ** (1 - delta))
+            rhs37 = certificate37(n, lam, R, rbar, a2_in, a2_out, delta)
             rows.append(upper_report("embedded_bound_eq37", a2_lam, rhs37,
                                      INEQUALITY_TOL, exponent=delta, t=lam,
                                      **meta))
     return rows
+
+
+def certificate37(n: int, lam: float, R: float, rbar: float, inner: float,
+                  outer: float, delta: float) -> float:
+    """The (37) bound sqrt(405)/(1-lam^2)^{5/4} (R/rbar)^{(n+5)/2}
+    inner^delta outer^{1-delta} on A_2(xbar, lam rbar)."""
+    return (math.sqrt(EMBED_CONSTANT) / (1 - lam * lam) ** 1.25
+            * (R / rbar) ** ((n + 5) / 2) * inner ** delta
+            * outer ** (1 - delta))
 
 
 def three_balls_check(u, x0, r0: float, xbar_norm: float, delta=None,

@@ -4,6 +4,8 @@ import subprocess
 import sys
 import threading
 
+import pytest
+
 import threespheres
 from threespheres.cli import main
 from threespheres.sweep import SweepConfig, run_sweep
@@ -82,31 +84,80 @@ def test_sweep_starts_no_thread(monkeypatch):
     assert reports and all(r.passed for r in reports)
 
 
+def fresh_env(threads: str) -> dict:
+    """The environment of a fresh Python process that imports this
+    checkout's package, with ``OPENBLAS_NUM_THREADS`` set to ``threads``."""
+    src = os.path.dirname(os.path.dirname(threespheres.__file__))
+    return dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                PYTHONPATH=os.pathsep.join(
+                    [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+
+
 def test_verify_bytes_independent_of_blas_threads(tmp_path):
-    # the BLAS thread count is read when numpy is imported, so each run is
-    # a fresh process; with 30 columns, a BLAS node sum split over two
-    # threads changed the bits of some rows
-    cfg = write_config(tmp_path, {
+    # OpenBLAS reads its thread count when numpy is imported, so each run is
+    # a fresh process.  Two BLAS threads sum the evaluator's dgemm in another
+    # order; at n = 4 and max degree 8 (495 monomials, the n = 4 benchmark
+    # shape) that changed the bits of most rows, unless the package runs
+    # OpenBLAS on one thread.
+    configs = [write_config(tmp_path, {
         "dimensions": [2, 3, 4],
         "corpus": {"count": 30, "max_degree": 6, "seed": 3},
         "geometry": {"count": 2, "seed": 5, "t_count": 2, "lambdas": [0.6]},
         "checks": ["three_spheres", "transfer_identity", "three_balls",
                    "embedded_bound", "log_convexity"],
-    })
-    src = os.path.dirname(os.path.dirname(threespheres.__file__))
-    outputs = []
-    for threads in ("1", "2"):
-        out = tmp_path / f"blas{threads}.csv"
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
-                   PYTHONPATH=os.pathsep.join(
-                       [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-        proc = subprocess.run(
-            [sys.executable, "-m", "threespheres.cli", "verify", "--config",
-             cfg, "--out-csv", str(out)], env=env, capture_output=True,
-            text=True, timeout=300)
-        assert proc.returncode == 0, proc.stdout + proc.stderr
-        outputs.append(out.read_bytes())
-    assert outputs[0] == outputs[1]
+    }), write_config(tmp_path, {
+        "dimensions": [4],
+        "corpus": {"count": 20, "max_degree": 8, "seed": 3},
+        "geometry": {"count": 2, "seed": 5, "t_count": 5},
+        "checks": ["three_spheres", "transfer_identity"],
+    }, name="n4.json")]
+    for cfg in configs:
+        outputs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"blas{threads}.csv"
+            proc = subprocess.run(
+                [sys.executable, "-m", "threespheres.cli", "verify",
+                 "--config", cfg, "--out-csv", str(out)],
+                env=fresh_env(threads), capture_output=True, text=True,
+                timeout=300)
+            assert proc.returncode == 0, proc.stdout + proc.stderr
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1], cfg
+
+
+def test_import_pins_openblas_to_one_thread():
+    # OpenBLAS starts with the two threads the environment asks for; the
+    # import of the package must leave every library on one
+    script = """if True:
+        import ctypes, json, os
+        import numpy, scipy.special
+        import threespheres
+        getters = ("scipy_openblas_get_num_threads64_",
+                   "scipy_openblas_get_num_threads",
+                   "openblas_get_num_threads64_", "openblas_get_num_threads")
+        threads = {}
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            paths = {line.split()[-1] for line in fh}
+        for path in paths:
+            if "openblas" in os.path.basename(path):
+                lib = ctypes.CDLL(path)
+                for name in getters:
+                    if hasattr(lib, name):
+                        getattr(lib, name).restype = ctypes.c_int
+                        threads[path] = getattr(lib, name)()
+                        break
+        print(json.dumps(threads))
+    """
+    if not os.path.exists("/proc/self/maps"):
+        pytest.skip("no /proc/self/maps to find the BLAS libraries in")
+    proc = subprocess.run([sys.executable, "-c", script],
+                          env=fresh_env("2"), capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    threads = json.loads(proc.stdout)
+    if not threads:
+        pytest.skip("no OpenBLAS library is mapped into the process")
+    assert set(threads.values()) == {1}, threads
 
 
 def test_verify_beta_above_alpha_fails_with_rows(tmp_path, capsys):

@@ -6,8 +6,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from conftest import exact_sphere_monomial
 from threespheres.cli import main
 from threespheres.errors import ConfigError, UnderResolved
+from threespheres.geometry import CorrelatedFamily
 from threespheres.quadrature import SphereRule, analytic_degree
 from threespheres.sweep import (
     ALL_CHECKS,
@@ -18,7 +20,7 @@ from threespheres.sweep import (
     write_csv,
     write_json,
 )
-from threespheres.verify import InequalityReport
+from threespheres.verify import InequalityReport, convexity_margins
 
 
 def test_default_rule_policy():
@@ -147,6 +149,56 @@ def test_write_json_bytes_match_json_dump(tmp_path):
         assert path.read_bytes() == (buf.getvalue() + "\n").encode()
 
 
+def oracle_csv(reports) -> bytes:
+    """The CSV written one cell at a time."""
+    def cell(v):
+        if v is None:
+            return ""
+        return format(v, ".17g") if isinstance(v, float) else str(v)
+
+    lines = ["name,n,x_norm,r,t_or_xbar,exponent,lhs,rhs,ratio,pass"]
+    for rep in reports:
+        lines.append(",".join(
+            [rep.name] + [cell(v) for v in (
+                rep.n, rep.x_norm, rep.r, rep.t, rep.exponent_used, rep.lhs,
+                rep.rhs, rep.ratio)] + ["true" if rep.passed else "false"]))
+    return ("\n".join(lines) + "\n").encode()
+
+
+def test_writers_match_per_cell_oracle(tmp_path):
+    # every check, error rows (beta above alpha gives NaN sides) and rows
+    # with null n and t (delta_lower_bound)
+    reports, _ = run_sweep(SweepConfig.from_dict({
+        "dimensions": [2],
+        "corpus": {"count": 2, "max_degree": 4, "seed": 1},
+        "geometry": {"count": 1, "seed": 1, "x_norm_range": [0.5, 0.7],
+                     "t_count": 2, "lambdas": [0.6]},
+        "checks": list(ALL_CHECKS) + ["delta_lower_bound"],
+        "beta": 0.99,
+    }))
+    assert any(math.isnan(r.lhs) for r in reports)
+    assert any(r.n is None for r in reports)
+    base = InequalityReport("hand", 1.0, 2.0, 0.5, 0.25, 1e-9, 0.0, True,
+                            n=2, x_norm=0.5, r=0.1, t=0.2)
+    # equal shared values whose text differs, and equal distinct objects
+    hand = [replace(base, lhs=-0.0), replace(base, ratio=math.inf),
+            replace(base, lhs=math.nan, rhs=float("nan"), ratio=-math.inf,
+                    passed=False),
+            replace(base, n=None, t=None),
+            replace(base, x_norm=0.0), replace(base, x_norm=-0.0),
+            replace(base, n=2.0), replace(base, t=float("0.75")),
+            replace(base, t=float("0.75")),
+            replace(base, name='say "ü" at 100%s', tolerance=-0.0)]
+    path = tmp_path / "r"
+    for reps in (reports, hand, reports + hand, []):
+        write_csv(reps, str(path))
+        assert path.read_bytes() == oracle_csv(reps)
+        write_json(reps, str(path))
+        buf = io.StringIO()
+        json.dump([r.to_dict() for r in reps], buf, indent=1, sort_keys=True)
+        assert path.read_bytes() == (buf.getvalue() + "\n").encode()
+
+
 def test_n4_rows_are_deterministic():
     cfg = SweepConfig.from_dict({
         "dimensions": [4],
@@ -197,12 +249,83 @@ def test_sweep_runs_every_check(tmp_path, capsys):
     assert main(["verify", "--config", str(cfg)]) == 0
     printed = [line for line in capsys.readouterr().out.splitlines()
                if line.startswith("skipped:")]
-    untested = "not yet validated for n >= 4"
     assert printed == [
-        f"skipped: gradient_identity skipped for n=4: {untested}",
-        f"skipped: derivative_identity skipped for n=4: {untested}",
-        f"skipped: log_convexity skipped for n=4: {untested}",
         "skipped: embedding_identity skipped for n=4: deterministic "
         "(n+5)-dimensional rule too large",
         "skipped: holomorphic_variant skipped for n=4: planar check",
     ]
+
+
+def test_n4_identity_and_convexity_rows_match_exact_moments():
+    # the n = 4 finite-difference identity and log-convexity rows against
+    # closed forms built from the Gamma-function moments, at the 1e-5
+    # tolerance of the identity checks
+    n, tol = 4, 1e-5
+    cfg = SweepConfig.from_dict({
+        "dimensions": [n],
+        "corpus": {"count": 2, "max_degree": 6, "seed": 2},
+        "geometry": {"count": 2, "seed": 3, "t_count": 1},
+        "checks": ["gradient_identity", "derivative_identity",
+                   "log_convexity"],
+    })
+    reports, skipped = run_sweep(cfg)
+    assert not skipped and all(r.passed for r in reports)
+    area = exact_sphere_monomial(n, (0,) * n)  # |S^{n-1}|
+
+    def close(rep, exact):
+        # both sides are recorded by magnitude
+        for side in (rep.lhs, rep.rhs):
+            assert abs(side - abs(exact)) <= tol * max(abs(exact), 1e-3), (
+                rep, exact)
+
+    geoms = sample_geometries(n, cfg.geometry_count, cfg.geometry_seed,
+                              cfg.x_norm_range, cfg.touch_margin)
+    for ci, (x, r) in enumerate(geoms):
+        rows = [rep for rep in reports if rep.r == r]
+        grad = [rep for rep in rows if rep.name.startswith("gradient")]
+        deriv = [rep for rep in rows if rep.name.startswith("derivative")]
+        # five test functions; the first three are 1, y_1 and |y|^2
+        assert len(grad) == len(deriv) == 10
+        vol, sphere = area * r ** n / n, area * r ** (n - 1)
+        x2 = float(x @ x)
+        for p, (along_e1, radial) in enumerate([
+                (0.0, sphere), (vol, x[0] * sphere),
+                (2 * x[0] * vol, (x2 + r * r) * sphere)]):
+            close(grad[2 * p], along_e1)
+            close(grad[2 * p + 1], radial)
+        fam = CorrelatedFamily.create(x, r, R=1.0)
+        t = 0.5 * fam.x_norm
+        rho, drho = float(fam.radius(t)), float(fam.radius_derivative(t))
+        ball, shell = area * rho ** n / n, area * rho ** (n - 1) * drho
+        e1 = fam.e[0]
+        for p, exact in enumerate([
+                shell, e1 * ball + t * e1 * shell,
+                2 * t * ball + t * t * shell + rho * rho * shell]):
+            close(deriv[2 * p], exact)
+            close(deriv[2 * p + 1], exact)
+
+    # log-convexity: the sphere integrals of |p|^2 are
+    # sum_{e,e'} Re(c_e conj(c_e')) M(e + e') s^(|e| + |e'| + n - 1)
+    polys = sample_corpus(n, cfg.corpus_count, cfg.corpus_max_degree,
+                          cfg.corpus_seed)
+    exps = sorted({e for poly in polys for e in poly.terms})
+    moments = {}
+    for e in exps:
+        for e2 in exps:
+            key = tuple(a + b for a, b in zip(e, e2))
+            if key not in moments:
+                moments[key] = exact_sphere_monomial(n, key)
+    gram = np.array([[moments[tuple(a + b for a, b in zip(e, e2))]
+                      for e2 in exps] for e in exps])
+    degree = np.array([sum(e) for e in exps])
+    powers = degree[:, None] + degree[None, :] + n - 1
+    coeffs = np.array([[poly.terms.get(e, 0) for e in exps]
+                       for poly in polys])
+    grid = np.linspace(0.05, 0.95, 20)
+    logs = np.log([[np.sum((c[:, None] * c.conj()[None, :]).real * gram
+                           * s ** powers) for c in coeffs] for s in grid])
+    margin, _ = convexity_margins(np.log(grid), logs)
+    convexity = [rep for rep in reports if rep.name == "log_convexity_eq18"]
+    assert [rep.t for rep in convexity] == [0.0, 1.0]
+    for rep, m in zip(convexity, margin):
+        assert abs(rep.lhs + m) <= tol, (rep, m)
