@@ -3,6 +3,11 @@
 Deterministic rules: equispaced trapezoid on the circle (n = 2), Gauss-
 Legendre x trapezoid on S^2, and Gauss-Gegenbauer products for higher
 dimensions; all are exact for polynomials up to their declared degree.
+Every Gauss factor comes from :func:`_gauss_jacobi`, the eigen-decomposition
+of the Jacobi matrix in numpy (Golub & Welsch, 1969).  Its cost is O(q^3) in
+the node count q: about 15 ms at q = 300, but about 1 s at q = 1 513, the
+largest axial factor an annulus ratio of 1.02 allows; each rule is built
+once per process and cached.
 Seeded Monte Carlo rules (normalized-Gaussian directions) carry a standard-
 error estimate; no check uses them, but the integrals accept them.
 
@@ -33,7 +38,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import roots_jacobi, roots_legendre
 
 from .errors import OutOfRange, RuleDimensionMismatch, UnderResolved
 from .geometry import Ball, InversionData
@@ -185,6 +189,25 @@ def analytic_degree(degree: int, kappa: float | None, digits: int = 12,
     return degree + ((extra + 3) // 4) * 4
 
 
+def _gauss_jacobi(q: int, gamma: float):
+    """Nodes (ascending) and weights of the q-point Gauss rule for the weight
+    (1 - u^2)^gamma on [-1, 1]; gamma = 0 is Gauss-Legendre.
+
+    Golub & Welsch, "Calculation of Gauss quadrature rules", Math. Comp. 23
+    (1969): the nodes are the eigenvalues of the symmetric tridiagonal Jacobi
+    matrix of the orthonormal polynomials, the weights mu_0 v_0^2 from the
+    first components of its eigenvectors, with mu_0 the weight's total mass.
+    """
+    k = np.arange(1.0, q)
+    s = 2 * k + 2 * gamma
+    b = np.sqrt(4 * k * (k + gamma) ** 2 * (k + 2 * gamma)
+                / (s * s * (s + 1) * (s - 1)))
+    u, v = np.linalg.eigh(np.diag(b, 1) + np.diag(b, -1))
+    mu0 = (2 ** (2 * gamma + 1) * math.gamma(gamma + 1) ** 2
+           / math.gamma(2 * gamma + 2))
+    return u, mu0 * v[0] ** 2
+
+
 @lru_cache(maxsize=256)
 def _product_rule_cached(n: int, degree: int, transverse: int):
     N = transverse + 1
@@ -201,8 +224,7 @@ def _product_rule_cached(n: int, degree: int, transverse: int):
         # it (the other polar axes and the azimuth) the transverse degree
         q = (degree if k == 1 else transverse) // 2 + 1
         gamma = (n - 2 - k) / 2.0
-        axes.append(roots_legendre(q) if gamma == 0.0
-                    else roots_jacobi(q, gamma, gamma))
+        axes.append(_gauss_jacobi(q, gamma))
     # accumulate polar coordinates left to right
     coords = np.ones((1, 0))
     sin_accum = np.ones(1)
@@ -229,7 +251,7 @@ def _product_rule_cached(n: int, degree: int, transverse: int):
 
 @lru_cache(maxsize=64)
 def _radial_rule_cached(m: int):
-    t, w = roots_legendre(m)
+    t, w = _gauss_jacobi(m, 0.0)
     t = (t + 1) / 2
     w = w / 2
     t.setflags(write=False)

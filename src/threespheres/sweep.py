@@ -233,9 +233,10 @@ def _config_rows(n, cfg: SweepConfig, ci, x_vec, r, polys, evaluator):
                               cfg.checks, cfg.lambdas, deg2))
 
     if "gradient_identity" in cfg.checks or "derivative_identity" in cfg.checks:
-        # row order identifies the test function: a constant, a coordinate,
-        # the non-harmonic |y|^2 and two corpus polynomials (the identities
-        # hold for any continuous f), each with its degree
+        # t = p names the test function: a constant, a coordinate, the
+        # non-harmonic |y|^2 and two corpus polynomials (the identities hold
+        # for any continuous f), each with its degree; the derivative
+        # identity is taken at t = |x|/2
         fns = [(lambda pts: np.ones(len(pts)), 0),
                (lambda pts: np.asarray(pts)[:, 0], 1),
                (lambda pts: np.einsum("ij,ij->i", pts, pts), 2)]
@@ -243,11 +244,13 @@ def _config_rows(n, cfg: SweepConfig, ci, x_vec, r, polys, evaluator):
         for p, (f, deg) in enumerate(fns):
             try:
                 if "gradient_identity" in cfg.checks:
-                    rows.extend(gradient_identity_check(f, x_vec, r,
+                    rows.extend(replace(rep, t=float(p)) for rep in
+                                gradient_identity_check(f, x_vec, r,
                                                         degree=deg))
                 if "derivative_identity" in cfg.checks:
-                    rows.extend(derivative_identity_check(
-                        f, fam, 0.5 * x_norm, degree=deg))
+                    rows.extend(replace(rep, t=float(p)) for rep in
+                                derivative_identity_check(
+                                    f, fam, 0.5 * x_norm, degree=deg))
             except ThreeSpheresError as exc:
                 rows.append(error_row("identity", exc, IDENTITY_FD_TOL,
                                       mode="identity", t=float(p), **meta))

@@ -160,6 +160,31 @@ def test_import_pins_openblas_to_one_thread():
     assert set(threads.values()) == {1}, threads
 
 
+def test_verify_runs_without_scipy(tmp_path):
+    # scipy is a test-only dependency: a verify run, sphere and ball rules
+    # included, must not import any of it
+    cfg = write_config(tmp_path, {
+        "dimensions": [3],
+        "geometry": {"count": 1, "seed": 5, "t_count": 2, "lambdas": [0.6]},
+        "checks": ["three_spheres", "three_balls"]})
+    script = """if True:
+        import sys
+        from threespheres.cli import main
+        code = main(["verify", "--config", sys.argv[1],
+                     "--out-csv", sys.argv[2], "--out-json", sys.argv[3]])
+        print(sorted(m for m in sys.modules
+                     if m == "scipy" or m.startswith("scipy.")))
+        sys.exit(code)
+    """
+    proc = subprocess.run(
+        [sys.executable, "-c", script, cfg, str(tmp_path / "r.csv"),
+         str(tmp_path / "r.json")],
+        env=fresh_env("1"), capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]", proc.stdout
+    assert (tmp_path / "r.csv").stat().st_size > 0
+
+
 def test_verify_beta_above_alpha_fails_with_rows(tmp_path, capsys):
     cfg = write_config(tmp_path, {"beta": 0.99,
                                   "checks": ["three_spheres"]})

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import beta, roots_jacobi, roots_legendre
 
 from conftest import exact_ball_monomial, exact_sphere_monomial
 from threespheres.errors import OutOfRange, RuleDimensionMismatch
@@ -11,6 +12,7 @@ from threespheres.harmonic import PolynomialEvaluator, random_harmonic_polynomia
 from threespheres.quadrature import (
     BallRule,
     SphereRule,
+    _gauss_jacobi,
     analytic_degree,
     ball_integral,
     ball_volume,
@@ -82,6 +84,59 @@ def test_anisotropic_product_exactness(n):
     iso = SphereRule.product(n, degree)
     assert iso.transverse == degree
     assert SphereRule.product(n, degree, degree + 4).nodes is iso.nodes
+
+
+# every node count up to 50, then the larger factors of wide rules
+GAUSS_SIZES = list(range(1, 51)) + [64, 100, 128, 200, 255, 300]
+# gamma = (n - 2 - k)/2 for the polar axes of S^{n-1}; 3 is the first axis
+# of the 9-dimensional sphere in the n = 4 embedding identity
+GAUSS_GAMMAS = [0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0]
+
+
+@pytest.mark.parametrize("gamma", GAUSS_GAMMAS)
+def test_gauss_jacobi_matches_scipy(gamma):
+    # above q = 50 scipy's own Gauss-Legendre weights drift from 40-digit
+    # reference weights by up to 3.0e-12 of the largest weight (at q = 299;
+    # these rules stay within 4.5e-14 at q = 53, 100, 150 and 299), so there
+    # the weights are held to that drift only; the moment test below holds
+    # every q to 1e-12 against the Beta function
+    for q in GAUSS_SIZES:
+        u, w = _gauss_jacobi(q, gamma)
+        su, sw = (roots_legendre(q) if gamma == 0.0
+                  else roots_jacobi(q, gamma, gamma))
+        assert np.max(np.abs(u - su)) <= 1e-14, q
+        wtol = 1e-13 if q <= 50 else 5e-12
+        assert np.max(np.abs(w - sw)) <= wtol * sw.max(), q
+
+
+@pytest.mark.parametrize("gamma", GAUSS_GAMMAS)
+def test_gauss_jacobi_mass_and_moments(gamma):
+    # int_{-1}^{1} u^(2j) (1 - u^2)^gamma du = B(j + 1/2, gamma + 1), exact
+    # for j < q; odd moments vanish by the symmetry of the nodes
+    for q in GAUSS_SIZES:
+        u, w = _gauss_jacobi(q, gamma)
+        assert np.all(np.diff(u) > 0) and np.all(w > 0)
+        mu0 = beta(0.5, gamma + 1)
+        assert abs(w.sum() - mu0) <= 1e-14 * mu0
+        j = np.arange(q)
+        exact = beta(j + 0.5, gamma + 1)
+        moments = (u[None, :] ** (2 * j[:, None])) @ w
+        np.testing.assert_allclose(moments, exact, rtol=1e-12, atol=0)
+        assert abs(np.sum(w * u ** (2 * q - 1))) <= 1e-14 * mu0
+
+
+def test_widest_annulus_rule_is_exact():
+    # kappa just above the 1.02 floor gives the largest axial factor the
+    # policy builds (1 513 nodes at degree 16)
+    rule = SphereRule.default(3, 16, kappa=1.0201)
+    assert rule.degree == analytic_degree(16, 1.0201)
+    assert len(rule) == (rule.degree // 2 + 1) * 17
+    area = sphere_area(3)
+    assert abs(rule.weights.sum() - area) <= 1e-12 * area
+    for exps in [(16, 0, 0), (0, 16, 0), (0, 8, 8), (6, 4, 6), (2, 14, 0)]:
+        val = surface_integral(monomial_fn(exps), np.zeros(3), 1.0, rule)
+        exact = exact_sphere_monomial(3, exps)
+        assert abs(complex(val.value).real - exact) <= 1e-12 * exact, exps
 
 
 def test_surface_area_and_disk_moment():
@@ -253,8 +308,6 @@ def test_product_rule_matches_spec_structure():
     assert len(rule) == 11
     assert np.allclose(rule.weights, 2 * math.pi / 11)
     # n=3 polar nodes follow Gauss-Legendre in the cosine
-    from scipy.special import roots_legendre
-
     rule3 = SphereRule.product(3, 10)
     u, _ = roots_legendre(6)
     assert np.allclose(np.unique(np.round(rule3.nodes[:, 0], 12)),

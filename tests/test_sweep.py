@@ -282,17 +282,24 @@ def test_n4_identity_and_convexity_rows_match_exact_moments():
                               cfg.x_norm_range, cfg.touch_margin)
     for ci, (x, r) in enumerate(geoms):
         rows = [rep for rep in reports if rep.r == r]
-        grad = [rep for rep in rows if rep.name.startswith("gradient")]
-        deriv = [rep for rep in rows if rep.name.startswith("derivative")]
-        # five test functions; the first three are 1, y_1 and |y|^2
-        assert len(grad) == len(deriv) == 10
+
+        def rows_of(kind, p):
+            # a row's t is the index of its test function
+            return {rep.name: rep for rep in rows
+                    if rep.name.startswith(kind) and rep.t == float(p)}
+
+        # five test functions, t = 0..4; the first three are 1, y_1, |y|^2
+        assert sorted(rep.t for rep in rows
+                      if "identity" in rep.name) == [
+            float(p) for p in range(5) for _ in range(4)]
         vol, sphere = area * r ** n / n, area * r ** (n - 1)
         x2 = float(x @ x)
         for p, (along_e1, radial) in enumerate([
                 (0.0, sphere), (vol, x[0] * sphere),
                 (2 * x[0] * vol, (x2 + r * r) * sphere)]):
-            close(grad[2 * p], along_e1)
-            close(grad[2 * p + 1], radial)
+            grad = rows_of("gradient", p)
+            close(grad["gradient_identity_eq2"], along_e1)
+            close(grad["gradient_identity_eq3"], radial)
         fam = CorrelatedFamily.create(x, r, R=1.0)
         t = 0.5 * fam.x_norm
         rho, drho = float(fam.radius(t)), float(fam.radius_derivative(t))
@@ -301,8 +308,9 @@ def test_n4_identity_and_convexity_rows_match_exact_moments():
         for p, exact in enumerate([
                 shell, e1 * ball + t * e1 * shell,
                 2 * t * ball + t * t * shell + rho * rho * shell]):
-            close(deriv[2 * p], exact)
-            close(deriv[2 * p + 1], exact)
+            deriv = rows_of("derivative", p)
+            close(deriv["derivative_identity_eq5"], exact)
+            close(deriv["derivative_identity_eq13"], exact)
 
     # log-convexity: the sphere integrals of |p|^2 are
     # sum_{e,e'} Re(c_e conj(c_e')) M(e + e') s^(|e| + |e'| + n - 1)
