@@ -54,7 +54,6 @@ from .harmonic import (
 )
 from .quadrature import (
     BallRule,
-    NormValue,
     SphereRule,
     ball_integral,
     ball_volume,

@@ -8,8 +8,8 @@ of the Jacobi matrix in numpy (Golub & Welsch, 1969).  Its cost is O(q^3) in
 the node count q: about 15 ms at q = 300, but about 1 s at q = 1 513, the
 largest axial factor an annulus ratio of 1.02 allows; each rule is built
 once per process and cached.
-Seeded Monte Carlo rules (normalized-Gaussian directions) carry a standard-
-error estimate; no check uses them, but the integrals accept them.
+A seeded Monte Carlo rule (normalized-Gaussian directions, equal weights)
+serves the tests as an independent oracle; no check uses it.
 
 Weighted integrals carry the densities induced by the inversion:
 
@@ -26,9 +26,10 @@ polynomial degree of the integrand (Stroud, 1971).
 Integration works on columns: :func:`integrals` places a rule on a sphere or
 ball, calls a function mapping (N, n) points to (N, P) values once on all
 its nodes, and contracts the values with plain, ds_a or dmu_a weights,
-returning each column's integral and Monte Carlo standard error.
-The batched checks call it with P corpus functions; the public integrals
-below are its one-column case.
+returning one array of column integrals per weight.  The batched checks call
+it with P corpus functions; the public integrals below are its one-column
+case and return one number: a numpy scalar for the raw integrals (real for
+real integrands, complex otherwise) and a float for the norms.
 """
 
 from __future__ import annotations
@@ -44,7 +45,6 @@ from .geometry import Ball, InversionData
 
 __all__ = [
     "BallRule",
-    "NormValue",
     "SphereRule",
     "ball_integral",
     "ball_volume",
@@ -66,23 +66,6 @@ def sphere_area(n: int) -> float:
 def ball_volume(n: int) -> float:
     """Volume nu_n of the unit ball B^n."""
     return math.pi ** (n / 2) / math.gamma(n / 2 + 1)
-
-
-@dataclass(frozen=True)
-class NormValue:
-    """Integral or norm value with its Monte Carlo standard error.
-
-    ``stderr`` is zero for deterministic rules so downstream tolerance logic
-    is uniform.  ``value`` is complex for raw integrals of complex
-    integrands and nonnegative real for the norm operations.
-    """
-
-    value: complex
-    stderr: float = 0.0
-
-    @property
-    def real(self) -> float:
-        return float(np.real(self.value))
 
 
 @dataclass(frozen=True)
@@ -124,9 +107,12 @@ class SphereRule:
         """
         if n < 2:
             raise OutOfRange("sphere rules need n >= 2")
-        degree = max(int(degree), 0)
-        transverse = (degree if transverse is None or n == 2
-                      else min(max(int(transverse), 0), degree))
+        degree = int(degree)
+        transverse = degree if transverse is None else int(transverse)
+        if degree < 0 or transverse < 0:
+            raise OutOfRange(f"rule degrees must be >= 0, got degree {degree} "
+                             f"and transverse {transverse}")
+        transverse = degree if n == 2 else min(transverse, degree)
         nodes, weights = _product_rule_cached(n, degree, transverse)
         return cls(n=n, nodes=nodes, weights=weights, kind="exact",
                    degree=degree, transverse=transverse)
@@ -134,6 +120,9 @@ class SphereRule:
     @classmethod
     def monte_carlo(cls, n: int, samples: int = 200_000, seed: int = 0) -> "SphereRule":
         """Seeded Monte Carlo rule: normalized Gaussian directions, equal weights."""
+        if samples < 1:
+            raise OutOfRange(f"Monte Carlo rules need samples >= 1, got "
+                             f"{samples}")
         rng = np.random.default_rng(np.random.SeedSequence(seed))
         g = rng.standard_normal((samples, n))
         g /= np.linalg.norm(g, axis=1)[:, None]
@@ -267,6 +256,11 @@ class BallRule:
     angular: SphereRule
     radial_points: int
 
+    def __post_init__(self):
+        if self.radial_points < 1:
+            raise OutOfRange(f"ball rules need radial_points >= 1, got "
+                             f"{self.radial_points}")
+
     @property
     def n(self) -> int:
         return self.angular.n
@@ -311,18 +305,16 @@ def _orient(nodes: np.ndarray, axis: np.ndarray) -> np.ndarray:
 
 
 def _density(pts: np.ndarray, inv: InversionData, weight: str) -> np.ndarray:
-    """The ds_a ("s_a") or dmu_a ("mu_a") density at each point."""
-    flat = pts.reshape(-1, pts.shape[-1])
-    d = flat - inv.a
+    """The ds_a ("s_a") or dmu_a ("mu_a") density at each of (N, n) points."""
+    d = pts - inv.a
     d2 = np.einsum("ij,ij->i", d, d)
     if weight == "mu_a":
-        dens = 1.0 / d2 ** 2
-    else:
-        dens = (d2 + inv.R ** 2 - np.einsum("ij,ij->i", flat, flat)) / d2 ** 2
-        if np.any(dens <= 0.0):
-            raise OutOfRange("s_a density must be positive on the closed ball; "
-                             "got a nonpositive node value (sphere outside B_R?)")
-    return dens.reshape(pts.shape[:-1])
+        return 1.0 / d2 ** 2
+    dens = (d2 + inv.R ** 2 - np.einsum("ij,ij->i", pts, pts)) / d2 ** 2
+    if np.any(dens <= 0.0):
+        raise OutOfRange("s_a density must be positive on the closed ball; "
+                         "got a nonpositive node value (sphere outside B_R?)")
+    return dens
 
 
 def _points(rule, center: np.ndarray, radius: float, axis=None):
@@ -338,7 +330,7 @@ def _points(rule, center: np.ndarray, radius: float, axis=None):
     if radius <= 0:
         raise OutOfRange("radius must be positive")
     nodes = angular.nodes
-    if axis is not None and angular.kind != "monte-carlo":
+    if axis is not None:
         nodes = _orient(nodes, axis)
     if angular is rule:
         return center + radius * nodes, angular.weights * radius ** (n - 1)
@@ -349,49 +341,35 @@ def _points(rule, center: np.ndarray, radius: float, axis=None):
     return pts, shell_w[:, None] * angular.weights[None, :]
 
 
-def _contract(w: np.ndarray, values: np.ndarray, mc: bool):
-    """Integral of each column of ``values`` against the weights ``w``, and
-    its Monte Carlo standard error (zero for deterministic rules).  Nodes
-    are summed in node order, without BLAS (whose threads would split the
-    sum and change its bits).  Ball shells are summed per direction first,
-    so the error reflects the independent direction samples only."""
-    vals = np.einsum("i,ij->j", w.reshape(-1), values.reshape(w.size, -1))
-    if not mc:
-        return vals, np.zeros(vals.shape)
-    N = w.shape[-1]
-    y = (N * w)[..., None] * values
-    if y.ndim == 3:
-        y = y.sum(axis=0)
-    var = np.mean(abs2(y), axis=0) - abs2(vals)
-    return vals, np.sqrt(np.maximum(var, 0.0) / N)
-
-
 def integrals(fn, rule, center, radius: float, axis=None, inv=None,
               weights=(None,)) -> list:
     """Column integrals of ``fn`` over the sphere (SphereRule) or ball
     (BallRule) of ``radius`` at ``center``.
 
     ``fn`` maps (N, n) points to (N, P) values and is called once, on every
-    node of the sphere or ball.  One (values, stderrs) pair of length-P
-    arrays is returned per entry of ``weights``: None for the plain measure,
-    "s_a" or "mu_a" for the densities of ``inv``, all from the same values.
+    node of the sphere or ball.  One length-P array of integrals is returned
+    per entry of ``weights``: None for the plain measure, "s_a" or "mu_a"
+    for the densities of ``inv``, all from the same values.  Nodes are summed
+    in node order, without BLAS (whose threads would split the sum and
+    change its bits).
     """
     pts, w = _points(rule, np.asarray(center, dtype=float), radius, axis)
-    values = fn(pts.reshape(-1, pts.shape[-1])).reshape(w.shape + (-1,))
-    mc = getattr(rule, "angular", rule).kind == "monte-carlo"
-    return [_contract(w if kind is None else w * _density(pts, inv, kind),
-                      values, mc) for kind in weights]
+    pts, w = pts.reshape(-1, pts.shape[-1]), w.reshape(-1)
+    values = fn(pts).reshape(w.size, -1)
+    return [np.einsum("i,ij->j", w if kind is None
+                      else w * _density(pts, inv, kind), values)
+            for kind in weights]
 
 
 def _integral(fn, rule, center, radius: float, axis=None, inv=None,
-              weight=None) -> NormValue:
-    """:func:`integrals` of a one-column function."""
-    (vals, errs), = integrals(fn, rule, center, radius, axis, inv, (weight,))
-    return NormValue(value=vals[0], stderr=float(errs[0]))
+              weight=None):
+    """The one integral of :func:`integrals` of a one-column function."""
+    return integrals(fn, rule, center, radius, axis, inv, (weight,))[0][0]
 
 
-def surface_integral(f, center, radius: float, rule: SphereRule) -> NormValue:
-    """Integral of f over the sphere S_{center, radius}.
+def surface_integral(f, center, radius: float, rule: SphereRule):
+    """Integral of f over the sphere S_{center, radius}: a numpy scalar, real
+    for a real f and complex otherwise.
 
     Parameters
     ----------
@@ -405,46 +383,47 @@ def surface_integral(f, center, radius: float, rule: SphereRule) -> NormValue:
 
 
 def weighted_surface_integral_sa(f, center, radius: float, inv: InversionData,
-                                 rule: SphereRule) -> NormValue:
-    """Integral of f against ds_a = (|y-a|^2 + R^2 - |y|^2)/|y-a|^4 ds."""
+                                 rule: SphereRule):
+    """Integral of f against ds_a = (|y-a|^2 + R^2 - |y|^2)/|y-a|^4 ds, a
+    numpy scalar as for :func:`surface_integral`."""
     center = np.asarray(center, dtype=float)
     return _integral(Column(f).values, rule, center, radius,
                      _unit(inv.a - center), inv, "s_a")
 
 
-def ball_integral(f, ball: Ball, rule: BallRule) -> NormValue:
-    """Integral of f over the open ball (plain Lebesgue measure)."""
+def ball_integral(f, ball: Ball, rule: BallRule):
+    """Integral of f over the open ball (plain Lebesgue measure), a numpy
+    scalar as for :func:`surface_integral`."""
     return _integral(Column(f).values, rule, ball.center, ball.radius)
 
 
 def weighted_ball_integral_mua(f, ball: Ball, rule: BallRule,
-                               inv: InversionData) -> NormValue:
-    """Integral of f against dmu_a = |y - a|^{-4} dy."""
+                               inv: InversionData):
+    """Integral of f against dmu_a = |y - a|^{-4} dy, a numpy scalar as for
+    :func:`surface_integral`."""
     if inv.a_norm <= inv.R - 1e-12:
         raise OutOfRange("inversion center must lie outside the closed ball")
     return _integral(Column(f).values, rule, ball.center, ball.radius,
                      _unit(inv.a - ball.center), inv, "mu_a")
 
 
-def _root(sq: NormValue, vol: float = 1.0) -> NormValue:
-    """Square root of an integral of |f|^2 divided by ``vol``, with its
-    propagated standard error."""
-    return NormValue(value=math.sqrt(max(sq.real, 0.0) / vol),
-                     stderr=0.5 * sq.stderr / math.sqrt(max(sq.real, 1e-300) * vol))
+def _root(sq, vol: float = 1.0) -> float:
+    """Square root of an integral of |f|^2 divided by ``vol``."""
+    return math.sqrt(max(sq.real, 0.0) / vol)
 
 
-def l2_sphere_norm(f, center, radius: float, rule: SphereRule) -> NormValue:
+def l2_sphere_norm(f, center, radius: float, rule: SphereRule) -> float:
     """L_2(x, r, f) = (int_{S_{x,r}} |f|^2 ds)^{1/2} (unnormalized)."""
     return _root(_integral(Column(f).squared_values, rule, center, radius))
 
 
-def l2_ball_norm(f, ball: Ball, rule: BallRule) -> NormValue:
+def l2_ball_norm(f, ball: Ball, rule: BallRule) -> float:
     """A_2(x, r, f) = (int_{B_{x,r}} |f|^2 dy)^{1/2} (unnormalized form)."""
     return _root(_integral(Column(f).squared_values, rule, ball.center,
                            ball.radius))
 
 
-def normalized_average_A2(f, ball: Ball, rule: BallRule) -> NormValue:
+def normalized_average_A2(f, ball: Ball, rule: BallRule) -> float:
     """Volume-normalized root mean square of |f| over the ball."""
     vol = ball_volume(ball.dimension) * ball.radius ** ball.dimension
     return _root(_integral(Column(f).squared_values, rule, ball.center,

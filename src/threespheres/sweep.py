@@ -272,7 +272,7 @@ def _dimension_rows(n, cfg: SweepConfig, polys, evaluator):
         grid = np.linspace(0.05, 0.95, 20)
         rule = SphereRule.product(n, 2 * cfg.corpus_max_degree)
         logs = np.log(np.maximum([
-            integrals(evaluator.squared_values, rule, np.zeros(n), rad)[0][0]
+            integrals(evaluator.squared_values, rule, np.zeros(n), rad)[0]
             for rad in grid], 1e-300))
         margin, _ = convexity_margins(np.log(grid), logs)
         for p in range(len(polys)):

@@ -207,8 +207,7 @@ def _ball_integrals(fn, center: np.ndarray, radius: float, degree: int,
     rule = BallRule(SphereRule.default(n, degree, kappa, digits=10),
                     radial_points=max(16, (degree + n + 1) // 2))
     weights = (("mu_a",) if inv is not None else ()) + ((None,) if plain else ())
-    cols = [vals for vals, _ in integrals(fn, rule, center, radius, axis, inv,
-                                          weights)]
+    cols = integrals(fn, rule, center, radius, axis, inv, weights)
     return (cols[0] if inv is not None else None), (cols[-1] if plain else None)
 
 
@@ -271,7 +270,7 @@ def gradient_identity_check(f, x, r: float, e=None,
         v = np.asarray(f(pts))
         return np.stack([v * ((pts - x) / r @ e), v], axis=1)
 
-    (quad, _), = integrals(surface_forms, SphereRule.default(n, deg + 1), x, r)
+    quad, = integrals(surface_forms, SphereRule.default(n, deg + 1), x, r)
     quad_dir, quad_rad = complex(quad[0]), complex(quad[1])
     # derivative-magnitude floor keeps the relative test sane when the
     # directional derivative vanishes by symmetry
@@ -322,8 +321,8 @@ def derivative_identity_check(f, fam: CorrelatedFamily, t: float,
         return np.stack([v * ((pts - center) / rt @ fam.e + rpt),
                          v * bracket, v], axis=1)
 
-    (quad, _), = integrals(surface_forms, SphereRule.default(n, deg + 2),
-                           center, rt)
+    quad, = integrals(surface_forms, SphereRule.default(n, deg + 2), center,
+                      rt)
     rhs5 = complex(quad[0])
     rhs13 = complex(quad[1]) * (-1.0 / (2 * inv.a_norm * rt))
     floor = 1e-3 * max(1.0, abs(complex(quad[2])))
@@ -397,7 +396,7 @@ def sphere_rows(ev, fam: CorrelatedFamily, ts, checks, beta="omega",
         # polar axis on e, toward a: a and the centers lie on the +e ray
         rule = SphereRule.default(n, degree, (inv.a_norm - center_norm) / radius)
         return integrals(ev.squared_values, rule, center_norm * fam.e, radius,
-                         fam.e, inv, ("s_a",))[0][0]
+                         fam.e, inv, ("s_a",))[0]
 
     def kelvin_squared(pts):
         # |f*|^2 = |f(phi(y))|^2 (rho^2/|y-a|^2)^(n-2): on a slice across e,
@@ -434,7 +433,7 @@ def sphere_rows(ev, fam: CorrelatedFamily, ts, checks, beta="omega",
             # the Kelvin side has a high-order pole at a: generous allowance
             rule = SphereRule.default(n, degree, inv.a_norm / rts,
                                       pole_order=12)
-            (kv, _), = integrals(kelvin_squared, rule, np.zeros(n), rts, fam.e)
+            kv, = integrals(kelvin_squared, rule, np.zeros(n), rts, fam.e)
             factor = inv.rho2 * rt / rts
             rows.extend(identity_report(
                 "transfer_identity_eq22", kv[p], factor * mv[p], TRANSFER_TOL,
@@ -621,6 +620,9 @@ def embedding_identity_check(g, b, l: float, g_degree: int = 6,
     n = b.size
     if not 0 < l <= 1:
         raise OutOfRange("l must lie in (0, 1]")
+    if convention not in ("squared", "printed"):
+        raise OutOfRange(f'convention must be "squared" or "printed", got '
+                         f'{convention!r}')
     m = n + 5
     lhs_rule = BallRule(SphereRule.product(m, g_degree + 2), radial_points=32)
     center = np.concatenate([b, np.zeros(5)])
@@ -629,7 +631,7 @@ def embedding_identity_check(g, b, l: float, g_degree: int = 6,
         v = np.asarray(g(p))
         return np.stack([v, np.abs(v)], axis=1)
 
-    (vals, _), = integrals(g_and_abs, lhs_rule, center, l)
+    vals, = integrals(g_and_abs, lhs_rule, center, l)
     lhs, abs_scale = map(float, vals.real)
 
     # inner 5-ball template: displacements and weights for unit radius

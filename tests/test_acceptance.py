@@ -191,7 +191,7 @@ def test_criterion_07_three_spheres_theorem():
     assert len(reports) == 2 * 100 * 20 * 10
     bad = [r for r in reports if not r.passed]
     assert not bad, f"{len(bad)} three-spheres violations, first: {bad[0]}"
-    # n = 4: Monte Carlo rules with a 4-sigma budget on a reduced grid
+    # n = 4 on a reduced grid, with the same deterministic rules
     cfg4 = SweepConfig.from_dict({
         "dimensions": [4],
         "corpus": {"count": 20, "max_degree": 8, "seed": 7},
@@ -202,7 +202,7 @@ def test_criterion_07_three_spheres_theorem():
     reports4, _ = run_sweep(cfg4)
     assert len(reports4) == 20 * 5 * 5
     bad4 = [r for r in reports4 if not r.passed]
-    assert not bad4, f"{len(bad4)} n=4 violations beyond 4 sigma"
+    assert not bad4, f"{len(bad4)} n=4 three-spheres violations"
     worst = max(r.ratio for r in reports)
     print(f"  worst deterministic lhs/rhs ratio = {worst:.6f}")
     _report(7, "three-spheres inequality", started, 300.0)
@@ -223,7 +223,7 @@ def test_criterion_08_three_balls_and_embedded_bounds():
                      "embedded_bound_eq36", "embedded_bound_eq37"}
     bad = [r for r in reports if not r.passed]
     assert not bad, f"{len(bad)} violations, first: {bad[0]}"
-    # reduced n = 4 pass with Monte Carlo budgets
+    # reduced n = 4 pass with the same deterministic rules
     cfg4 = SweepConfig.from_dict({
         "dimensions": [4],
         "corpus": {"count": 10, "max_degree": 8, "seed": 7},
@@ -233,7 +233,7 @@ def test_criterion_08_three_balls_and_embedded_bounds():
     })
     reports4, _ = run_sweep(cfg4)
     bad4 = [r for r in reports4 if not r.passed]
-    assert not bad4, f"{len(bad4)} n=4 violations beyond 4 sigma"
+    assert not bad4, f"{len(bad4)} n=4 violations"
     _report(8, "three-balls and embedded bounds", started, 300.0)
 
 
@@ -245,13 +245,11 @@ def test_criterion_09_log_convexity_parseval():
         for seed in range(25):
             f = random_harmonic_polynomial(n, 8, seed=seed)
             parts = f.homogeneous_parts()
-            cks = {k: complex(l2_sphere_norm(p, np.zeros(n), 1.0,
-                                             rule).value).real ** 2
+            cks = {k: l2_sphere_norm(p, np.zeros(n), 1.0, rule) ** 2
                    for k, p in parts.items()}
             values = {}
             for rad in grid:
-                lhs = complex(l2_sphere_norm(f, np.zeros(n), rad,
-                                             rule).value).real ** 2
+                lhs = l2_sphere_norm(f, np.zeros(n), rad, rule) ** 2
                 rhs = sum(c * rad ** (2 * k + n - 1) for k, c in cks.items())
                 assert abs(lhs - rhs) < 1e-10 * rhs
                 values[float(rad)] = math.sqrt(lhs)

@@ -157,7 +157,7 @@ def test_log_convexity_of_harmonic_l2(rng):
         rule = SphereRule.product(n, 16)
 
         def L(r):
-            return complex(l2_sphere_norm(f, np.zeros(n), r, rule).value).real
+            return l2_sphere_norm(f, np.zeros(n), r, rule)
 
         rep = log_convexity_check(L, np.linspace(0.05, 0.95, 12))
         assert rep.passed
@@ -296,6 +296,13 @@ def test_embedding_identity_volume_oracle():
         at_one = embedding_identity_check(one, b * 0 + b, 1.0, g_degree=0,
                                           convention="printed")
         assert at_one.passed
+
+
+def test_embedding_identity_rejects_unknown_convention():
+    # a misspelt reading raises instead of running the printed one
+    with pytest.raises(OutOfRange, match='"squared" or "printed"'):
+        embedding_identity_check(lambda p: np.ones(len(p)), [0.2, 0.0], 0.8,
+                                 g_degree=2, convention="sqared")
 
 
 def test_embedding_identity_analytic_and_odd():
