@@ -131,24 +131,22 @@ class SphereRule:
                    seed=seed)
 
     @classmethod
-    def default(cls, n: int, degree: int, kappa: float | None = None,
-                digits: int = 12, pole_order: int = 4) -> "SphereRule":
-        """Policy rule for a degree-``degree`` polynomial integrand.
-
-        Without ``kappa``: the isotropic product rule, with a margin of 8
-        degrees.  With ``kappa`` > 1, the annulus ratio distance/radius of a
-        singularity on the first axis of a density that depends on the
-        point only through that axis (as ds_a, dmu_a and the Kelvin factor
-        do once the axis is turned toward a): the first axis takes the
-        degree of :func:`analytic_degree`, whose node count grows like
-        digits/log(kappa), and the S^{n-2} across it only ``degree``.
+    def default(cls, n: int, degree: int, kappa: float, digits: int = 12,
+                pole_order: int = 4) -> "SphereRule":
+        """Policy rule for a degree-``degree`` polynomial integrand times a
+        density that depends on the point only through the first axis (as
+        ds_a, dmu_a and the Kelvin factor do once the axis is turned toward
+        a), with ``kappa`` > 1 the annulus ratio distance/radius of its
+        singularity on that axis.  The first axis takes the degree of
+        :func:`analytic_degree`, whose node count grows like
+        digits/log(kappa), and the S^{n-2} across it only ``degree``.  A
+        polynomial integrand alone takes ``product(n, degree)``.
         """
         return cls.product(n, analytic_degree(degree, kappa, digits,
-                                              pole_order),
-                           None if kappa is None else degree)
+                                              pole_order), degree)
 
 
-def analytic_degree(degree: int, kappa: float | None, digits: int = 12,
+def analytic_degree(degree: int, kappa: float, digits: int = 12,
                     pole_order: int = 4) -> int:
     """Effective rule degree covering both polynomial exactness and the
     geometric convergence of an analytic density with annulus ratio kappa.
@@ -159,21 +157,19 @@ def analytic_degree(degree: int, kappa: float | None, digits: int = 12,
     Densities |y-a|^{-4} carry p = 4; metric-composed integrands such as the
     squared Kelvin transform need a larger allowance.
     """
-    extra = 8
-    if kappa is not None:
-        if kappa <= 1.0:
-            raise OutOfRange("annulus ratio must exceed 1 (singularity inside "
-                             "the integration sphere)")
-        if kappa < 1.02:
-            raise UnderResolved(
-                f"annulus ratio {kappa:.6g} is below 1.02: the singularity is "
-                "too close to the integration sphere for the rules")
-        target = digits * math.log(10)
-        lk = math.log(kappa)
-        extra = target / lk
-        for _ in range(3):
-            extra = (target + pole_order * math.log(extra + degree + 8)) / lk
-        extra = int(math.ceil(extra)) + 8
+    if kappa <= 1.0:
+        raise OutOfRange("annulus ratio must exceed 1 (singularity inside "
+                         "the integration sphere)")
+    if kappa < 1.02:
+        raise UnderResolved(
+            f"annulus ratio {kappa:.6g} is below 1.02: the singularity is "
+            "too close to the integration sphere for the rules")
+    target = digits * math.log(10)
+    lk = math.log(kappa)
+    extra = target / lk
+    for _ in range(3):
+        extra = (target + pole_order * math.log(extra + degree + 8)) / lk
+    extra = int(math.ceil(extra)) + 8
     # round up for rule-cache reuse
     return degree + ((extra + 3) // 4) * 4
 

@@ -279,7 +279,7 @@ def _dimension_rows(n, cfg: SweepConfig, polys, evaluator):
             rows.append(upper_report("log_convexity_eq18", -margin[p], 0.0,
                                      0.0, budget=CONVEXITY_SLACK,
                                      n=n, x_norm=0.0, r=0.0, t=float(p)))
-    if "embedding_identity" in cfg.checks and n < 4:
+    if "embedding_identity" in cfg.checks:
         b = np.zeros(n)
         b[0] = 0.2
         cases = [
@@ -320,9 +320,6 @@ def run_sweep(cfg: SweepConfig):
         evaluator = PolynomialEvaluator(polys)
         geoms = sample_geometries(n, cfg.geometry_count, cfg.geometry_seed,
                                   cfg.x_norm_range, cfg.touch_margin)
-        if "embedding_identity" in cfg.checks and n >= 4:
-            skipped.append(f"embedding_identity skipped for n={n}: "
-                           "deterministic (n+5)-dimensional rule too large")
         if "holomorphic_variant" in cfg.checks and n != 2:
             skipped.append(f"holomorphic_variant skipped for n={n}: planar "
                            "check")

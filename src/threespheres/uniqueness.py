@@ -74,14 +74,15 @@ class GrowthEnvelope:
 
     @classmethod
     def power(cls, p: float, c: float = 1.0) -> "GrowthEnvelope":
-        if p <= 0 or c <= 0:
-            raise OutOfRange("power envelope needs p > 0 and c > 0")
+        if not (0 < p < math.inf and 0 < c < math.inf):
+            raise OutOfRange("power envelope needs finite p > 0 and c > 0")
         return cls("power", lambda r: c * r ** p, {"p": p, "c": c})
 
     @classmethod
     def exp_power(cls, p: float, c: float = 1.0) -> "GrowthEnvelope":
-        if p <= 0 or c <= 0:
-            raise OutOfRange("exp_power envelope needs p > 0 and c > 0")
+        if not (0 < p < math.inf and 0 < c < math.inf):
+            raise OutOfRange("exp_power envelope needs finite p > 0 and "
+                             "c > 0")
         return cls("exp_power", lambda r: c * math.exp(r ** p), {"p": p, "c": c})
 
     @classmethod
@@ -90,6 +91,8 @@ class GrowthEnvelope:
         values = np.asarray(values, dtype=float)
         if radii.size != values.size or radii.size < 2:
             raise OutOfRange("table envelope needs matching arrays, length >= 2")
+        if not (np.all(np.isfinite(radii)) and np.all(np.isfinite(values))):
+            raise OutOfRange("table radii and values must be finite")
         if np.any(np.diff(radii) <= 0):
             raise OutOfRange("table radii must be strictly increasing")
         if np.any(np.diff(values) < 0):
@@ -146,9 +149,9 @@ class SmallnessSequence:
         for i, (x, r, eps) in enumerate(self.entries):
             x = np.asarray(x, dtype=float)
             x_norm = float(np.linalg.norm(x))
-            if not 0 < 2 * float(r) <= x_norm:
-                raise ConstraintViolated(
-                    f"entry {i}: need 0 < 2 r <= |x| (r={r}, |x|={x_norm})")
+            if not 0 < 2 * float(r) <= x_norm < math.inf:
+                raise ConstraintViolated(f"entry {i}: need 0 < 2 r <= |x| < "
+                                         f"inf (r={r}, |x|={x_norm})")
             x_norms.append(x_norm)
             if given is None:
                 if not float(eps) > 0:
@@ -156,10 +159,15 @@ class SmallnessSequence:
                 logs.append(math.log(float(eps)))
                 norm_entries.append((x, float(r), float(eps)))
             else:
+                if eps is not None and not float(eps) > 0:
+                    raise ConstraintViolated(f"entry {i}: eps must be positive")
                 logs.append(float(given[i]))
                 norm_entries.append((x, float(r),
                                      float(eps) if eps is not None
-                                     else _careful_exp(float(given[i]))))
+                                     else _careful_exp(logs[-1])))
+            if not math.isfinite(logs[-1]):
+                raise ConstraintViolated(f"entry {i}: log eps must be finite, "
+                                         f"got {logs[-1]}")
         object.__setattr__(self, "entries", tuple(norm_entries))
         object.__setattr__(self, "log_eps", tuple(logs))
         object.__setattr__(self, "x_norms", tuple(x_norms))

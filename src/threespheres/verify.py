@@ -11,9 +11,9 @@ Carlo budget: ``stderr_budget`` is zero but for the log-convexity rows,
 which carry their slack there.
 
 A check's ``degree`` must bound the polynomial degree of its function: the
-weighted rules integrate exactly only up to it across the axis toward the
-inversion center a (see ``quadrature``), and gain their extra accuracy along
-that axis alone.
+plain rules are exact at that degree and no higher, and the weighted rules
+are exact only up to it across the axis toward the inversion center a (see
+``quadrature``), with their extra accuracy along that axis alone.
 
 The inequalities and the transfer identity are written once, over columns:
 an evaluator maps (N, n) points to the (N, P) values or squared moduli of P
@@ -184,28 +184,35 @@ def _degree_of(f, degree: int | None = None) -> int:
 # ball integrals
 
 
+def _exact_ball(n: int, degree: int) -> BallRule:
+    """The n-ball rule exact for polynomials of degree ``degree``: the sphere
+    rule of that degree and (degree + n + 1) // 2 shells (Stroud, 1971)."""
+    return BallRule(SphereRule.product(n, degree), (degree + n + 1) // 2)
+
+
 def _ball_integrals(fn, center: np.ndarray, radius: float, degree: int,
                    inv=None, plain: bool = True):
     """(dmu_a-weighted, plain) column integrals of ``fn`` over
     B_{center, radius}, the first only when ``inv`` is given and the second
     only when ``plain``; both come from one evaluation of every node.
 
-    The ball-rule policy: the angular rule is sized to ten digits for the
-    annulus ratio |a - center|/radius and turned toward a when the ball is
-    weighted (the inequality margins are far above the 1e-9 tolerance, so
-    ten digits suffice), and is exact across that axis for degree-``degree``
-    polynomials; an unweighted ball takes the isotropic rule exact for them.
-    16 radial points, more when a degree-``degree`` polynomial needs them to
-    stay exact.
+    The ball-rule policy: an unweighted ball takes :func:`_exact_ball`,
+    exact for the degree-``degree`` polynomial integrand.  A weighted ball
+    turns its angular rule toward a and sizes it to ten digits for the
+    annulus ratio |a - center|/radius (the inequality margins are far above
+    the 1e-9 tolerance, so ten digits suffice), exact across that axis at
+    degree ``degree``, with 16 radial points or more when the polynomial
+    needs them.
     """
-    n = center.size
-    kappa = axis = None
-    if inv is not None:
+    n, axis = center.size, None
+    if inv is None:
+        rule = _exact_ball(n, degree)
+    else:
         axis = inv.a - center
         kappa = float(np.linalg.norm(axis)) / radius
         axis = axis / (kappa * radius)
-    rule = BallRule(SphereRule.default(n, degree, kappa, digits=10),
-                    radial_points=max(16, (degree + n + 1) // 2))
+        rule = BallRule(SphereRule.default(n, degree, kappa, digits=10),
+                        radial_points=max(16, (degree + n + 1) // 2))
     weights = (("mu_a",) if inv is not None else ()) + ((None,) if plain else ())
     cols = integrals(fn, rule, center, radius, axis, inv, weights)
     return (cols[0] if inv is not None else None), (cols[-1] if plain else None)
@@ -270,7 +277,7 @@ def gradient_identity_check(f, x, r: float, e=None,
         v = np.asarray(f(pts))
         return np.stack([v * ((pts - x) / r @ e), v], axis=1)
 
-    quad, = integrals(surface_forms, SphereRule.default(n, deg + 1), x, r)
+    quad, = integrals(surface_forms, SphereRule.product(n, deg + 1), x, r)
     quad_dir, quad_rad = complex(quad[0]), complex(quad[1])
     # derivative-magnitude floor keeps the relative test sane when the
     # directional derivative vanishes by symmetry
@@ -321,7 +328,7 @@ def derivative_identity_check(f, fam: CorrelatedFamily, t: float,
         return np.stack([v * ((pts - center) / rt @ fam.e + rpt),
                          v * bracket, v], axis=1)
 
-    quad, = integrals(surface_forms, SphereRule.default(n, deg + 2), center,
+    quad, = integrals(surface_forms, SphereRule.product(n, deg + 2), center,
                       rt)
     rhs5 = complex(quad[0])
     rhs13 = complex(quad[1]) * (-1.0 / (2 * inv.a_norm * rt))
@@ -624,21 +631,20 @@ def embedding_identity_check(g, b, l: float, g_degree: int = 6,
         raise OutOfRange(f'convention must be "squared" or "printed", got '
                          f'{convention!r}')
     m = n + 5
-    lhs_rule = BallRule(SphereRule.product(m, g_degree + 2), radial_points=32)
     center = np.concatenate([b, np.zeros(5)])
 
     def g_and_abs(p):  # |g| scales odd integrands, whose sides are ~ 0
         v = np.asarray(g(p))
         return np.stack([v, np.abs(v)], axis=1)
 
-    vals, = integrals(g_and_abs, lhs_rule, center, l)
+    vals, = integrals(g_and_abs, _exact_ball(m, g_degree), center, l)
     lhs, abs_scale = map(float, vals.real)
 
     # inner 5-ball template: displacements and weights for unit radius
-    disp, wq = _points(BallRule(SphereRule.product(5, g_degree + 2), 24),
-                       np.zeros(5), 1.0)
+    disp, wq = _points(_exact_ball(5, g_degree), np.zeros(5), 1.0)
     disp, wq = disp.reshape(-1, 5), wq.reshape(-1)
-    outer = BallRule(SphereRule.product(n, g_degree + 2), 48)
+    # 48 shells, not an exact count: s^5 is not a polynomial in the radius
+    outer = BallRule(SphereRule.product(n, g_degree), 48)
     rhs = 0.0
     for xs, w in zip(*_points(outer, b, l)):  # one outer shell at a time
         d = xs - b

@@ -301,6 +301,25 @@ def test_uniqueness_malformed_json(tmp_path, capsys):
     assert "line 1 column" in err
 
 
+def test_uniqueness_non_finite_input_exits_2(tmp_path, capsys):
+    # NaN and Infinity parse as JSON numbers; no trace is printed for them
+    seq = tmp_path / "seq.json"
+    env = tmp_path / "env.json"
+    for seq_text, env_text, message in [
+            ('[{"x": [2.0, 0.0], "r": 1.0, "eps": 0.5}]',
+             '{"kind": "power", "p": NaN}', "finite p > 0"),
+            ('[{"x": [2.0, 0.0], "r": 1.0, "log_eps": Infinity}]',
+             '{"kind": "power", "p": 2}', "log eps must be finite")]:
+        seq.write_text(seq_text)
+        env.write_text(env_text)
+        rc = main(["uniqueness", "--sequence", str(seq),
+                   "--envelope", str(env)])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.err.startswith("error: ") and message in captured.err
+        assert "trend:" not in captured.out
+
+
 def test_wrong_json_shapes_exit_2(tmp_path, capsys):
     good_seq = tmp_path / "seq.json"
     good_seq.write_text(json.dumps([{"x": [2.0, 0.0], "r": 1.0, "eps": 0.5}]))

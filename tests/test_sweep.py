@@ -24,9 +24,10 @@ from threespheres.verify import InequalityReport, convexity_margins
 
 
 def test_default_rule_policy():
-    assert SphereRule.default(2, 8).kind == "exact"
-    assert SphereRule.default(3, 8, kappa=1.5).kind == "exact"
-    assert SphereRule.default(4, 8).kind == "exact"
+    # the policy rule is for weighted integrands; a polynomial alone takes
+    # SphereRule.product(n, degree)
+    with pytest.raises(TypeError):
+        SphereRule.default(3, 8)
     for n in (2, 3, 4, 5):
         rule = SphereRule.default(n, 8, kappa=1.5)
         assert rule.kind == "exact"
@@ -36,8 +37,6 @@ def test_default_rule_policy():
 
 
 def test_analytic_degree_monotonicity():
-    base = analytic_degree(16, None)
-    assert base >= 16 + 8
     mild = analytic_degree(16, 3.0)
     harsh = analytic_degree(16, 1.22)
     assert mild < harsh
@@ -246,30 +245,38 @@ def test_sweep_runs_every_check(tmp_path, capsys):
 
     cfg = tmp_path / "n4.json"
     cfg.write_text(json.dumps(dict(raw, dimensions=[4])))
-    assert main(["verify", "--config", str(cfg)]) == 0
+    out = tmp_path / "n4.csv"
+    assert main(["verify", "--config", str(cfg), "--out-csv", str(out)]) == 0
     printed = [line for line in capsys.readouterr().out.splitlines()
                if line.startswith("skipped:")]
     assert printed == [
-        "skipped: embedding_identity skipped for n=4: deterministic "
-        "(n+5)-dimensional rule too large",
-        "skipped: holomorphic_variant skipped for n=4: planar check",
-    ]
+        "skipped: holomorphic_variant skipped for n=4: planar check"]
+    # the n = 4 embedding rows are present and pass
+    embedding = [line for line in out.read_text().splitlines()
+                 if line.startswith("embedding_identity_eq30[")]
+    assert len(embedding) == 3
+    assert all(line.endswith(",true") for line in embedding)
 
 
-def test_n4_identity_and_convexity_rows_match_exact_moments():
-    # the n = 4 finite-difference identity and log-convexity rows against
+@pytest.mark.parametrize("n", [4, 5])
+def test_n4_identity_and_convexity_rows_match_exact_moments(n):
+    # the n >= 4 finite-difference identity and log-convexity rows against
     # closed forms built from the Gamma-function moments, at the 1e-5
-    # tolerance of the identity checks
-    n, tol = 4, 1e-5
+    # tolerance of the identity checks; the embedding rows run and pass
+    tol = 1e-5
     cfg = SweepConfig.from_dict({
         "dimensions": [n],
         "corpus": {"count": 2, "max_degree": 6, "seed": 2},
         "geometry": {"count": 2, "seed": 3, "t_count": 1},
         "checks": ["gradient_identity", "derivative_identity",
-                   "log_convexity"],
+                   "log_convexity", "embedding_identity"],
     })
     reports, skipped = run_sweep(cfg)
     assert not skipped and all(r.passed for r in reports)
+    assert [rep.name for rep in reports
+            if rep.name.startswith("embedding_identity")] == [
+        "embedding_identity_eq30[one]", "embedding_identity_eq30[extra_norm2]",
+        "embedding_identity_eq30[mixed]"]
     area = exact_sphere_monomial(n, (0,) * n)  # |S^{n-1}|
 
     def close(rep, exact):

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -155,6 +156,34 @@ def test_envelopes():
         GrowthEnvelope.table([0.0, 1.0], [2.0, 1.0])  # not monotone
     spec = GrowthEnvelope.from_spec({"kind": "power", "p": 2, "c": 1})
     assert abs(spec(3.0) - 9.0) < 1e-15
+
+
+@pytest.mark.parametrize("spec", [
+    '{"kind": "power", "p": NaN}',
+    '{"kind": "power", "p": 2, "c": Infinity}',
+    '{"kind": "exp_power", "p": Infinity}',
+    '{"kind": "exp_power", "p": 1, "c": NaN}',
+    '{"kind": "table", "r": [0, 1, 2], "phi": [1, NaN, 3]}',
+    '{"kind": "table", "r": [0, 1, Infinity], "phi": [1, 2, 3]}',
+])
+def test_envelope_rejects_non_finite_parameters(spec):
+    # json.loads accepts NaN and Infinity
+    with pytest.raises(OutOfRange, match="finite"):
+        GrowthEnvelope.from_spec(json.loads(spec))
+
+
+@pytest.mark.parametrize("entry, message", [
+    ('{"x": [2, 0], "r": 1, "log_eps": NaN}', "log eps must be finite"),
+    ('{"x": [2, 0], "r": 1, "log_eps": Infinity}', "log eps must be finite"),
+    ('{"x": [2, 0], "r": 1, "log_eps": -Infinity}', "log eps must be finite"),
+    ('{"x": [2, 0], "r": 1, "eps": Infinity}', "log eps must be finite"),
+    ('{"x": [2, 0], "r": 1, "eps": -1, "log_eps": -3}', "eps must be positive"),
+    ('{"x": [2, 0], "r": 1, "eps": 0, "log_eps": -3}', "eps must be positive"),
+    ('{"x": [Infinity, 0], "r": 1, "eps": 0.5}', "<= |x| < inf"),
+])
+def test_sequence_rejects_non_finite_or_nonpositive_entries(entry, message):
+    with pytest.raises(ConstraintViolated, match=re.escape(message)):
+        SmallnessSequence.from_json(f"[{entry}]")
 
 
 def test_nonpositive_phi_raises():

@@ -18,6 +18,7 @@ from threespheres.harmonic import (
 )
 from threespheres.quadrature import SphereRule, analytic_degree, ball_volume
 from threespheres.verify import (
+    _ball_integrals,
     ball_rows,
     derivative_identity_check,
     embedded_bound_check,
@@ -339,6 +340,59 @@ def test_embedding_identity_generic_polynomial():
     rep = embedding_identity_check(g, [0.15, -0.1], 0.9, g_degree=6)
     assert rep.passed
     assert abs(rep.ratio - 1) < 1e-6
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_plain_rules_exact_at_the_integrand_degree(n):
+    # the unweighted ball rule sized from the degree of |p|^2 alone, against
+    # the exact monomial moments of the ball
+    from conftest import exact_ball_monomial
+
+    polys = [random_harmonic_polynomial(n, 6, seed=40 + s) for s in range(3)]
+    radius = 0.7
+    _, got = _ball_integrals(PolynomialEvaluator(polys).squared_values,
+                             np.zeros(n), radius, 12)
+    for poly, value in zip(polys, got):
+        exact = sum((c * np.conj(c2)).real * exact_ball_monomial(
+            n, [a + b for a, b in zip(e, e2)], radius)
+            for e, c in poly.terms.items() for e2, c2 in poly.terms.items())
+        assert abs(value - exact) <= 1e-12 * exact
+
+    # the embedding identity's left side over the (n+5)-ball of radius l
+    m, l = n + 5, 0.8
+    b = np.zeros(n)
+    b[0] = 0.2
+
+    def extra_norm2(p):
+        return np.einsum("ij,ij->i", p[:, n:], p[:, n:])
+
+    one = embedding_identity_check(lambda p: np.ones(len(p)), b, l,
+                                   g_degree=0)
+    vol = ball_volume(m) * l ** m
+    assert abs(one.lhs - vol) <= 1e-12 * vol
+    rep = embedding_identity_check(extra_norm2, b, l, g_degree=2)
+    exact = 5 * ball_volume(m) * l ** (m + 2) / (m + 2)
+    assert abs(rep.lhs - exact) <= 1e-12 * exact
+    assert one.passed and rep.passed
+
+
+def test_rule_sizes_carry_no_margin():
+    # points handed to the integrand: the exact rules' counts, with no
+    # margin degrees or fixed radial counts on top
+    calls = []
+
+    def one(p):
+        calls.append(len(p))
+        return np.ones(len(p))
+
+    embedding_identity_check(one, (0.2, 0.0, 0.0), 0.8)  # g_degree 6
+    # (n+5)-ball: 4^6 polar nodes x 7 azimuths x 7 shells; then one outer
+    # shell at a time: 28 directions x the inner 5-ball's 448 x 6 nodes
+    assert calls[0] == 200_704
+    assert len(calls) == 49 and max(calls[1:]) <= 75_264
+    calls.clear()
+    _ball_integrals(lambda p: one(p)[:, None], np.zeros(3), 0.5, 8)
+    assert calls == [len(SphereRule.product(3, 8)) * 6] == [270]
 
 
 def test_sweep_rows_match_single_checks():
