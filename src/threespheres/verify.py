@@ -637,7 +637,10 @@ def embedding_identity_check(g, b, l: float, g_degree: int = 6,
         v = np.asarray(g(p))
         return np.stack([v, np.abs(v)], axis=1)
 
-    vals, = integrals(g_and_abs, _exact_ball(m, g_degree), center, l)
+    # an even degree: the odd-degree product rule puts its nodes on one axis,
+    # where |g| can vanish and leave no scale
+    vals, = integrals(g_and_abs, _exact_ball(m, g_degree + g_degree % 2),
+                      center, l)
     lhs, abs_scale = map(float, vals.real)
 
     # inner 5-ball template: displacements and weights for unit radius

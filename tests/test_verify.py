@@ -324,9 +324,13 @@ def test_embedding_identity_analytic_and_odd():
     def g_odd(p):
         return np.asarray(p)[:, n]  # first extra coordinate
 
-    rep = embedding_identity_check(g_odd, [0.2, 0.0], 0.7, g_degree=1)
-    assert rep.passed
-    assert abs(rep.lhs) < 1e-12 and abs(rep.rhs) < 1e-12
+    # g_odd is 0 on every node of the odd-degree rule; g_last is not, and
+    # leaves only roundoff on both sides, which |g| must scale
+    g_last = lambda p: np.asarray(p)[:, n + 4]
+    for g in (g_odd, g_last):
+        rep = embedding_identity_check(g, [0.2, 0.0], 0.7, g_degree=1)
+        assert rep.passed
+        assert abs(rep.lhs) < 1e-12 and abs(rep.rhs) < 1e-12
 
 
 def test_embedding_identity_generic_polynomial():
