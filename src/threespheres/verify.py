@@ -196,13 +196,11 @@ def _ball_integrals(fn, center: np.ndarray, radius: float, degree: int,
     B_{center, radius}, the first only when ``inv`` is given and the second
     only when ``plain``; both come from one evaluation of every node.
 
-    The ball-rule policy: an unweighted ball takes :func:`_exact_ball`,
-    exact for the degree-``degree`` polynomial integrand.  A weighted ball
-    turns its angular rule toward a and sizes it to ten digits for the
-    annulus ratio |a - center|/radius (the inequality margins are far above
-    the 1e-9 tolerance, so ten digits suffice), exact across that axis at
-    degree ``degree``, with 16 radial points or more when the polynomial
-    needs them.
+    The ball-rule policy: an unweighted ball takes :func:`_exact_ball`.  A
+    weighted ball turns its angular rule toward a and sizes it to ten digits
+    for the annulus ratio |a - center|/radius (the inequality margins are
+    far above the 1e-9 tolerance, so ten digits suffice), exact across that
+    axis at degree ``degree``, with at least 16 radial points.
     """
     n, axis = center.size, None
     if inv is None:
