@@ -5,9 +5,9 @@ Random test functions are produced by drawing dense random coefficients and
 projecting each homogeneous component onto its harmonic part: p = h + |y|^2 q
 where q solves the linear system Laplacian(|y|^2 q) = Laplacian(p).  For a
 fixed (n, degree) that projection is one linear map, built once from dense
-matrices of the Laplacian L and the |y|^2 product T, and the harmonicity gate
-is the matrix product max |L h|; polynomials given by their terms are gated
-by the symbolic Laplacian.
+matrices of the Laplacian L and the |y|^2 product T and applied to a whole
+corpus in one solve, and the harmonicity gate is the matrix product max |L h|;
+polynomials given by their terms are gated by the symbolic Laplacian.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ __all__ = [
     "holomorphic_polynomial",
     "laplacian_residual",
     "random_harmonic_polynomial",
+    "random_harmonic_polynomials",
 ]
 
 HARMONICITY_TOL = 1e-13
@@ -78,6 +79,27 @@ def _degree_maps(n: int, degree: int):
     return (monos,) + maps
 
 
+@lru_cache(maxsize=None)
+def _graded(n: int, max_degree: int):
+    """The monomials of degree <= ``max_degree`` in (degree, lex) order, an
+    (M, n) array, and their slice products (row, parent row, k, j): in
+    degree d, those whose first nonzero coordinate is j are x_j times the
+    first k of degree d - 1, the ones in the last n - j coordinates."""
+    exps = np.zeros((math.comb(max_degree + n, n), n), dtype=np.int64)
+    steps, lo = [], 1
+    for d in range(1, max_degree + 1):
+        parent = lo - math.comb(d - 2 + n, n - 1)
+        for j in reversed(range(n)):
+            k = math.comb(d - 2 + n - j, n - 1 - j)
+            exps[lo:lo + k] = exps[parent:parent + k]
+            exps[lo:lo + k, j] += 1
+            steps.append((lo, parent, k, j))
+            lo += k
+    exps.setflags(write=False)
+    index = {e: i for i, e in enumerate(map(tuple, exps.tolist()))}
+    return exps, tuple(steps), index
+
+
 def _check_residual(resid: float, scale: float) -> None:
     # the gate is 10x the synthesis tolerance to admit round-tripped
     # coefficients
@@ -101,6 +123,7 @@ class HarmonicPolynomial:
     coefficients whose Laplacian exceeds ``HARMONICITY_TOL`` relative to the
     coefficient scale raise :class:`NonHarmonic`.  ``validate=False`` takes
     int-tuple keys and complex values as given, dropping zero coefficients.
+    ``degree`` is fixed at construction.
     """
 
     def __init__(self, dimension: int, terms: dict, validate: bool = True):
@@ -109,25 +132,21 @@ class HarmonicPolynomial:
         self.dimension = int(dimension)
         self._evaluator = None
         if not validate:
-            self.terms = {e: c for e, c in terms.items() if c != 0}
-            return
-        clean = {}
-        for e, c in terms.items():
-            e = tuple(int(k) for k in e)
-            if len(e) != dimension or any(k < 0 for k in e):
-                raise OutOfRange(f"bad exponent tuple {e}")
-            c = complex(c)
-            if c != 0:
-                clean[e] = clean.get(e, 0.0) + c
+            clean = {e: c for e, c in terms.items() if c != 0}
+        else:
+            clean = {}
+            for e, c in terms.items():
+                e = tuple(int(k) for k in e)
+                if len(e) != dimension or any(k < 0 for k in e):
+                    raise OutOfRange(f"bad exponent tuple {e}")
+                c = complex(c)
+                if c != 0:
+                    clean[e] = clean.get(e, 0.0) + c
+            lap = _laplacian_terms(clean, dimension).values()
+            _check_residual(max(map(abs, lap), default=0.0),
+                            max(map(abs, clean.values()), default=0.0))
         self.terms = clean
-        if clean:
-            scale = max(abs(c) for c in clean.values())
-            lap = _laplacian_terms(clean, dimension)
-            _check_residual(max(map(abs, lap.values()), default=0.0), scale)
-
-    @property
-    def degree(self) -> int:
-        return max((sum(e) for e in self.terms), default=0)
+        self.degree = max(map(sum, clean), default=0)
 
     def laplacian_coefficients(self) -> dict:
         return _laplacian_terms(self.terms, self.dimension)
@@ -175,8 +194,9 @@ class HarmonicPolynomial:
 class PolynomialEvaluator:
     """Vectorized evaluation of a batch of same-dimension polynomials.
 
-    The monomials, closed downward (a missing parent gets zero coefficients)
-    and sorted by degree, are each a parent monomial times one coordinate;
+    The basis is every monomial of degree <= the batch's largest degree, in
+    (degree, lex) order, built by one slice product per (degree, axis) (see
+    ``_graded``); a sparse input of degree D costs C(D + n, n) rows.
     ``values(points)`` returns the (N_points, N_polys) complex matrix from
     one real basis-matrix product per chunk of points, a chunk holding at
     most ``CHUNK`` basis entries (one point at least).
@@ -189,33 +209,23 @@ class PolynomialEvaluator:
         n = self.dimension = polys[0].dimension
         if any(p.dimension != n for p in polys):
             raise OutOfRange("mixed dimensions in polynomial batch")
-        # every prefix e_1..e_{k-1}, then m <= e_k, then zeros, closing the
-        # distinct exponents (a dense corpus shares them all)
-        exps = {(0,) * n} | {e[:k] + (m,) + (0,) * (n - k - 1)
-                             for e in set().union(*(p.terms for p in polys))
-                             for k in range(n) for m in range(e[k] + 1)}
-        exps = sorted(exps, key=lambda e: (sum(e), e))
-        index = {e: i for i, e in enumerate(exps)}
-        # basis row j is row parent(j) times coordinate axis(j), the parent
-        # having one less in its last nonzero coordinate
-        axes = [max(k for k in range(n) if e[k]) for e in exps[1:]]
-        self._steps = [(index[e[:k] + (e[k] - 1,) + e[k + 1:]], k)
-                       for e, k in zip(exps[1:], axes)]
-        self.exponents = np.array(exps, dtype=np.int64)
-        coeffs = np.zeros((len(exps), len(polys)), dtype=complex)
+        self.exponents, self._steps, index = _graded(
+            n, max(p.degree for p in polys))
+        coeffs = np.zeros((len(index), len(polys)), dtype=complex)
         for j, p in enumerate(polys):
-            for e, c in p.terms.items():
-                coeffs[index[e], j] = c
+            coeffs[[index[e] for e in p.terms], j] = list(p.terms.values())
         self.coeffs = coeffs
         # (M, 2P) real view, re and im interleaved: products read as complex
         self._reim = coeffs.view(float)
 
     def _basis(self, pts: np.ndarray) -> np.ndarray:
         """(M, N) monomial values at the (N, n) points, one row per monomial."""
-        basis = np.empty((len(self._steps) + 1, pts.shape[0]))
+        basis = np.empty((len(self.exponents), pts.shape[0]))
         basis[0] = 1.0
-        for j, (parent, axis) in enumerate(self._steps, 1):
-            np.multiply(basis[parent], pts[:, axis], out=basis[j])
+        cols = np.ascontiguousarray(pts.T)
+        for lo, parent, k, axis in self._steps:
+            np.multiply(basis[parent:parent + k], cols[axis],
+                        out=basis[lo:lo + k])
         return basis
 
     def _evaluate(self, points) -> np.ndarray:
@@ -244,28 +254,45 @@ class PolynomialEvaluator:
         return sq[:, 0::2] + sq[:, 1::2]
 
 
-def random_harmonic_polynomial(n: int, max_degree: int, seed: int) -> HarmonicPolynomial:
-    """Random harmonic polynomial of degree <= max_degree, deterministic in seed.
+def random_harmonic_polynomials(n: int, max_degree: int, seeds) -> list:
+    """Random harmonic polynomials of degree <= max_degree, one per seed,
+    each deterministic in its seed whatever the batch.
 
     Dense standard complex-normal coefficients are drawn for every monomial
     and each homogeneous slice h is replaced by its harmonic part
-    h - T solve(L T, L h); the constructor's gate then runs as max |L h|.
+    h - T solve(L T, L h), one solve per degree for the whole batch; the
+    constructor's gate then runs as max |L h| per polynomial.
     """
-    if n < 2 or max_degree < 0:
-        raise OutOfRange("need n >= 2 and max_degree >= 0")
-    rng = np.random.default_rng(seed)
-    terms: dict = {}
-    resid = scale = 0.0
+    seeds = list(seeds)
+    if n < 2 or max_degree < 0 or not seeds:
+        raise OutOfRange("need n >= 2, max_degree >= 0 and a seed")
+    # complex products: their bits do not depend on the batch size (real
+    # ones on 2P columns do), but BLAS takes another path for one right-hand
+    # side, so a lone polynomial is solved as a repeated pair
+    cols = seeds * 2 if len(seeds) == 1 else seeds
+    monos = list(_graded(n, max_degree)[2])
+    h = np.stack([np.random.default_rng(s).standard_normal(2 * len(monos))
+                  .view(complex) for s in cols], axis=1)
+    resid = np.zeros(len(cols))
+    lo = 0
     for degree in range(max_degree + 1):
-        monos, lap, times, mat = _degree_maps(n, degree)
-        h = rng.standard_normal(2 * len(monos)).view(complex)
+        _, lap, times, mat = _degree_maps(n, degree)
+        hi = lo + times.shape[0]
         if degree >= 2:
-            h -= times @ np.linalg.solve(mat, lap @ h)
-            resid = max(resid, np.abs(lap @ h).max())
-        scale = max(scale, np.abs(h).max())
-        terms.update(zip(monos, h.tolist()))
-    _check_residual(resid, scale)
-    return HarmonicPolynomial(n, terms, validate=False)
+            h[lo:hi] -= times @ np.linalg.solve(mat, lap @ h[lo:hi])
+            resid = np.maximum(resid, np.abs(lap @ h[lo:hi]).max(axis=0))
+        lo = hi
+    scale = np.abs(h).max(axis=0)
+    worst = np.argmax(resid / np.maximum(scale, 1.0))
+    _check_residual(resid[worst], scale[worst])
+    return [HarmonicPolynomial(n, dict(zip(monos, c)), validate=False)
+            for c in h.T.tolist()[:len(seeds)]]
+
+
+def random_harmonic_polynomial(n: int, max_degree: int, seed: int) -> HarmonicPolynomial:
+    """Random harmonic polynomial of degree <= max_degree, deterministic in
+    seed: the batch of one of :func:`random_harmonic_polynomials`."""
+    return random_harmonic_polynomials(n, max_degree, [seed])[0]
 
 
 def holomorphic_polynomial(coeffs) -> HarmonicPolynomial:

@@ -262,11 +262,6 @@ class BallRule:
         return self.angular.n
 
 
-def abs2(v: np.ndarray) -> np.ndarray:
-    """|v|^2 elementwise, real output for real or complex input."""
-    return v.real ** 2 + v.imag ** 2 if np.iscomplexobj(v) else v * v
-
-
 class Column:
     """A callable f of (N, n) points as a one-column evaluator, the P = 1
     case of the (N, P) ``values`` / ``squared_values`` of a batch."""
@@ -278,7 +273,8 @@ class Column:
         return np.asarray(self.f(pts))[:, None]
 
     def squared_values(self, pts):
-        return abs2(self.values(pts))
+        v = self.values(pts)
+        return v.real ** 2 + v.imag ** 2 if np.iscomplexobj(v) else v * v
 
 
 def _unit(v: np.ndarray) -> np.ndarray | None:

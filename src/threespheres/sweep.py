@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import ConfigError, ThreeSpheresError
 from .geometry import CorrelatedFamily
-from .harmonic import PolynomialEvaluator, random_harmonic_polynomial
+from .harmonic import PolynomialEvaluator, random_harmonic_polynomials
 from .quadrature import SphereRule, integrals
 from .uniqueness import delta_lower_bound_check
 from .verify import (
@@ -194,11 +194,8 @@ class SweepConfig:
 
 
 def sample_corpus(n: int, count: int, max_degree: int, seed: int) -> list:
-    return [
-        random_harmonic_polynomial(n, max_degree,
-                                   seed=seed * 1_000_003 + n * 10_007 + i)
-        for i in range(count)
-    ]
+    seeds = [seed * 1_000_003 + n * 10_007 + i for i in range(count)]
+    return random_harmonic_polynomials(n, max_degree, seeds)
 
 
 def sample_geometries(n: int, count: int, seed: int, x_range=(0.1, 0.7),
@@ -345,18 +342,21 @@ def _fmt(v) -> str:
 
 
 def _templates(reports, template) -> list:
-    """``template(rep)`` per report, made once per group of rows whose fields
-    but lhs, rhs, ratio and pass are the same objects: ids stay unique while
-    ``reports`` holds them, and equal values can print apart (0.0, -0.0)."""
-    cache: dict = {}
+    """``template(rep)`` per report, made again only where a report's fields
+    but lhs, rhs, ratio and pass are not the same objects as those of the
+    previous report of its name (equal values can print apart: 0.0, -0.0)."""
+    last: dict = {}
     out = []
     for rep in reports:
-        key = (id(rep.name), id(rep.mode), id(rep.n), id(rep.x_norm),
-               id(rep.r), id(rep.t), id(rep.exponent_used), id(rep.tolerance),
-               id(rep.stderr_budget))
-        tpl = cache.get(key)
-        if tpl is None:
-            tpl = cache[key] = template(rep)
+        prev, tpl = last.get(rep.name, (None, None))
+        if (prev is None or rep.t is not prev.t or rep.r is not prev.r
+                or rep.x_norm is not prev.x_norm or rep.n is not prev.n
+                or rep.exponent_used is not prev.exponent_used
+                or rep.tolerance is not prev.tolerance
+                or rep.stderr_budget is not prev.stderr_budget
+                or rep.mode is not prev.mode):
+            tpl = template(rep)
+        last[rep.name] = rep, tpl
         out.append(tpl)
     return out
 

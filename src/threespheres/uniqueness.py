@@ -134,7 +134,9 @@ class SmallnessSequence:
     The criterion only ever consumes log eps_m, and the interesting decay
     rates (eps_m = exp(-m^3)) underflow double precision within a dozen
     entries; ``log_eps`` therefore stores the canonical value, and an entry
-    may be built from log eps directly.  ``x_norms`` keeps each |x_m|.
+    may be built from log eps directly; an entry that gives both must have
+    |log eps - log_eps| <= 1e-12 max(1, |log_eps|).  ``x_norms`` keeps each
+    |x_m|.
     """
 
     entries: tuple
@@ -153,21 +155,19 @@ class SmallnessSequence:
                 raise ConstraintViolated(f"entry {i}: need 0 < 2 r <= |x| < "
                                          f"inf (r={r}, |x|={x_norm})")
             x_norms.append(x_norm)
-            if given is None:
-                if not float(eps) > 0:
-                    raise ConstraintViolated(f"entry {i}: eps must be positive")
-                logs.append(math.log(float(eps)))
-                norm_entries.append((x, float(r), float(eps)))
-            else:
-                if eps is not None and not float(eps) > 0:
-                    raise ConstraintViolated(f"entry {i}: eps must be positive")
-                logs.append(float(given[i]))
-                norm_entries.append((x, float(r),
-                                     float(eps) if eps is not None
-                                     else _careful_exp(logs[-1])))
+            if (given is None or eps is not None) and not float(eps) > 0:
+                raise ConstraintViolated(f"entry {i}: eps must be positive")
+            own = None if eps is None else math.log(float(eps))
+            logs.append(own if given is None else float(given[i]))
             if not math.isfinite(logs[-1]):
                 raise ConstraintViolated(f"entry {i}: log eps must be finite, "
                                          f"got {logs[-1]}")
+            if own is not None and not (abs(own - logs[-1])
+                                        <= 1e-12 * max(1.0, abs(logs[-1]))):
+                raise ConstraintViolated(f"entry {i}: eps = {eps} contradicts "
+                                         f"log_eps = {logs[-1]}")
+            norm_entries.append((x, float(r), _careful_exp(logs[-1])
+                                 if eps is None else float(eps)))
         object.__setattr__(self, "entries", tuple(norm_entries))
         object.__setattr__(self, "log_eps", tuple(logs))
         object.__setattr__(self, "x_norms", tuple(x_norms))

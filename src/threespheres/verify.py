@@ -18,9 +18,11 @@ are exact only up to it across the axis toward the inversion center a (see
 The inequalities and the transfer identity are written once, over columns:
 an evaluator maps (N, n) points to the (N, P) values or squared moduli of P
 functions, and :func:`sphere_rows` / :func:`ball_rows` integrate them and
-emit one report per column.  The sweep passes a ``PolynomialEvaluator`` over
-its corpus; each public ``*_check`` passes a one-column :class:`Column`
-around its callable, so both use the same rules and arithmetic.
+emit a group's P rows at once (:func:`upper_rows`, :func:`identity_rows`,
+whose one-row cases are :func:`upper_report` and :func:`identity_report`).
+The sweep passes a ``PolynomialEvaluator`` over its corpus; each public
+``*_check`` passes a one-column :class:`Column` around its callable, so
+both use the same rules and arithmetic.
 """
 
 from __future__ import annotations
@@ -51,7 +53,6 @@ from .quadrature import (
     Column,
     SphereRule,
     _points,
-    abs2,
     ball_volume,
     integrals,
 )
@@ -128,29 +129,42 @@ def _ratio(lhs: float, rhs: float) -> float:
     return lhs / rhs
 
 
-def upper_report(name, lhs, rhs, tolerance, budget=0.0, exponent=math.nan,
-                 **meta) -> InequalityReport:
-    lhs, rhs = float(lhs), float(rhs)
+def upper_rows(name, lhs, rhs, tolerance, budget=0.0, exponent=math.nan,
+               **meta) -> list:
+    """One "upper" report per entry of the ``lhs`` and ``rhs`` columns; the
+    rows share every other field object."""
+    lhs, rhs = np.asarray(lhs, dtype=float), np.asarray(rhs, dtype=float)
     passed = lhs <= rhs * (1 + tolerance) + budget
-    return InequalityReport(name=name, lhs=lhs, rhs=rhs, ratio=_ratio(lhs, rhs),
-                            exponent_used=float(exponent), tolerance=tolerance,
-                            stderr_budget=float(budget), passed=bool(passed),
-                            mode="upper", **meta)
+    exponent, budget = float(exponent), float(budget)
+    return [InequalityReport(name, a, b, _ratio(a, b), exponent, tolerance,
+                             budget, ok, "upper", **meta)
+            for a, b, ok in zip(lhs.tolist(), rhs.tolist(), passed.tolist())]
 
 
-def identity_report(name, lhs, rhs, tolerance, scale_floor=0.0,
-                    **meta) -> InequalityReport:
-    """Two-sided comparison; complex sides are recorded by magnitude but the
-    pass decision uses the full complex gap.  ``scale_floor`` keeps the
-    relative test meaningful when both sides nearly vanish."""
-    gap = abs(complex(lhs) - complex(rhs))
-    lhs, rhs = abs(complex(lhs)), abs(complex(rhs))
-    scale = max(lhs, rhs, scale_floor, 1e-300)
-    passed = gap <= tolerance * scale
-    return InequalityReport(name=name, lhs=lhs, rhs=rhs, ratio=_ratio(lhs, rhs),
-                            exponent_used=math.nan, tolerance=tolerance,
-                            stderr_budget=0.0, passed=bool(passed),
-                            mode="identity", **meta)
+def upper_report(name, lhs, rhs, *args, **meta) -> InequalityReport:
+    return upper_rows(name, [lhs], [rhs], *args, **meta)[0]
+
+
+def identity_rows(name, lhs, rhs, tolerance, scale_floor=0.0,
+                  **meta) -> list:
+    """One "identity" report per entry of the ``lhs`` and ``rhs`` columns;
+    complex sides are recorded by magnitude but the pass decision uses the
+    full complex gap.  ``scale_floor`` keeps the relative test meaningful
+    when both sides nearly vanish."""
+    rows = []
+    # Python's complex abs: numpy's differs from it in the last bit
+    for a, b in zip(np.asarray(lhs, dtype=complex).tolist(),
+                    np.asarray(rhs, dtype=complex).tolist()):
+        gap, a, b = abs(a - b), abs(a), abs(b)
+        rows.append(InequalityReport(
+            name, a, b, _ratio(a, b), math.nan, tolerance, 0.0,
+            gap <= tolerance * max(a, b, scale_floor, 1e-300), "identity",
+            **meta))
+    return rows
+
+
+def identity_report(name, lhs, rhs, *args, **meta) -> InequalityReport:
+    return identity_rows(name, [lhs], [rhs], *args, **meta)[0]
 
 
 @dataclass(frozen=True)
@@ -406,7 +420,7 @@ def sphere_rows(ev, fam: CorrelatedFamily, ts, checks, beta="omega",
     def kelvin_squared(pts):
         # |f*|^2 = |f(phi(y))|^2 (rho^2/|y-a|^2)^(n-2): on a slice across e,
         # phi is affine and the factor constant, so degree <= ``degree`` there
-        sq = abs2(ev.values(inversion_map(inv, pts)))
+        sq = ev.squared_values(inversion_map(inv, pts))
         if n == 2:
             return sq
         d = pts - inv.a
@@ -429,10 +443,12 @@ def sphere_rows(ev, fam: CorrelatedFamily, ts, checks, beta="omega",
                                       **meta)
                             for _ in mv)
             else:
-                rows.extend(upper_report(
-                    "three_spheres_eq24", rt * mv[p],
-                    (r * iv[p]) ** b * ov[p] ** (1 - b), INEQUALITY_TOL,
-                    exponent=b, **meta) for p in range(mv.size))
+                # Python-float powers: numpy's array power moves last bits
+                rows.extend(upper_rows(
+                    "three_spheres_eq24", rt * mv,
+                    [(r * i) ** b * o ** (1 - b)
+                     for i, o in zip(iv.tolist(), ov.tolist())],
+                    INEQUALITY_TOL, exponent=b, **meta))
         if "transfer_identity" in checks:
             rts = float(fam.image_radius(t))
             # the Kelvin side has a high-order pole at a: generous allowance
@@ -440,9 +456,8 @@ def sphere_rows(ev, fam: CorrelatedFamily, ts, checks, beta="omega",
                                       pole_order=12)
             kv, = integrals(kelvin_squared, rule, np.zeros(n), rts, fam.e)
             factor = inv.rho2 * rt / rts
-            rows.extend(identity_report(
-                "transfer_identity_eq22", kv[p], factor * mv[p], TRANSFER_TOL,
-                **meta) for p in range(kv.size))
+            rows.extend(identity_rows("transfer_identity_eq22", kv,
+                                      factor * mv, TRANSFER_TOL, **meta))
     return rows
 
 
@@ -532,35 +547,37 @@ def ball_rows(ev, fam: CorrelatedFamily, xbar_norm: float, checks,
     in_mu, iv = _ball_integrals(sq, x0n * fam.e, r0, degree, inv, embedded)
     out_mu, ov = _ball_integrals(sq, np.zeros(n), R, degree, inv, embedded)
     meta = {"n": n, "x_norm": x0n, "r": r0}
-    rows = []
+    rows, vol = [], ball_volume(n)
+
+    def blend(inner, outer):  # Python-float powers, as in sphere_rows
+        return np.array([i ** delta * o ** (1 - delta)
+                         for i, o in zip(inner.tolist(), outer.tolist())])
+
+    def average(vals, radius):  # A_2 = sqrt(int |u|^2 / |B|)
+        return [math.sqrt(max(v, 0.0) / (vol * radius ** n))
+                for v in vals.tolist()]
+
     if inv is not None:
         mv, _ = _ball_integrals(sq, xbar_norm * fam.e, rbar, degree, inv, False)
-        rows.extend(upper_report(
-            "three_balls_eq27", mv[p],
-            in_mu[p] ** delta * out_mu[p] ** (1 - delta), INEQUALITY_TOL,
-            exponent=delta, t=xbar_norm, **meta) for p in range(mv.size))
-    vol = ball_volume(n)
+        rows.extend(upper_rows("three_balls_eq27", mv, blend(in_mu, out_mu),
+                               INEQUALITY_TOL, exponent=delta, t=xbar_norm,
+                               **meta))
+    if embedded:
+        core, a2_in, a2_out = blend(iv, ov), average(iv, r0), average(ov, R)
     for lam in lambdas if embedded else ():
         _, lv = _ball_integrals(sq, xbar_norm * fam.e, lam * rbar, degree)
-        for p in range(lv.size):
-            core = iv[p] ** delta * ov[p] ** (1 - delta)
-            rhs_by_name = {}
-            if abs(R - 1.0) < 1e-14:
-                rhs_by_name["embedded_bound_eq29"] = (
-                    EMBED_CONSTANT / (rbar * (1 - lam * lam) ** 2.5) * core)
-            rhs_by_name["embedded_bound_eq36"] = (
-                EMBED_CONSTANT / (1 - lam * lam) ** 2.5 * (R / rbar) ** 5
-                * core)
-            for name, rhs in rhs_by_name.items():
-                rows.append(upper_report(name, lv[p], rhs, INEQUALITY_TOL,
-                                         exponent=delta, t=lam, **meta))
-            a2_lam, a2_in, a2_out = (
-                math.sqrt(max(v, 0.0) / (vol * radius ** n))
-                for v, radius in ((lv[p], lam * rbar), (iv[p], r0), (ov[p], R)))
-            rhs37 = certificate37(n, lam, R, rbar, a2_in, a2_out, delta)
-            rows.append(upper_report("embedded_bound_eq37", a2_lam, rhs37,
-                                     INEQUALITY_TOL, exponent=delta, t=lam,
-                                     **meta))
+        c36 = EMBED_CONSTANT / (1 - lam * lam) ** 2.5 * (R / rbar) ** 5
+        groups = [("embedded_bound_eq36", lv, c36 * core),
+                  ("embedded_bound_eq37", average(lv, lam * rbar),
+                   [certificate37(n, lam, R, rbar, i, o, delta)
+                    for i, o in zip(a2_in, a2_out)])]
+        if abs(R - 1.0) < 1e-14:
+            groups.insert(0, ("embedded_bound_eq29", lv, EMBED_CONSTANT
+                              / (rbar * (1 - lam * lam) ** 2.5) * core))
+        # each polynomial's rows together: eq29, eq36, eq37
+        rows.extend(itertools.chain.from_iterable(zip(*(
+            upper_rows(name, lhs, rhs, INEQUALITY_TOL, exponent=delta, t=lam,
+                       **meta) for name, lhs, rhs in groups))))
     return rows
 
 

@@ -302,14 +302,17 @@ def test_uniqueness_malformed_json(tmp_path, capsys):
 
 
 def test_uniqueness_non_finite_input_exits_2(tmp_path, capsys):
-    # NaN and Infinity parse as JSON numbers; no trace is printed for them
+    # NaN and Infinity parse as JSON numbers; no trace is printed for them,
+    # nor for an eps that contradicts its log_eps
     seq = tmp_path / "seq.json"
     env = tmp_path / "env.json"
     for seq_text, env_text, message in [
             ('[{"x": [2.0, 0.0], "r": 1.0, "eps": 0.5}]',
              '{"kind": "power", "p": NaN}', "finite p > 0"),
             ('[{"x": [2.0, 0.0], "r": 1.0, "log_eps": Infinity}]',
-             '{"kind": "power", "p": 2}', "log eps must be finite")]:
+             '{"kind": "power", "p": 2}', "log eps must be finite"),
+            ('[{"x": [2.0, 0.0], "r": 1.0, "eps": 0.5, "log_eps": -1}]',
+             '{"kind": "power", "p": 2}', "eps = 0.5 contradicts log_eps")]:
         seq.write_text(seq_text)
         env.write_text(env_text)
         rc = main(["uniqueness", "--sequence", str(seq),

@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 
 from threespheres import harmonic
-from threespheres.errors import NonHarmonic, SingularPoint, StencilOutOfDomain
+from threespheres.errors import (
+    NonHarmonic,
+    OutOfRange,
+    SingularPoint,
+    StencilOutOfDomain,
+)
 from threespheres.geometry import solve_inversion_center
 from threespheres.harmonic import (
     HarmonicPolynomial,
@@ -14,7 +19,9 @@ from threespheres.harmonic import (
     holomorphic_polynomial,
     laplacian_residual,
     random_harmonic_polynomial,
+    random_harmonic_polynomials,
 )
+from threespheres.sweep import sample_corpus
 
 
 def lap_coeff_ratio(poly):
@@ -100,6 +107,34 @@ def test_synthesis_gate_fires(monkeypatch):
         random_harmonic_polynomial(3, 4, seed=0)
 
 
+def test_corpus_bits_do_not_depend_on_the_batch():
+    # one solve per degree for the whole batch; a lone polynomial is solved
+    # as a repeated pair
+    for n in (2, 3, 4, 5):
+        big, small = sample_corpus(n, 20, 8, 7), sample_corpus(n, 3, 8, 7)
+        seeds = [7 * 1_000_003 + n * 10_007 + i for i in range(3)]
+        for i, seed in enumerate(seeds):
+            lone = random_harmonic_polynomial(n, 8, seed)
+            assert big[i].terms == small[i].terms == lone.terms
+        pair = random_harmonic_polynomials(n, 8, seeds[:2])
+        assert [p.terms for p in pair] == [p.terms for p in small[:2]]
+    with pytest.raises(OutOfRange):
+        random_harmonic_polynomials(3, 4, [])
+
+
+def test_degree_fixed_at_construction():
+    terms = {(3, 0, 1): 1, (1, 0, 3): -1, (1, 0, 0): 0.5}
+    for validate in (True, False):
+        f = HarmonicPolynomial(3, terms, validate=validate)
+        assert vars(f)["degree"] == f.degree == 4
+        # zero coefficients are dropped before the degree is taken
+        g = HarmonicPolynomial(2, {(0, 5): 0, (1, 0): 2.0},
+                               validate=validate)
+        assert vars(g)["degree"] == 1
+        assert HarmonicPolynomial(2, {}, validate=validate).degree == 0
+    assert random_harmonic_polynomial(3, 5, seed=2).degree == 5
+
+
 def test_classical_harmonic_accepted():
     f = HarmonicPolynomial(2, {(2, 0): 1.0, (0, 2): -1.0})
     assert f.degree == 2
@@ -148,10 +183,13 @@ def direct_sum(polys, pts):
     return out
 
 
+multiply = np.multiply  # the ufunc, for spies that replace np.multiply
+
+
 def test_evaluator_matches_single_evaluation(rng, monkeypatch):
     batches = [[random_harmonic_polynomial(n, 8, seed=s) for s in range(4)]
-               for n in (2, 3, 4)]
-    # sparse sets whose monomials need parents added with zero coefficients
+               for n in (2, 3, 4, 5)]
+    # sparse sets, evaluated over every monomial up to their degree
     batches += [[HarmonicPolynomial(3, {(3, 0, 1): 1, (1, 0, 3): -1})],
                 [HarmonicPolynomial(3, {(1, 1, 1): 2})],
                 [holomorphic_polynomial([0] * 7 + [1])],
@@ -159,7 +197,18 @@ def test_evaluator_matches_single_evaluation(rng, monkeypatch):
     for polys in batches:
         n = polys[0].dimension
         ev = PolynomialEvaluator(polys)
+        # the full graded set in (degree, lex) order, n D slice products
+        degree = max(p.degree for p in polys)
+        assert [tuple(e) for e in ev.exponents.tolist()] == sorted(
+            (e for e in product(range(degree + 1), repeat=n)
+             if sum(e) <= degree), key=lambda e: (sum(e), e))
         pts = rng.uniform(-1, 1, size=(50, n))
+        products = []
+        with monkeypatch.context() as mp:
+            mp.setattr(np, "multiply", lambda *a, out: products.append(
+                multiply(*a, out=out)))
+            ev._basis(pts)
+        assert len(products) == n * degree
         exact = direct_sum(polys, pts)
         vals = ev.values(pts)
         sq = ev.squared_values(pts)

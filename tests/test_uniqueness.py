@@ -180,10 +180,27 @@ def test_envelope_rejects_non_finite_parameters(spec):
     ('{"x": [2, 0], "r": 1, "eps": -1, "log_eps": -3}', "eps must be positive"),
     ('{"x": [2, 0], "r": 1, "eps": 0, "log_eps": -3}', "eps must be positive"),
     ('{"x": [Infinity, 0], "r": 1, "eps": 0.5}', "<= |x| < inf"),
+    ('{"x": [2, 0], "r": 1, "eps": 0.5, "log_eps": -1}',
+     "eps = 0.5 contradicts log_eps = -1.0"),
 ])
 def test_sequence_rejects_non_finite_or_nonpositive_entries(entry, message):
     with pytest.raises(ConstraintViolated, match=re.escape(message)):
         SmallnessSequence.from_json(f"[{entry}]")
+
+
+def test_sequence_rejects_eps_contradicting_log_eps():
+    # the constructor path; the JSON path is a case of the test above
+    with pytest.raises(ConstraintViolated, match="contradicts log_eps"):
+        SmallnessSequence((([2.0, 0.0], 1.0, 0.5),), (-1.0,))
+    # a consistent pair is accepted, up to 1e-12 max(1, |log_eps|)
+    log_half = math.log(0.5)
+    seq = SmallnessSequence.from_json(json.dumps(
+        [{"x": [2, 0], "r": 1, "eps": 0.5, "log_eps": log_half},
+         {"x": [4, 0], "r": 1, "eps": math.exp(-40.0),
+          "log_eps": -40.0 * (1 + 5e-13)}]))
+    assert seq.log_eps == (log_half, -40.0 * (1 + 5e-13))
+    seq = SmallnessSequence((([2.0, 0.0], 1.0, 0.5),), (log_half + 1e-13,))
+    assert seq.entries[0][2] == 0.5
 
 
 def test_nonpositive_phi_raises():

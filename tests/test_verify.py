@@ -10,13 +10,14 @@ from threespheres.errors import (
     OutOfRange,
     PreconditionViolated,
 )
-from threespheres.geometry import CorrelatedFamily
+from threespheres.geometry import CorrelatedFamily, correlated_radius_general
 from threespheres.harmonic import (
     HarmonicPolynomial,
     PolynomialEvaluator,
     random_harmonic_polynomial,
 )
 from threespheres.quadrature import SphereRule, analytic_degree, ball_volume
+from threespheres.sweep import sample_corpus
 from threespheres.verify import (
     _ball_integrals,
     ball_rows,
@@ -25,11 +26,15 @@ from threespheres.verify import (
     embedding_identity_check,
     gradient_identity_check,
     holomorphic_variant_check,
+    identity_report,
+    identity_rows,
     log_convexity_check,
     sphere_rows,
     three_balls_check,
     three_spheres_check,
     transfer_identity_check,
+    upper_report,
+    upper_rows,
 )
 
 ONE2 = HarmonicPolynomial(2, {(0, 0): 1.0})
@@ -479,3 +484,52 @@ def test_anisotropic_rules_match_isotropic(n, monkeypatch):
         assert got.name == want.name and got.passed
         assert abs(got.lhs - want.lhs) <= 1e-12 * abs(want.lhs)
         assert abs(got.rhs - want.rhs) <= 1e-12 * abs(want.rhs)
+
+
+def test_row_builders_match_one_row_reports():
+    meta = {"n": 3, "x_norm": 0.4, "r": 0.1, "t": 0.2}
+    # rhs = 0 gives ratio inf for lhs > 0 and 1.0 otherwise
+    lhs = np.array([0.5, 2.0, 0.0, 1.0, -0.0, 1.0 + 1e-8])
+    rhs = np.array([1.0, 1.0, 0.0, 0.0, 3.0, 1.0])
+    rows = upper_rows("u", lhs, rhs, 1e-9, budget=1e-12, exponent=0.3,
+                      **meta)
+    assert list(map(repr, rows)) == [
+        repr(upper_report("u", a, b, 1e-9, budget=1e-12, exponent=0.3,
+                          **meta)) for a, b in zip(lhs, rhs)]
+    assert [r.ratio for r in rows[2:4]] == [1.0, math.inf]
+    assert [r.passed for r in rows] == [True, False, True, False, True,
+                                        False]
+    lhs = np.array([1 + 1j, 0j, 2.0, -1e-20, 3 - 4j])
+    rhs = np.array([0.0, 0.0, 2.0 + 1e-9, 1e-20, 5.0])
+    rows = identity_rows("i", lhs, rhs, 1e-8, scale_floor=1e-3, **meta)
+    assert list(map(repr, rows)) == [
+        repr(identity_report("i", a, b, 1e-8, scale_floor=1e-3, **meta))
+        for a, b in zip(lhs, rhs)]
+    assert [r.ratio for r in rows[:2]] == [math.inf, 1.0]
+    assert [r.passed for r in rows] == [False, True, True, True, False]
+    assert rows[4].lhs == rows[4].rhs == 5.0
+
+
+def test_embedded_rows_interleave_per_polynomial():
+    n, lams = 3, (0.3, 0.6)
+    polys = sample_corpus(n, 3, 4, 1)
+    fam = CorrelatedFamily.create([0.6, 0.0, 0.0], 0.1)
+    xbar = 0.5 * fam.x_norm
+    rows = ball_rows(PolynomialEvaluator(polys), fam, xbar,
+                     ("three_balls", "embedded_bound"), lams, degree=8)
+    assert [r.name for r in rows[:3]] == ["three_balls_eq27"] * 3
+    rbar = correlated_radius_general(fam.x_norm, fam.r, xbar, 1.0)
+    for k, lam in enumerate(lams):
+        group = rows[3 + 9 * k:12 + 9 * k]
+        assert [r.name[-4:] for r in group] == ["eq29", "eq36", "eq37"] * 3
+        assert all(r.t == lam for r in group)
+        for p in range(3):
+            eq29, eq36, eq37 = group[3 * p:3 * p + 3]
+            assert eq29.lhs == eq36.lhs
+            assert eq37.lhs == math.sqrt(
+                eq29.lhs / (ball_volume(n) * (lam * rbar) ** n))
+            direct = embedded_bound_check(polys[p], fam.x, fam.r, xbar, lam,
+                                          degree=4)
+            for got, want in zip((eq29, eq36, eq37), direct):
+                assert abs(got.lhs - want.lhs) <= 1e-12 * want.lhs
+                assert abs(got.rhs - want.rhs) <= 1e-12 * want.rhs
