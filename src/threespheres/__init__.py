@@ -98,11 +98,9 @@ def _pin_openblas() -> None:
     CPU without saving time, and its split dgemm sums change the last bits
     of n = 4 rows.  OpenBLAS reads OPENBLAS_NUM_THREADS when numpy loads,
     before this package, so setting the variable here would be too late.
-    The package imports numpy only, and builds its Gauss rules with numpy's
-    LAPACK (``eigh``, O(q^3) in the node count q: about 1 s at q = 1 513),
-    so numpy's OpenBLAS is the one that matters; an OpenBLAS that another
-    library loads later keeps its own thread count, and the package never
-    calls it."""
+    The package imports numpy only, so numpy's OpenBLAS is the one that
+    matters; one that another library loads later keeps its own thread
+    count, and the package never calls it."""
     try:
         with open("/proc/self/maps", encoding="utf-8") as fh:
             paths = {line.split()[-1] for line in fh}

@@ -2,26 +2,19 @@
 
 Deterministic rules: equispaced trapezoid on the circle (n = 2), Gauss-
 Legendre x trapezoid on S^2, and Gauss-Gegenbauer products for higher
-dimensions; all are exact for polynomials up to their declared degree.
-Every Gauss factor comes from :func:`_gauss_jacobi`, the eigen-decomposition
-of the Jacobi matrix in numpy (Golub & Welsch, 1969).  Its cost is O(q^3) in
-the node count q: about 15 ms at q = 300, but about 1 s at q = 1 513, the
-largest axial factor an annulus ratio of 1.02 allows; each rule is built
-once per process and cached.
-A seeded Monte Carlo rule (normalized-Gaussian directions, equal weights)
+dimensions, exact for polynomials up to their declared degree; each is built
+once per process (Golub & Welsch) and cached.  A seeded Monte Carlo rule
 serves the tests as an independent oracle; no check uses it.
 
 Weighted integrals carry the densities induced by the inversion:
 
     ds_a = (|y-a|^2 + R^2 - |y|^2)/|y-a|^4 ds,     dmu_a = |y-a|^(-4) dy.
 
-Both densities are analytic near the closed ball (a lies strictly outside),
-so deterministic rules converge geometrically.  The centres and a lie on one
-ray, so the densities (and the Kelvin factor) depend on a node only through
-its coordinate along that ray: the weighted rules are anisotropic, with the
-first polar axis turned toward a and sized from the annulus ratio
-distance(center, a)/radius, and the S^{n-2} across it sized only for the
-polynomial degree of the integrand (Stroud, 1971).
+The centres and a lie on one ray, so on a sphere these densities and the
+Kelvin factor depend on a node only through its coordinate t along it.
+:func:`weighted_rules` takes the Gauss rule of that weight in t, by the
+discretised Stieltjes procedure, times the S^{n-2} rule of the integrand's
+degree across it (Stroud, 1971); a dmu_a ball takes one per radial shell.
 
 Integration works on columns: :func:`integrals` places a rule on a sphere or
 ball, calls a function mapping (N, n) points to (N, P) values once on all
@@ -54,6 +47,7 @@ __all__ = [
     "sphere_area",
     "surface_integral",
     "weighted_ball_integral_mua",
+    "weighted_rules",
     "weighted_surface_integral_sa",
 ]
 
@@ -72,11 +66,12 @@ def ball_volume(n: int) -> float:
 class SphereRule:
     """Quadrature nodes (unit vectors) and weights on S^{n-1}.
 
-    ``kind`` is "exact" for deterministic rules (with ``degree`` the largest
-    polynomial degree integrated exactly, and ``transverse`` the largest
-    degree across the first axis, see :meth:`product`) or "monte-carlo"
-    (with ``samples`` and ``seed`` recorded).  Weights always sum to the
-    surface area.
+    ``kind`` is "exact" for deterministic product rules (with ``degree`` the
+    largest polynomial degree integrated exactly, and ``transverse`` the
+    largest degree across the first axis, see :meth:`product`), "s_a",
+    "kelvin" or "mu_a" for :func:`weighted_rules` (stacked per radial shell
+    on a ball: nodes (S, N, n)), or "monte-carlo" (with ``samples`` and
+    ``seed`` recorded).  Product and Monte Carlo weights sum to the area.
     """
 
     n: int
@@ -130,124 +125,214 @@ class SphereRule:
         return cls(n=n, nodes=g, weights=w, kind="monte-carlo", samples=samples,
                    seed=seed)
 
-    @classmethod
-    def default(cls, n: int, degree: int, kappa: float, digits: int = 12,
-                pole_order: int = 4) -> "SphereRule":
-        """Policy rule for a degree-``degree`` polynomial integrand times a
-        density that depends on the point only through the first axis (as
-        ds_a, dmu_a and the Kelvin factor do once the axis is turned toward
-        a), with ``kappa`` > 1 the annulus ratio distance/radius of its
-        singularity on that axis.  The first axis takes the degree of
-        :func:`analytic_degree`, whose node count grows like
-        digits/log(kappa), and the S^{n-2} across it only ``degree``.  A
-        polynomial integrand alone takes ``product(n, degree)``.
-        """
-        return cls.product(n, analytic_degree(degree, kappa, digits,
-                                              pole_order), degree)
+
+def weighted_rules(n: int, degree: int, spheres,
+                   transverse: int | None = None) -> list:
+    """Gauss rules of the weights w the integrands carry, one per (kind,
+    a_norm, center_norm, radius, R) of ``spheres``: the sphere of ``radius``
+    centred at ``center_norm`` toward a, |a| = ``a_norm``, first axis turned
+    toward a; w is the ds_a density ("s_a"), |y-a|^-4 ("mu_a") or
+    |y-a|^(-2 (degree + n - 2)) ("kelvin": |y-a|^2 is linear in the axial
+    coordinate t, so |f(phi(y))|^2 (rho^2/|y-a|^2)^(n-2) of a degree-
+    ``degree`` |f|^2 is w times a polynomial of degree <= ``degree``).  With
+    plain-measure weights, a rule integrates P w exactly for P of degree <=
+    ``degree`` and <= ``transverse`` across the axis: degree // 2 + 1 axial
+    nodes times the S^{n-2} rule of degree ``transverse`` (+-1 at n = 2).
+    Built in one batched pass and cached by the list."""
+    transverse = degree if transverse is None else transverse
+    spheres = tuple((kind, *map(float, rest)) for kind, *rest in spheres)
+    if not spheres:
+        return []
+    nodes, weights = _weighted_cached(n, int(degree), int(transverse), spheres)
+    return [SphereRule(n, nd, wt, sphere[0], int(degree),
+                       transverse=int(transverse))
+            for nd, wt, sphere in zip(nodes, weights, spheres)]
 
 
-def analytic_degree(degree: int, kappa: float, digits: int = 12,
-                    pole_order: int = 4) -> int:
-    """Effective rule degree covering both polynomial exactness and the
-    geometric convergence of an analytic density with annulus ratio kappa.
-
-    A pole of order p at the annulus boundary costs an N^p prefactor on the
-    kappa^-N trapezoid/Gauss rate, so the node count solves
-    N log(kappa) >= digits log(10) + p log(N) (fixed-point, three rounds).
-    Densities |y-a|^{-4} carry p = 4; metric-composed integrands such as the
-    squared Kelvin transform need a larger allowance.
-    """
-    if kappa <= 1.0:
-        raise OutOfRange("annulus ratio must exceed 1 (singularity inside "
-                         "the integration sphere)")
-    if kappa < 1.02:
-        raise UnderResolved(
-            f"annulus ratio {kappa:.6g} is below 1.02: the singularity is "
-            "too close to the integration sphere for the rules")
-    target = digits * math.log(10)
-    lk = math.log(kappa)
-    extra = target / lk
-    for _ in range(3):
-        extra = (target + pole_order * math.log(extra + degree + 8)) / lk
-    extra = int(math.ceil(extra)) + 8
-    # round up for rule-cache reuse
-    return degree + ((extra + 3) // 4) * 4
-
-
-def _gauss_jacobi(q: int, gamma: float):
+def _gauss_jacobi(q: int, alpha: float, beta: float | None = None):
     """Nodes (ascending) and weights of the q-point Gauss rule for the weight
-    (1 - u^2)^gamma on [-1, 1]; gamma = 0 is Gauss-Legendre.
-
-    Golub & Welsch, "Calculation of Gauss quadrature rules", Math. Comp. 23
-    (1969): the nodes are the eigenvalues of the symmetric tridiagonal Jacobi
-    matrix of the orthonormal polynomials, the weights mu_0 v_0^2 from the
-    first components of its eigenvectors, with mu_0 the weight's total mass.
-    """
+    (1 - u)^alpha (1 + u)^beta on [-1, 1], beta defaulting to alpha: the
+    eigenvalues of the Jacobi matrix, whose diagonal (beta^2 - alpha^2) /
+    (s (s + 2)), s = 2k + alpha + beta, vanishes for alpha = beta, and the
+    weights mu_0 v_0^2 from the first components of its eigenvectors, mu_0
+    the total mass (Golub & Welsch, Math. Comp. 23, 1969)."""
+    beta = alpha if beta is None else beta
     k = np.arange(1.0, q)
-    s = 2 * k + 2 * gamma
-    b = np.sqrt(4 * k * (k + gamma) ** 2 * (k + 2 * gamma)
+    s = 2 * k + alpha + beta
+    diag = np.concatenate([[(beta - alpha) / (alpha + beta + 2)],
+                           (beta * beta - alpha * alpha) / (s * (s + 2))])[:q]
+    b = np.sqrt(4 * k * ((k + alpha) * (k + beta)) * (k + alpha + beta)
                 / (s * s * (s + 1) * (s - 1)))
-    u, v = np.linalg.eigh(np.diag(b, 1) + np.diag(b, -1))
-    mu0 = (2 ** (2 * gamma + 1) * math.gamma(gamma + 1) ** 2
-           / math.gamma(2 * gamma + 2))
-    return u, mu0 * v[0] ** 2
+    u, v = np.linalg.eigh(np.diag(diag) + np.diag(b, 1) + np.diag(b, -1))
+    return u, v[0] ** 2 * (2 ** (alpha + beta + 1) * (
+        math.gamma(alpha + 1) * math.gamma(beta + 1))
+        / math.gamma(alpha + beta + 2))
+
+
+def _frozen(*arrays):
+    for array in arrays:
+        array.setflags(write=False)
+    return arrays
+
+
+def _across(t, w, omega, v):
+    """Nodes (t, sqrt(1 - t^2) omega) and weights w v of an axial rule
+    (..., m) times a rule (T, n - 1) on S^{n-2}, flattened to (..., m T)."""
+    nodes = np.empty(t.shape + (v.size, omega.shape[1] + 1))
+    nodes[..., 0] = t[..., None]
+    nodes[..., 1:] = np.sqrt((1 - t) * (1 + t))[..., None, None] * omega
+    lead = t.shape[:-1] + (-1,)
+    return _frozen(nodes.reshape(lead + (nodes.shape[-1],)),
+                   (w[..., None] * v).reshape(lead))
 
 
 @lru_cache(maxsize=256)
 def _product_rule_cached(n: int, degree: int, transverse: int):
-    N = transverse + 1
-    theta = 2 * math.pi * np.arange(N) / N
     if n == 2:
-        nodes = np.stack([np.cos(theta), np.sin(theta)], axis=1)
-        weights = np.full(N, 2 * math.pi / N)
-        nodes.setflags(write=False)
-        weights.setflags(write=False)
-        return nodes, weights
-    axes = []
-    for k in range(1, n - 1):
-        # the first polar axis carries the full degree, the S^{n-2} across
-        # it (the other polar axes and the azimuth) the transverse degree
-        q = (degree if k == 1 else transverse) // 2 + 1
-        gamma = (n - 2 - k) / 2.0
-        axes.append(_gauss_jacobi(q, gamma))
-    # accumulate polar coordinates left to right
-    coords = np.ones((1, 0))
-    sin_accum = np.ones(1)
-    weights = np.ones(1)
-    for (u, w) in axes:
-        m = coords.shape[0]
-        coords = np.repeat(coords, len(u), axis=0)
-        new_col = np.tile(u, m) * np.repeat(sin_accum, len(u))
-        coords = np.column_stack([coords, new_col])
-        weights = np.repeat(weights, len(u)) * np.tile(w, m)
-        sin_accum = np.repeat(sin_accum, len(u)) * np.sqrt(
-            np.maximum(0.0, 1.0 - np.tile(u, m) ** 2))
-    m = coords.shape[0]
-    coords = np.repeat(coords, N, axis=0)
-    weights = np.repeat(weights, N) * (2 * math.pi / N)
-    sin_accum = np.repeat(sin_accum, N)
-    ct = np.tile(np.cos(theta), m)
-    st = np.tile(np.sin(theta), m)
-    nodes = np.column_stack([coords, sin_accum * ct, sin_accum * st])
-    nodes.setflags(write=False)
-    weights.setflags(write=False)
-    return nodes, weights
+        theta = 2 * math.pi * np.arange(degree + 1) / (degree + 1)
+        return _frozen(np.stack([np.cos(theta), np.sin(theta)], axis=1),
+                       np.full(degree + 1, 2 * math.pi / (degree + 1)))
+    # the first polar cosine carries the full degree, the S^{n-2} across it
+    # (the other polar axes and the azimuth) the transverse degree
+    return _across(*_gauss_jacobi(degree // 2 + 1, (n - 3) / 2),
+                   *_product_rule_cached(n - 1, transverse, transverse))
 
 
 @lru_cache(maxsize=64)
 def _radial_rule_cached(m: int):
     t, w = _gauss_jacobi(m, 0.0)
-    t = (t + 1) / 2
-    w = w / 2
-    t.setflags(write=False)
-    w.setflags(write=False)
-    return t, w
+    return _frozen((t + 1) / 2, w / 2)
+
+
+# the fine rules of the weighted rules: panels of k Gauss nodes, k in
+# FINE_NODES, shrinking by GRADING toward the pole; moments to MOMENT_TOL
+GRADING = 0.25
+FINE_NODES = (32, 64)
+MOMENT_TOL = 1e-13
+
+
+@lru_cache(maxsize=32)
+def _fine_rule(k: int, n: int, panels: int):
+    """u = 1 - cos(theta) = 2 sin^2(theta / 2) and the weights of
+    sin^(n-2)(theta) dtheta, the measure (1 - t^2)^((n-3)/2) dt, on the
+    panels (0, pi GRADING^(panels-1), ..., pi GRADING, pi)."""
+    x, w = _gauss_jacobi(k, 0.0)
+    edges = math.pi * GRADING ** np.arange(panels, -1.0, -1)
+    edges[0] = 0.0
+    h = np.diff(edges)[:, None] / 2
+    theta = (edges[:-1, None] + h * (x + 1)).ravel()
+    return (2 * np.sin(theta / 2) ** 2,
+            (h * w).ravel() * np.sin(theta) ** (n - 2))
+
+
+def _gauss_rules(x: np.ndarray, lam: np.ndarray, m: int):
+    """m-node Gauss rules (S, m) of the discrete measures with nodes x (K,)
+    and weights lam (S, K): the discretised Stieltjes procedure (Gautschi,
+    *Orthogonal Polynomials*, OUP 2004, sec. 2.2), nodes from the Jacobi
+    matrices, weights from the Christoffel function 1 / sum p_j^2, which
+    stays accurate over many decades (mu_0 v_0^2 lost up to 1e-7)."""
+    J = np.zeros((lam.shape[0], m, m))
+    p0 = 1 / np.sqrt(lam.sum(axis=1, keepdims=True))
+    p_prev, p, b = 0.0, p0 * np.ones_like(lam), 0.0
+    for j in range(m):
+        J[:, j, j] = np.einsum("sk,sk->s", lam * p, x * p)
+        if j + 1 < m:
+            r = (x - J[:, j, j, None]) * p - b * p_prev
+            b = np.sqrt(np.einsum("sk,sk->s", lam * r, r))[:, None]
+            J[:, j, j + 1] = J[:, j + 1, j] = b[:, 0]
+            p_prev, p = p, r / b
+    nodes = np.linalg.eigvalsh(J)
+    p_prev, p = 0.0, p0 * np.ones_like(nodes)
+    total = p * p
+    for j in range(m - 1):
+        p_prev, p = p, (((nodes - J[:, j, j, None]) * p
+                         - (J[:, j - 1, j, None] if j else 0.0) * p_prev)
+                        / J[:, j, j + 1, None])
+        total += p * p
+    return nodes, 1.0 / total
+
+
+@lru_cache(maxsize=64)
+def _weighted_cached(n: int, degree: int, transverse: int, spheres: tuple):
+    """Stacked nodes (S, N, n) and weights (S, N) of :func:`weighted_rules`.
+
+    In u = 1 - t a sphere of radius s at D = a_norm - center_norm from a has
+    |y-a|^2 = 2 s D (eps + u), eps = (D - s)^2 / (2 s D), and the ds_a
+    numerator nu0 + nu1 u (constant factors cancel).  The fine panels reach
+    the pole's distance arccosh(1 + eps) in theta; the axial rule's moments
+    of T_j(t) = cos(j theta), j < 2m, must match the coarser fine rule's.
+    """
+    kinds = np.array([sphere[0] for sphere in spheres])
+    a, c, s, R = np.array([sphere[1:] for sphere in spheres]).T[:, :, None]
+    nu0 = np.where(kinds[:, None] == "s_a", a * a + R * R - 2 * a * (c + s), 1.0)
+    if (n < 2 or min(degree, transverse) < 0 or np.any((s <= 0) | (s >= a - c))
+            or np.any(nu0 <= 0) or not set(kinds) <= {"s_a", "kelvin", "mu_a"}):
+        raise OutOfRange(f"no weighted rule for n = {n}, degree {degree} and "
+                         f"{spheres}: annulus ratio <= 1 or sphere outside B_R")
+    eps = (a - c - s) ** 2 / (2 * s * (a - c))
+    nu1 = np.where(kinds[:, None] == "s_a", 2 * s * a, 0.0)
+    order = np.where(kinds[:, None] == "kelvin", degree + n - 2, 2)
+
+    def factor(u):
+        return (nu0 + nu1 * u) * (eps / (eps + u)) ** order
+
+    def moments(u, w):
+        return np.einsum("...k,...kj->...j", w, np.cos(
+            2 * np.arcsin(np.sqrt(u / 2))[..., None] * np.arange(2 * m)))
+
+    m = degree // 2 + 1
+    near = np.arccosh(1 + eps.min())
+    panels = 1 + max(1, math.ceil(math.log(near / math.pi) / math.log(GRADING)))
+    (uc, wc), (uf, wf) = (_fine_rule(k, n, panels) for k in FINE_NODES)
+    u, w = _gauss_rules(uf, wf * factor(uf), m)
+    coarse = wc * factor(uc)
+    worst = float(np.max(np.abs(moments(u, w) - moments(uc, coarse))
+                         / coarse.sum(axis=1, keepdims=True)))
+    if not worst <= MOMENT_TOL:
+        raise UnderResolved(f"weighted Gauss rule: moments differ by "
+                            f"{worst:.3g} of the mass between fine rules of "
+                            f"{FINE_NODES} nodes per panel")
+    across = ((np.array([[1.0], [-1.0]]), np.ones(2)) if n == 2
+              else _product_rule_cached(n - 1, transverse, transverse))
+    return _across(1 - u, w / factor(u), *across)
+
+
+SHELL_TARGET = 1e-12  # error model target of a dmu_a ball's radial count
+SHELL_CAP = 128
+
+
+def _shell_count(n: int, degree: int, kappa: float) -> int:
+    """Gauss-Legendre shells of a dmu_a ball of annulus ratio kappa =
+    distance(centre, a) / radius, for a polynomial of degree ``degree``.
+
+    With exact shells the radial integrand has a pole of order 5 - n at
+    kappa (n <= 4; at n = 3 the shell integral of |y-a|^-4 is
+    pi/(s D) ((D - s)^-2 - (D + s)^-2)), so Gauss-Legendre errs like
+    N^q rho^(-2N), q = max(0, 4 - n), rho = xi + sqrt(xi^2 - 1),
+    xi = 2 kappa - 1.  The count is the least N >= max(16, (degree + n + 1)
+    // 2) with N^q rho^(-2N) <= SHELL_TARGET, two decades below 1e-10 for
+    the constant the model leaves out (at most 5 at n = 2 to 4, kappa 1.01
+    to 2, against 300 shells); past SHELL_CAP, :class:`UnderResolved`.  No
+    a-posteriori (Gauss-Kronrod) error estimate is made.
+    """
+    if not kappa > 1.0:
+        raise OutOfRange("annulus ratio must exceed 1 (singularity inside "
+                         "the integration ball)")
+    xi = 2 * kappa - 1
+    rate = 2 * math.log(xi + math.sqrt((xi - 1) * (xi + 1)))
+    floor = max(16, (degree + n + 1) // 2)
+    for count in range(floor, max(floor, SHELL_CAP) + 1):
+        if max(0, 4 - n) * math.log(count) - count * rate <= math.log(SHELL_TARGET):
+            return count
+    raise UnderResolved(f"annulus ratio {kappa:.6g}: {SHELL_CAP} radial "
+                        f"shells do not reach {SHELL_TARGET:g} on a dmu_a ball")
 
 
 @dataclass(frozen=True)
 class BallRule:
     """Product rule for ball integrals: Gauss-Legendre radial shells (density
-    t^{n-1}) times a :class:`SphereRule` for the angular directions."""
+    t^{n-1}) times a :class:`SphereRule` for the angular directions, one
+    shared by every shell or one per shell (stacked)."""
 
     angular: SphereRule
     radial_points: int
@@ -260,6 +345,19 @@ class BallRule:
     @property
     def n(self) -> int:
         return self.angular.n
+
+    @classmethod
+    def weighted(cls, n: int, degree: int, distance: float, radius: float,
+                 transverse: int) -> "BallRule":
+        """dmu_a rule of a ball at ``distance`` from a: :func:`_shell_count`
+        shells, each with its "mu_a" rule; exact for the polynomial alone
+        too at ``degree`` = ``transverse`` + 2 (|y-a|^4 is quadratic in t)."""
+        shells = _shell_count(n, transverse, distance / radius)
+        nodes, weights = _weighted_cached(n, degree, transverse, tuple(
+            ("mu_a", float(distance), 0.0, s, 1.0)
+            for s in (_radial_rule_cached(shells)[0] * radius).tolist()))
+        return cls(SphereRule(n, nodes, weights, "mu_a", degree,
+                              transverse=transverse), shells)
 
 
 class Column:
@@ -328,9 +426,10 @@ def _points(rule, center: np.ndarray, radius: float, axis=None):
         return center + radius * nodes, angular.weights * radius ** (n - 1)
     tref, wref = _radial_rule_cached(rule.radial_points)
     radii = tref * radius
-    pts = center[None, None, :] + radii[:, None, None] * nodes[None, :, :]
+    # one angular rule for every shell, or one per shell (stacked)
+    pts = center + radii[:, None, None] * nodes
     shell_w = (wref * radius) * radii ** (n - 1)
-    return pts, shell_w[:, None] * angular.weights[None, :]
+    return pts, shell_w[:, None] * angular.weights
 
 
 def integrals(fn, rule, center, radius: float, axis=None, inv=None,

@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ConfigError, ThreeSpheresError
+from .errors import ConfigError, ThreeSpheresError, UnderResolved
 from .geometry import CorrelatedFamily
 from .harmonic import PolynomialEvaluator, random_harmonic_polynomials
 from .quadrature import SphereRule, integrals
@@ -26,6 +26,7 @@ from .uniqueness import delta_lower_bound_check
 from .verify import (
     CONVEXITY_SLACK,
     IDENTITY_FD_TOL,
+    INEQUALITY_TOL,
     ball_rows,
     convexity_margins,
     derivative_identity_check,
@@ -226,8 +227,18 @@ def _config_rows(n, cfg: SweepConfig, ci, x_vec, r, polys, evaluator):
         rows.extend(sphere_rows(evaluator, fam, ts, cfg.checks, cfg.beta,
                                 deg2))
     if "three_balls" in cfg.checks or "embedded_bound" in cfg.checks:
-        rows.extend(ball_rows(evaluator, fam, cfg.xbar_fraction * x_norm,
-                              cfg.checks, cfg.lambdas, deg2))
+        xbar = cfg.xbar_fraction * x_norm
+        try:
+            rows.extend(ball_rows(evaluator, fam, xbar, cfg.checks,
+                                  cfg.lambdas, deg2))
+        except UnderResolved as exc:
+            # no dmu_a rule resolves these balls: (27) gets error rows, and
+            # the plain embedded bounds still run
+            rows.extend(error_row("three_balls_eq27", exc, INEQUALITY_TOL,
+                                  t=xbar, **meta) for _ in polys)
+            rows.extend(ball_rows(evaluator, fam, xbar,
+                                  set(cfg.checks) - {"three_balls"},
+                                  cfg.lambdas, deg2))
 
     if "gradient_identity" in cfg.checks or "derivative_identity" in cfg.checks:
         # t = p names the test function: a constant, a coordinate, the

@@ -12,8 +12,8 @@ which carry their slack there.
 
 A check's ``degree`` must bound the polynomial degree of its function: the
 plain rules are exact at that degree and no higher, and the weighted rules
-are exact only up to it across the axis toward the inversion center a (see
-``quadrature``), with their extra accuracy along that axis alone.
+are the Gauss rules of their weight, exact for a polynomial of that degree
+times the weight (see ``quadrature``).
 
 The inequalities and the transfer identity are written once, over columns:
 an evaluator maps (N, n) points to the (N, P) values or squared moduli of P
@@ -52,9 +52,11 @@ from .quadrature import (
     BallRule,
     Column,
     SphereRule,
+    _gauss_jacobi,
     _points,
     ball_volume,
     integrals,
+    weighted_rules,
 )
 
 __all__ = [
@@ -208,23 +210,17 @@ def _ball_integrals(fn, center: np.ndarray, radius: float, degree: int,
                    inv=None, plain: bool = True):
     """(dmu_a-weighted, plain) column integrals of ``fn`` over
     B_{center, radius}, the first only when ``inv`` is given and the second
-    only when ``plain``; both come from one evaluation of every node.
-
-    The ball-rule policy: an unweighted ball takes :func:`_exact_ball`.  A
-    weighted ball turns its angular rule toward a and sizes it to ten digits
-    for the annulus ratio |a - center|/radius (the inequality margins are
-    far above the 1e-9 tolerance, so ten digits suffice), exact across that
-    axis at degree ``degree``, with at least 16 radial points.
-    """
+    only when ``plain``, from one evaluation of every node: of
+    :func:`_exact_ball`, or with ``inv`` of ``BallRule.weighted``, two axial
+    degrees up when the plain integral is wanted too."""
     n, axis = center.size, None
     if inv is None:
         rule = _exact_ball(n, degree)
     else:
         axis = inv.a - center
-        kappa = float(np.linalg.norm(axis)) / radius
-        axis = axis / (kappa * radius)
-        rule = BallRule(SphereRule.default(n, degree, kappa, digits=10),
-                        radial_points=max(16, (degree + n + 1) // 2))
+        dist = float(np.linalg.norm(axis))
+        axis = axis / dist
+        rule = BallRule.weighted(n, degree + 2 * plain, dist, radius, degree)
     weights = (("mu_a",) if inv is not None else ()) + ((None,) if plain else ())
     cols = integrals(fn, rule, center, radius, axis, inv, weights)
     return (cols[0] if inv is not None else None), (cols[-1] if plain else None)
@@ -410,31 +406,37 @@ def sphere_rows(ev, fam: CorrelatedFamily, ts, checks, beta="omega",
     rho^2 (r_t/r_t*) M.  ``degree`` bounds the degree of |f|^2.
     """
     n, r, x_norm, inv = fam.dimension, fam.r, fam.x_norm, fam.inversion
+    three, transfer = "three_spheres" in checks, "transfer_identity" in checks
+    rt = [float(fam.radius(t)) for t in ts]
+    rts = [float(fam.image_radius(t)) for t in ts] if transfer else []
+    # the ds_a spheres (one per t, then the inner and the unit sphere) and
+    # the Kelvin spheres S_{0, r_t*}: every weighted rule in one pass
+    sa = list(zip(ts, rt)) + ([(x_norm, r), (0.0, 1.0)] if three else [])
+    rules = weighted_rules(
+        n, degree, [("s_a", inv.a_norm, c, s, inv.R) for c, s in sa]
+        + [("kelvin", inv.a_norm, 0.0, s, inv.R) for s in rts])
 
-    def sa_sphere(center_norm, radius):
-        # polar axis on e, toward a: a and the centers lie on the +e ray
-        rule = SphereRule.default(n, degree, (inv.a_norm - center_norm) / radius)
+    def sa_sphere(rule, center_norm, radius):  # a is on the +e ray
         return integrals(ev.squared_values, rule, center_norm * fam.e, radius,
                          fam.e, inv, ("s_a",))[0]
 
     def kelvin_squared(pts):
-        # |f*|^2 = |f(phi(y))|^2 (rho^2/|y-a|^2)^(n-2): on a slice across e,
-        # phi is affine and the factor constant, so degree <= ``degree`` there
+        # |f*|^2 = |f(phi(y))|^2 (rho^2/|y-a|^2)^(n-2): a polynomial of
+        # degree <= ``degree`` times the "kelvin" weight on S_{0, r_t*}
         sq = ev.squared_values(inversion_map(inv, pts))
         if n == 2:
             return sq
         d = pts - inv.a
         return sq * ((inv.rho2 / np.einsum("ij,ij->i", d, d)) ** (n - 2))[:, None]
 
-    if "three_spheres" in checks:
-        iv = sa_sphere(x_norm, r)
-        ov = sa_sphere(0.0, 1.0)
+    if three:
+        iv = sa_sphere(rules[len(ts)], x_norm, r)
+        ov = sa_sphere(rules[len(ts) + 1], 0.0, 1.0)
     rows = []
-    for t in ts:
+    for j, t in enumerate(ts):
         meta = {"n": n, "x_norm": x_norm, "r": r, "t": t}
-        rt = float(fam.radius(t))
-        mv = sa_sphere(t, rt)
-        if "three_spheres" in checks:
+        mv = sa_sphere(rules[j], t, rt[j])
+        if three:
             try:
                 b = _resolve_beta(fam.exponents(t), beta, unchecked_beta)
             except BetaOutOfRange as exc:
@@ -445,17 +447,14 @@ def sphere_rows(ev, fam: CorrelatedFamily, ts, checks, beta="omega",
             else:
                 # Python-float powers: numpy's array power moves last bits
                 rows.extend(upper_rows(
-                    "three_spheres_eq24", rt * mv,
+                    "three_spheres_eq24", rt[j] * mv,
                     [(r * i) ** b * o ** (1 - b)
                      for i, o in zip(iv.tolist(), ov.tolist())],
                     INEQUALITY_TOL, exponent=b, **meta))
-        if "transfer_identity" in checks:
-            rts = float(fam.image_radius(t))
-            # the Kelvin side has a high-order pole at a: generous allowance
-            rule = SphereRule.default(n, degree, inv.a_norm / rts,
-                                      pole_order=12)
-            kv, = integrals(kelvin_squared, rule, np.zeros(n), rts, fam.e)
-            factor = inv.rho2 * rt / rts
+        if transfer:
+            kv, = integrals(kelvin_squared, rules[len(sa) + j], np.zeros(n),
+                            rts[j], fam.e)
+            factor = inv.rho2 * rt[j] / rts[j]
             rows.extend(identity_rows("transfer_identity_eq22", kv,
                                       factor * mv, TRANSFER_TOL, **meta))
     return rows
@@ -661,20 +660,25 @@ def embedding_identity_check(g, b, l: float, g_degree: int = 6,
     # inner 5-ball template: displacements and weights for unit radius
     disp, wq = _points(_exact_ball(5, g_degree), np.zeros(5), 1.0)
     disp, wq = disp.reshape(-1, 5), wq.reshape(-1)
-    # 48 shells, not an exact count: s^5 is not a polynomial in the radius
-    outer = BallRule(SphereRule.product(n, g_degree), 48)
+    # outer ball in u = rho^2 / l^2: rho^(n-1) d rho (l^2 - rho^2)^(5/2) is
+    # (l^(n+5) / 2) u^((n-2)/2) (1 - u)^(5/2) du, and the slice integral a
+    # polynomial in u of degree <= g_degree / 2, so Gauss-Jacobi is exact
+    u, wu = _gauss_jacobi(g_degree // 2 + 2, 2.5, (n - 2) / 2)
+    u = (u + 1) / 2
+    # l^n / 2 times 2^-(alpha + beta + 1) from [-1, 1] to u in [0, 1]
+    wu = wu * (l ** n / 2 ** (n / 2 + 3.5))
+    dirs = SphereRule.product(n, g_degree)
     rhs = 0.0
-    for xs, w in zip(*_points(outer, b, l)):  # one outer shell at a time
-        d = xs - b
-        s = np.sqrt((l * l if convention == "squared" else l)
-                    - np.einsum("ij,ij->i", d, d))
+    for ui, wi in zip(u.tolist(), wu.tolist()):  # one outer shell at a time
+        xs = b + l * math.sqrt(ui) * dirs.nodes
+        s = math.sqrt(l * l - l * l * ui if convention == "squared"
+                      else l - l * l * ui)
         # block-evaluate g on (outer node, inner node) pairs
-        pts = np.concatenate([
-            np.repeat(xs, disp.shape[0], axis=0),
-            (s[:, None, None] * disp).reshape(-1, 5),
-        ], axis=1)
-        vals = np.asarray(g(pts), dtype=float).reshape(xs.shape[0], disp.shape[0])
-        rhs += float(w @ (s ** 5 * (vals @ wq)))
+        pts = np.concatenate([np.repeat(xs, disp.shape[0], axis=0),
+                              np.tile(s * disp, (xs.shape[0], 1))], axis=1)
+        vals = np.asarray(g(pts), dtype=float).reshape(xs.shape[0], -1)
+        # s^5 over the (l^2 - rho^2)^(5/2) the Gauss-Jacobi weight carries
+        rhs += wi * s ** 5 / (1 - ui) ** 2.5 * float(dirs.weights @ (vals @ wq))
 
     report = identity_report(f"embedding_identity_eq30_{convention}", lhs, rhs,
                              EMBEDDING_TOL, scale_floor=1e-3 * abs_scale, n=n,

@@ -24,3 +24,61 @@ def exact_ball_monomial(n, exps, radius=1.0):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+def analytic_degree(degree, kappa, digits=12, pole_order=4):
+    """Axial degree of a Gauss-Legendre rule that resolves a density with a
+    pole at annulus ratio kappa to ``digits`` digits, on top of polynomial
+    exactness at ``degree`` (the package's rule before its Gauss rules of
+    the actual weights): a pole of order p costs an N^p prefactor on the
+    kappa^-N rate, so N log(kappa) >= digits log(10) + p log(N)."""
+    if kappa <= 1.0:
+        raise ValueError("annulus ratio must exceed 1")
+    target = digits * math.log(10)
+    lk = math.log(kappa)
+    extra = target / lk
+    for _ in range(3):
+        extra = (target + pole_order * math.log(extra + degree + 8)) / lk
+    extra = int(math.ceil(extra)) + 8
+    return degree + ((extra + 3) // 4) * 4
+
+
+def analytic_sphere_rule(n, degree, kind, a_norm, center_norm, radius, R=1.0,
+                         transverse=None, digits=15, isotropic=False):
+    """Independent oracle for ``SphereRule.weighted``: the plain product
+    rule whose first axis takes :func:`analytic_degree` (pole allowance 12
+    for the Kelvin weight, 4 otherwise) and whose S^{n-2} takes
+    ``transverse`` (``degree`` by default, the first axis' degree when
+    ``isotropic``).  Its weights integrate the weighted integrand itself."""
+    from threespheres.quadrature import SphereRule
+
+    kappa = (a_norm - center_norm) / radius
+    axial = analytic_degree(degree, kappa, digits,
+                            12 if kind == "kelvin" else 4)
+    if isotropic:
+        return SphereRule.product(n, axial)
+    return SphereRule.product(n, axial,
+                              degree if transverse is None else transverse)
+
+
+def analytic_ball_rule(n, degree, distance, radius, transverse=None,
+                       digits=15, isotropic=False):
+    """Oracle for ``BallRule.weighted``: the angular rule of
+    :func:`analytic_sphere_rule` on every shell, with the shell count of
+    the package's rule, so both share the radial error."""
+    from threespheres.quadrature import BallRule, _shell_count
+
+    transverse = degree if transverse is None else transverse
+    angular = analytic_sphere_rule(n, degree, "mu_a", distance, 0.0, radius,
+                                   transverse=transverse, digits=digits,
+                                   isotropic=isotropic)
+    return BallRule(angular, _shell_count(n, transverse, distance / radius))
+
+
+def weighted_rule(n, degree, kind, a_norm, center_norm, radius, R=1.0,
+                  transverse=None):
+    """The one rule of ``weighted_rules`` for a single sphere."""
+    from threespheres.quadrature import weighted_rules
+
+    return weighted_rules(n, degree, [(kind, a_norm, center_norm, radius, R)],
+                          transverse)[0]

@@ -3,17 +3,23 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 from scipy.special import beta, roots_jacobi, roots_legendre
 
-from conftest import exact_ball_monomial, exact_sphere_monomial
-from threespheres.errors import OutOfRange, RuleDimensionMismatch
+from conftest import (
+    analytic_degree,
+    exact_ball_monomial,
+    exact_sphere_monomial,
+    weighted_rule,
+)
+from threespheres.errors import OutOfRange, RuleDimensionMismatch, UnderResolved
 from threespheres.geometry import Ball, solve_inversion_center
 from threespheres.harmonic import PolynomialEvaluator, random_harmonic_polynomial
 from threespheres.quadrature import (
     BallRule,
     SphereRule,
     _gauss_jacobi,
-    analytic_degree,
+    _shell_count,
     ball_integral,
     ball_volume,
     integrals,
@@ -123,18 +129,134 @@ def test_gauss_jacobi_mass_and_moments(gamma):
         assert abs(np.sum(w * u ** (2 * q - 1))) <= 1e-14 * mu0
 
 
-def test_widest_annulus_rule_is_exact():
-    # kappa just above the 1.02 floor gives the largest axial factor the
-    # policy builds (1 513 nodes at degree 16)
-    rule = SphereRule.default(3, 16, kappa=1.0201)
-    assert rule.degree == analytic_degree(16, 1.0201)
-    assert len(rule) == (rule.degree // 2 + 1) * 17
-    area = sphere_area(3)
-    assert abs(rule.weights.sum() - area) <= 1e-12 * area
-    for exps in [(16, 0, 0), (0, 16, 0), (0, 8, 8), (6, 4, 6), (2, 14, 0)]:
-        val = surface_integral(monomial_fn(exps), np.zeros(3), 1.0, rule)
-        exact = exact_sphere_monomial(3, exps)
-        assert abs(val - exact) <= 1e-12 * exact, exps
+@pytest.mark.parametrize("alpha,beta_", [(2.5, 0.0), (2.5, 0.5), (2.5, 1.5),
+                                         (0.0, -0.5), (-0.5, 0.0), (0.5, 1.0)])
+def test_gauss_jacobi_unequal_exponents(alpha, beta_):
+    # (1 - u)^alpha (1 + u)^beta: the diagonal (beta^2 - alpha^2)/(s(s+2));
+    # scipy's weights drift at q = 40 (6e-13 relative in the 10th moment
+    # against 8e-16 here), so there only the moments are compared, with
+    # int (1 - u)^alpha (1 + u)^beta ((1 + u)/2)^j du
+    # = 2^(alpha + beta + 1) B(alpha + 1, beta + j + 1)
+    for q in (1, 2, 5, 12, 40):
+        u, w = _gauss_jacobi(q, alpha, beta_)
+        su, sw = roots_jacobi(q, alpha, beta_)
+        assert np.max(np.abs(u - su)) <= 1e-14, q
+        if q <= 12:
+            assert np.max(np.abs(w - sw)) <= 1e-13 * sw.max(), q
+        j = np.arange(2 * q)
+        exact = 2 ** (alpha + beta_ + 1) * beta(alpha + 1, beta_ + j + 1)
+        moments = (((1 + u[None, :]) / 2) ** j[:, None]) @ w
+        np.testing.assert_allclose(moments, exact, rtol=1e-13, atol=0)
+
+
+def _axial_moment(k, weight, n):
+    """int_{-1}^{1} t^k (1 - t^2)^((n-3)/2) w dt with w = weight(1 - t), as
+    int_0^pi cos^k sin^(n-2) w dtheta (smooth in theta) by adaptive
+    quadrature (QUADPACK) on panels graded toward theta = 0, where the pole
+    lies; 1 - cos theta is taken as 2 sin^2(theta/2)."""
+    edges = [0.0] + [math.pi * 0.25 ** j for j in range(20, 0, -1)] + [math.pi]
+    return sum(quad(lambda th: math.cos(th) ** k * math.sin(th) ** (n - 2)
+                    * weight(2 * math.sin(th / 2) ** 2), lo, hi, epsabs=1e-13,
+                    epsrel=1e-13, limit=200)[0]
+               for lo, hi in zip(edges[:-1], edges[1:]))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+@pytest.mark.parametrize("kind", ["s_a", "kelvin", "mu_a"])
+def test_weighted_axis_moments_exact(n, kind):
+    # the m = degree // 2 + 1 axial nodes, with the sum of the weights over
+    # the transverse nodes of each, integrate t^k against the weight for
+    # every k <= 2m - 1
+    degree, a_norm, c, s = 8, 1.25, 0.3, 0.6
+    dist = a_norm - c
+
+    def weight(u):  # u = 1 - t; |y - a|^2 = (dist - s)^2 + 2 s dist u
+        d2 = (dist - s) ** 2 + 2 * s * dist * u
+        if kind == "s_a":  # |y|^2 = (c + s)^2 - 2 c s u
+            return (d2 + 1 - (c + s) ** 2 + 2 * c * s * u) / d2 ** 2
+        return d2 ** -(degree + n - 2 if kind == "kelvin" else 2.0)
+
+    rule = weighted_rule(n, degree, kind, a_norm, c, s)
+    t = rule.nodes[:, 0]
+    m = degree // 2 + 1
+    assert np.unique(np.round(t, 13)).size == m
+    assert len(rule) == m * (2 if n == 2 else len(SphereRule.product(n - 1,
+                                                                     degree)))
+    weighted = rule.weights * weight(1 - t)
+    transverse_area = 2.0 if n == 2 else sphere_area(n - 1)
+    scale = transverse_area * _axial_moment(0, weight, n)
+    for k in range(2 * m):
+        want = transverse_area * _axial_moment(k, weight, n)
+        assert abs(float(np.sum(weighted * t ** k)) - want) <= 1e-13 * scale, k
+
+
+@pytest.mark.parametrize("kappa", [3.0, 1.3, 1.0201, 1.002, 1.0002])
+def test_kelvin_closed_form_at_n3(kappa):
+    # f = 1: int_{|y|=s} rho^2 / |y - a|^2 dS = rho^2 (2 pi s/|a|)
+    # log((|a| + s)/(|a| - s)), integrated by a single node (degree 0)
+    inv = solve_inversion_center(0.5, 0.2, dimension=3)
+    s = inv.a_norm / kappa
+    rule = weighted_rule(3, 0, "kelvin", inv.a_norm, 0.0, s)
+    assert len(rule) == 1
+    axis = inv.a / inv.a_norm
+    vals, = integrals(lambda p: (inv.rho2 / np.einsum(
+        "ij,ij->i", p - inv.a, p - inv.a))[:, None], rule, np.zeros(3), s,
+        axis)
+    exact = (inv.rho2 * 2 * math.pi * s / inv.a_norm
+             * math.log((inv.a_norm + s) / (inv.a_norm - s)))
+    assert abs(vals[0] - exact) <= 1e-12 * exact
+
+
+@pytest.mark.parametrize("kappa,tol", [(1.0201, 1e-12), (1.002, 1e-11)])
+def test_widest_annulus_rule_is_exact(kappa, tol):
+    # near touching, where the Gauss-Legendre axis of the analytic rule
+    # needed 1 513 nodes at kappa = 1.0201 and nothing resolved kappa = 1.002,
+    # the weighted rule keeps its 9 x 17 nodes and its exactness: monomials
+    # times |y - a|^-4 against one-dimensional quadrature.  |y - a|^2 is
+    # taken as (kappa - 1)^2 + 2 kappa (1 - t), exact for the stored t; what
+    # is left is the rounding of t itself, 1e-16 against a weight that
+    # varies on the scale (kappa - 1)^2 / (2 kappa) (1.1e-12 relative at
+    # kappa = 1.002)
+    dist = kappa
+    rule = weighted_rule(3, 16, "mu_a", dist, 0.0, 1.0)
+    assert len(rule) == 9 * 17
+
+    def weight(u):
+        return ((dist - 1) ** 2 + 2 * dist * u) ** -2.0
+
+    density = weight(1 - rule.nodes[:, 0])
+    for exps in [(16, 0, 0), (0, 16, 0), (0, 8, 8), (6, 4, 6), (2, 14, 0),
+                 (7, 2, 0)]:
+        got = float(np.sum(rule.weights * density
+                           * np.prod(rule.nodes ** np.array(exps), axis=1)))
+        e1, rest = exps[0], exps[1:]
+        want = exact_sphere_monomial(2, rest) * _axial_moment(
+            e1, lambda u: (u * (2 - u)) ** (sum(rest) / 2) * weight(u), 3)
+        assert abs(got - want) <= tol * abs(want), exps
+
+
+def test_weighted_rule_domain():
+    with pytest.raises(OutOfRange):  # a inside the sphere
+        weighted_rule(3, 8, "mu_a", 1.0, 0.5, 0.6)
+    with pytest.raises(OutOfRange):
+        weighted_rule(3, 8, "mu", 2.0, 0.5, 0.6)
+    with pytest.raises(OutOfRange):  # the sphere leaves B_R
+        weighted_rule(3, 8, "s_a", 1.2, 0.5, 0.6)
+
+
+def test_shell_count_policy():
+    # the 16-shell floor, more shells as the pole nears and as its order
+    # 5 - n rises, a typed error past the cap
+    assert _shell_count(3, 16, 1.96) == 16
+    assert _shell_count(3, 16, 1.2) > 16
+    counts = [_shell_count(2, 16, k) for k in (1.5, 1.1, 1.05, 1.02, 1.01)]
+    assert counts == sorted(counts) and counts[-1] <= 128
+    assert _shell_count(2, 16, 1.05) > _shell_count(4, 16, 1.05)
+    assert _shell_count(3, 300, 2.0) == 152
+    with pytest.raises(UnderResolved):
+        _shell_count(2, 16, 1.002)
+    with pytest.raises(OutOfRange):
+        _shell_count(2, 16, 1.0)
 
 
 def test_surface_area_and_disk_moment():

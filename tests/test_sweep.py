@@ -6,11 +6,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import exact_sphere_monomial
+from conftest import exact_sphere_monomial, weighted_rule
 from threespheres.cli import main
-from threespheres.errors import ConfigError, UnderResolved
+from threespheres.errors import ConfigError, OutOfRange, UnderResolved
 from threespheres.geometry import CorrelatedFamily
-from threespheres.quadrature import SphereRule, analytic_degree
+from threespheres.harmonic import PolynomialEvaluator
+from threespheres.quadrature import BallRule, SphereRule, weighted_rules
 from threespheres.sweep import (
     ALL_CHECKS,
     SweepConfig,
@@ -23,31 +24,122 @@ from threespheres.sweep import (
 from threespheres.verify import InequalityReport, convexity_margins
 
 
-def test_default_rule_policy():
-    # the policy rule is for weighted integrands; a polynomial alone takes
-    # SphereRule.product(n, degree)
-    with pytest.raises(TypeError):
-        SphereRule.default(3, 8)
+def test_weighted_rule_policy():
+    # the Gauss rules of the weights: degree // 2 + 1 axial nodes times the
+    # S^{n-2} rule of the degree, whatever the annulus ratio
     for n in (2, 3, 4, 5):
-        rule = SphereRule.default(n, 8, kappa=1.5)
-        assert rule.kind == "exact"
-        assert rule.degree == analytic_degree(8, 1.5)
-        # the circle has no transverse direction
-        assert rule.transverse == (rule.degree if n == 2 else 8)
+        across = 2 if n == 2 else len(SphereRule.product(n - 1, 8))
+        for kind in ("s_a", "kelvin", "mu_a"):
+            for radius in (0.2, 0.6, 0.69):  # annulus ratio 4.5 down to 1.3
+                rule = weighted_rule(n, 8, kind, 1.2, 0.3, radius)
+                assert (rule.kind, rule.degree, rule.transverse) == (kind, 8, 8)
+                assert len(rule) == 5 * across
+        rule = weighted_rule(n, 10, "mu_a", 1.2, 0.3, 0.6, transverse=8)
+        assert len(rule) == 6 * across
+    # several spheres in one pass, each rule as if built alone; cached by
+    # the defining numbers
+    spheres = [("s_a", 1.2, 0.3, 0.6, 1.0), ("kelvin", 1.2, 0.0, 0.5, 1.0)]
+    pair = weighted_rules(3, 8, spheres)
+    assert [rule.kind for rule in pair] == ["s_a", "kelvin"]
+    for rule, sphere in zip(pair, spheres):
+        alone = weighted_rule(3, 8, *sphere)
+        np.testing.assert_allclose(rule.weights, alone.weights, rtol=1e-13)
+    assert np.shares_memory(weighted_rules(3, 8, spheres)[1].nodes,
+                            pair[1].nodes)
 
 
-def test_analytic_degree_monotonicity():
-    mild = analytic_degree(16, 3.0)
-    harsh = analytic_degree(16, 1.22)
-    assert mild < harsh
-    # higher pole order demands more nodes
-    assert analytic_degree(16, 1.5, pole_order=12) > analytic_degree(
-        16, 1.5, pole_order=4)
-    with pytest.raises(Exception):
-        analytic_degree(16, 0.9)
-    # too close to resolve: a typed error, not a silently clamped rule
+def test_shell_count_monotonicity():
+    # the dmu_a ball's radial count grows as the pole nears the ball, with
+    # the pole order 5 - n of the shell integral, and past its cap becomes
+    # a typed error, not a silently clamped rule
+    mild = BallRule.weighted(3, 16, 3.0, 1.0, 16)
+    harsh = BallRule.weighted(3, 16, 1.1, 1.0, 16)
+    assert mild.radial_points == 16 < harsh.radial_points
+    assert len(mild.angular) == 16 * 9 * 17
+    assert BallRule.weighted(2, 16, 1.1, 1.0, 16).radial_points > \
+        harsh.radial_points
+    with pytest.raises(OutOfRange):
+        BallRule.weighted(3, 16, 0.9, 1.0, 16)
     with pytest.raises(UnderResolved):
-        analytic_degree(16, 1.01)
+        BallRule.weighted(2, 16, 1.003, 1.0, 16)
+
+
+def _count_points(monkeypatch):
+    counts = []
+    squared = PolynomialEvaluator.squared_values
+
+    def spy(self, pts):
+        counts.append(len(pts))
+        return squared(self, pts)
+
+    monkeypatch.setattr(PolynomialEvaluator, "squared_values", spy)
+    return counts
+
+
+def test_weighted_rule_point_counts(monkeypatch):
+    # the cost of a small sweep, pinned: every weighted sphere and every
+    # shell of a dmu_a ball takes ceil((d + 1)/2) axial nodes times the
+    # S^{n-2} rule of degree d, with d = 8 the degree of |f|^2
+    cfg = {"dimensions": [3], "corpus": {"count": 2, "max_degree": 4,
+                                         "seed": 1},
+           "geometry": {"count": 1, "seed": 11, "t_count": 2}}
+    per_rule = 5 * 9
+    counts = _count_points(monkeypatch)
+    reports, _ = run_sweep(SweepConfig.from_dict(
+        dict(cfg, checks=["three_spheres", "transfer_identity"])))
+    # inner and outer ds_a spheres, then a ds_a and a Kelvin sphere per t
+    assert counts == [per_rule] * 6
+    assert len(reports) == 2 * 2 * 2 and all(r.passed for r in reports)
+    counts.clear()
+    run_sweep(SweepConfig.from_dict(dict(cfg, checks=["three_balls"])))
+    # inner, outer and middle balls, 16 shells each
+    assert counts == [16 * per_rule] * 3
+
+
+def _ball_config_rows(n, margin, x_norm):
+    """Sweep rows of the ball checks at |x| = ``x_norm`` with the widest
+    radius ``touch_margin`` allows, where the unit ball's annulus ratio
+    |a| is closest to 1 (1.02 at |x| = 0.9 and margin 0.002)."""
+    from threespheres.sweep import _config_rows
+
+    cfg = SweepConfig.from_dict({
+        "dimensions": [n], "corpus": {"count": 3, "max_degree": 8, "seed": 2},
+        "geometry": {"touch_margin": margin, "lambdas": [0.6]},
+        "checks": ["three_balls", "embedded_bound"]})
+    polys = sample_corpus(n, 3, 8, 2)
+    x = np.zeros(n)
+    x[0] = x_norm
+    return _config_rows(n, cfg, 0, x, 1 - x_norm - margin, polys,
+                        PolynomialEvaluator(polys))
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("margin", [0.01, 0.002])
+def test_near_touching_ball_rows(n, margin, monkeypatch):
+    # every dmu_a row agrees with a 256-shell rule to 1e-10 (16 shells
+    # erred by up to 1.6e-4 at margin 0.002)
+    from threespheres import quadrature
+
+    rows = [_ball_config_rows(n, margin, x) for x in (0.3, 0.6, 0.9)]
+    monkeypatch.setattr(quadrature, "_shell_count", lambda *args: 256)
+    reference = [_ball_config_rows(n, margin, x) for x in (0.3, 0.6, 0.9)]
+    for got_rows, want_rows in zip(rows, reference):
+        assert [r.name for r in got_rows] == [r.name for r in want_rows]
+        for got, want in zip(got_rows, want_rows):
+            for a, b in ((got.lhs, want.lhs), (got.rhs, want.rhs)):
+                assert abs(a - b) <= 1e-10 * abs(b), got.name
+
+
+def test_unresolved_ball_rows_are_error_rows():
+    # |a| = 1.003: no count up to the cap reaches the target, so (27) gets
+    # UnderResolved error rows and the embedded bounds still run
+    rows = _ball_config_rows(2, 1e-4, 0.95)
+    names = [r.name for r in rows]
+    assert names[:3] == ["three_balls_eq27:error:UnderResolved"] * 3
+    assert not any(r.passed for r in rows[:3])
+    assert names[3:] == ["embedded_bound_eq29", "embedded_bound_eq36",
+                         "embedded_bound_eq37"] * 3
+    assert all(r.passed for r in rows[3:])
 
 
 def test_sample_determinism():

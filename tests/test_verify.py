@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import analytic_ball_rule, analytic_sphere_rule, weighted_rule
 from threespheres.errors import (
     BetaOutOfRange,
     DeltaOutOfRange,
@@ -16,7 +17,7 @@ from threespheres.harmonic import (
     PolynomialEvaluator,
     random_harmonic_polynomial,
 )
-from threespheres.quadrature import SphereRule, analytic_degree, ball_volume
+from threespheres.quadrature import BallRule, SphereRule, ball_volume
 from threespheres.sweep import sample_corpus
 from threespheres.verify import (
     _ball_integrals,
@@ -338,6 +339,25 @@ def test_embedding_identity_analytic_and_odd():
         assert abs(rep.lhs) < 1e-12 and abs(rep.rhs) < 1e-12
 
 
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_embedding_identity_outer_ball_exact(n):
+    # the outer ball in u = rho^2/l^2 is Gauss-Jacobi (5/2, (n-2)/2) with
+    # g_degree // 2 + 2 nodes: exact, where 48 Gauss-Legendre shells were
+    # not; the printed reading on the same nodes still fails by far
+    b = np.zeros(n)
+    b[:2] = 0.2, -0.1
+
+    def g(p):
+        extra2 = np.einsum("ij,ij->i", p[:, n:], p[:, n:])
+        return p[:, 0] ** 2 * extra2 + p[:, 1] ** 4 + 0.3 * p[:, 0] * p[:, n] ** 2
+
+    rep = embedding_identity_check(g, b, 0.8, g_degree=4)
+    assert rep.passed and abs(rep.lhs - rep.rhs) <= 1e-13 * abs(rep.lhs)
+    printed = embedding_identity_check(g, b, 0.8, g_degree=4,
+                                       convention="printed")
+    assert not printed.passed and printed.rhs > 1.5 * printed.lhs
+
+
 def test_embedding_identity_generic_polynomial():
     n = 2
 
@@ -396,9 +416,10 @@ def test_rule_sizes_carry_no_margin():
 
     embedding_identity_check(one, (0.2, 0.0, 0.0), 0.8)  # g_degree 6
     # (n+5)-ball: 4^6 polar nodes x 7 azimuths x 7 shells; then one outer
-    # shell at a time: 28 directions x the inner 5-ball's 448 x 6 nodes
+    # Gauss-Jacobi shell at a time, 6 // 2 + 2 of them: 28 directions x the
+    # inner 5-ball's 448 x 6 nodes
     assert calls[0] == 200_704
-    assert len(calls) == 49 and max(calls[1:]) <= 75_264
+    assert calls[1:] == [75_264] * 5
     calls.clear()
     _ball_integrals(lambda p: one(p)[:, None], np.zeros(3), 0.5, 8)
     assert calls == [len(SphereRule.product(3, 8)) * 6] == [270]
@@ -450,40 +471,61 @@ def test_sweep_rows_match_single_checks():
             assert abs(row.rhs - direct.rhs) < 1e-11 * max(1.0, direct.rhs)
 
 
-@pytest.mark.parametrize("n", [3, 4])
-def test_anisotropic_rules_match_isotropic(n, monkeypatch):
-    # across the axis toward a, the s_a, Kelvin and mu_a integrands are
-    # polynomials of degree <= ``degree`` on each slice, so rules exact only
-    # to that degree across it agree with the isotropic rule of the same
-    # axial degree
-    ev = PolynomialEvaluator([random_harmonic_polynomial(n, 6, seed=s)
+def _weighted_rows(n, degree):
+    ev = PolynomialEvaluator([random_harmonic_polynomial(n, degree, seed=s)
                               for s in range(3)])
     x = np.zeros(n)
     x[:2] = 0.3, -0.1  # off the coordinate axes, so every rule is turned
     fam = CorrelatedFamily.create(x, 0.2)
+    return (sphere_rows(ev, fam, [0.6 * fam.x_norm, fam.x_norm],
+                        ("three_spheres", "transfer_identity"),
+                        degree=2 * degree)
+            + ball_rows(ev, fam, 0.5 * fam.x_norm,
+                        ("three_balls", "embedded_bound"), (0.6,),
+                        degree=2 * degree))
 
-    def rows():
-        return (sphere_rows(ev, fam, [0.6 * fam.x_norm, fam.x_norm],
-                            ("three_spheres", "transfer_identity"), degree=12)
-                + ball_rows(ev, fam, 0.5 * fam.x_norm,
-                            ("three_balls", "embedded_bound"), (0.6,),
-                            degree=12))
 
-    anisotropic = rows()
-    rule = SphereRule.default(n, 12, 1.5)
-    assert rule.transverse == 12 < rule.degree
+def _use_oracle(monkeypatch, **options):
+    # the weighted builders replaced by the analytic-degree product rules
+    from threespheres import verify
 
-    def isotropic(cls, n, degree, kappa=None, digits=12, pole_order=4):
-        return cls.product(n, analytic_degree(degree, kappa, digits,
-                                              pole_order))
+    monkeypatch.setattr(verify, "weighted_rules", lambda n, degree, spheres: [
+        analytic_sphere_rule(n, degree, *sphere, **options)
+        for sphere in spheres])
+    monkeypatch.setattr(BallRule, "weighted", classmethod(
+        lambda cls, *args, **kw: analytic_ball_rule(*args, **kw, **options)))
 
-    monkeypatch.setattr(SphereRule, "default", classmethod(isotropic))
-    reference = rows()
-    assert len(anisotropic) == len(reference) == 3 * 4 + 3 * 4
-    for got, want in zip(anisotropic, reference):
-        assert got.name == want.name and got.passed
-        assert abs(got.lhs - want.lhs) <= 1e-12 * abs(want.lhs)
-        assert abs(got.rhs - want.rhs) <= 1e-12 * abs(want.rhs)
+
+def _assert_rows_match(got_rows, want_rows, rtol):
+    assert len(got_rows) == len(want_rows) == 3 * 4 + 3 * 4
+    for got, want in zip(got_rows, want_rows):
+        assert got.name == want.name and got.passed and want.passed
+        assert abs(got.lhs - want.lhs) <= rtol * abs(want.lhs), got.name
+        assert abs(got.rhs - want.rhs) <= rtol * abs(want.rhs), got.name
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_anisotropic_rules_match_isotropic(n, monkeypatch):
+    # across the axis toward a, the s_a, Kelvin and mu_a integrands are
+    # polynomials of degree <= ``degree`` on each slice, so the weighted
+    # Gauss rules, exact only to that degree across it, agree with
+    # isotropic rules that resolve the weight along every axis
+    anisotropic = _weighted_rows(n, 6)
+    rule = weighted_rule(n, 12, "s_a", 1.5, 0.3, 0.4)
+    assert rule.transverse == 12 and len(rule) == 7 * len(
+        SphereRule.product(n - 1, 12))
+    _use_oracle(monkeypatch, isotropic=True)
+    _assert_rows_match(anisotropic, _weighted_rows(n, 6), 1e-12)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_weighted_rows_match_analytic_oracle(n, monkeypatch):
+    # the Gauss-Legendre axis sized by the analytic-degree rule at 15
+    # digits, an independent construction of the same integrals
+    degree = 8 if n <= 3 else 3
+    gauss = _weighted_rows(n, degree)
+    _use_oracle(monkeypatch)
+    _assert_rows_match(gauss, _weighted_rows(n, degree), 1e-13)
 
 
 def test_row_builders_match_one_row_reports():
