@@ -126,8 +126,7 @@ class SphereRule:
                    seed=seed)
 
 
-def weighted_rules(n: int, degree: int, spheres,
-                   transverse: int | None = None) -> list:
+def weighted_rules(n: int, degree: int, spheres) -> list:
     """Gauss rules of the weights w the integrands carry, one per (kind,
     a_norm, center_norm, radius, R) of ``spheres``: the sphere of ``radius``
     centred at ``center_norm`` toward a, |a| = ``a_norm``, first axis turned
@@ -136,16 +135,15 @@ def weighted_rules(n: int, degree: int, spheres,
     coordinate t, so |f(phi(y))|^2 (rho^2/|y-a|^2)^(n-2) of a degree-
     ``degree`` |f|^2 is w times a polynomial of degree <= ``degree``).  With
     plain-measure weights, a rule integrates P w exactly for P of degree <=
-    ``degree`` and <= ``transverse`` across the axis: degree // 2 + 1 axial
-    nodes times the S^{n-2} rule of degree ``transverse`` (+-1 at n = 2).
-    Built in one batched pass and cached by the list."""
-    transverse = degree if transverse is None else transverse
+    ``degree``: degree // 2 + 1 axial nodes times the S^{n-2} rule of that
+    degree (+-1 at n = 2).  Built in one batched pass and cached by the
+    list."""
+    degree = int(degree)
     spheres = tuple((kind, *map(float, rest)) for kind, *rest in spheres)
     if not spheres:
         return []
-    nodes, weights = _weighted_cached(n, int(degree), int(transverse), spheres)
-    return [SphereRule(n, nd, wt, sphere[0], int(degree),
-                       transverse=int(transverse))
+    nodes, weights = _weighted_cached(n, degree, degree, spheres)
+    return [SphereRule(n, nd, wt, sphere[0], degree, transverse=degree)
             for nd, wt, sphere in zip(nodes, weights, spheres)]
 
 
@@ -254,7 +252,8 @@ def _gauss_rules(x: np.ndarray, lam: np.ndarray, m: int):
 
 @lru_cache(maxsize=64)
 def _weighted_cached(n: int, degree: int, transverse: int, spheres: tuple):
-    """Stacked nodes (S, N, n) and weights (S, N) of :func:`weighted_rules`.
+    """Stacked nodes (S, N, n) and weights (S, N) of :func:`weighted_rules`
+    and :meth:`BallRule.weighted`, exact across the axis to ``transverse``.
 
     In u = 1 - t a sphere of radius s at D = a_norm - center_norm from a has
     |y-a|^2 = 2 s D (eps + u), eps = (D - s)^2 / (2 s D), and the ds_a

@@ -45,7 +45,7 @@ def analytic_degree(degree, kappa, digits=12, pole_order=4):
 
 def analytic_sphere_rule(n, degree, kind, a_norm, center_norm, radius, R=1.0,
                          transverse=None, digits=15, isotropic=False):
-    """Independent oracle for ``SphereRule.weighted``: the plain product
+    """Independent oracle for ``weighted_rules``: the plain product
     rule whose first axis takes :func:`analytic_degree` (pole allowance 12
     for the Kelvin weight, 4 otherwise) and whose S^{n-2} takes
     ``transverse`` (``degree`` by default, the first axis' degree when
@@ -75,10 +75,9 @@ def analytic_ball_rule(n, degree, distance, radius, transverse=None,
     return BallRule(angular, _shell_count(n, transverse, distance / radius))
 
 
-def weighted_rule(n, degree, kind, a_norm, center_norm, radius, R=1.0,
-                  transverse=None):
+def weighted_rule(n, degree, kind, a_norm, center_norm, radius, R=1.0):
     """The one rule of ``weighted_rules`` for a single sphere."""
     from threespheres.quadrature import weighted_rules
 
-    return weighted_rules(n, degree, [(kind, a_norm, center_norm, radius, R)],
-                          transverse)[0]
+    return weighted_rules(n, degree,
+                          [(kind, a_norm, center_norm, radius, R)])[0]

@@ -34,8 +34,9 @@ def test_weighted_rule_policy():
                 rule = weighted_rule(n, 8, kind, 1.2, 0.3, radius)
                 assert (rule.kind, rule.degree, rule.transverse) == (kind, 8, 8)
                 assert len(rule) == 5 * across
-        rule = weighted_rule(n, 10, "mu_a", 1.2, 0.3, 0.6, transverse=8)
-        assert len(rule) == 6 * across
+        # a ball whose plain integral is wanted too: two more axial degrees
+        ball = BallRule.weighted(n, 10, 0.9, 0.6, 8)
+        assert len(ball.angular) == 16 * 6 * across
     # several spheres in one pass, each rule as if built alone; cached by
     # the defining numbers
     spheres = [("s_a", 1.2, 0.3, 0.6, 1.0), ("kelvin", 1.2, 0.0, 0.5, 1.0)]
