@@ -280,7 +280,7 @@ def _weighted_cached(n: int, degree: int, transverse: int, spheres: tuple):
             2 * np.arcsin(np.sqrt(u / 2))[..., None] * np.arange(2 * m)))
 
     m = degree // 2 + 1
-    near = np.arccosh(1 + eps.min())
+    near = float(np.log1p(eps + np.sqrt(eps * (2 + eps))).min())  # arccosh
     panels = 1 + max(1, math.ceil(math.log(near / math.pi) / math.log(GRADING)))
     (uc, wc), (uf, wf) = (_fine_rule(k, n, panels) for k in FINE_NODES)
     u, w = _gauss_rules(uf, wf * factor(uf), m)
