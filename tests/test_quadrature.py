@@ -244,6 +244,16 @@ def test_weighted_rule_domain():
         weighted_rule(3, 8, "s_a", 1.2, 0.5, 0.6)
 
 
+def test_weighted_rule_checks_its_fine_rules(monkeypatch):
+    # fine rules too coarse for a Kelvin weight of order 18 near touching:
+    # the two resolutions disagree, and the rule is refused, not returned
+    from threespheres import quadrature
+
+    monkeypatch.setattr(quadrature, "FINE_NODES", (3, 6))
+    with pytest.raises(UnderResolved, match="moments differ"):
+        quadrature.weighted_rules(4, 16, [("kelvin", 1.0123, 0.0, 1.0, 1.0)])
+
+
 def test_shell_count_policy():
     # the 16-shell floor, more shells as the pole nears and as its order
     # 5 - n rises, a typed error past the cap
