@@ -15,7 +15,6 @@ from __future__ import annotations
 import json
 import math
 from functools import lru_cache
-from itertools import product as _iproduct
 
 import numpy as np
 
@@ -52,17 +51,15 @@ def _laplacian_terms(terms: dict, n: int) -> dict:
 
 
 @lru_cache(maxsize=None)
-def _monomials(n: int, degree: int) -> tuple:
-    return tuple(e for e in _iproduct(range(degree + 1), repeat=n)
-                 if sum(e) == degree)
-
-
-@lru_cache(maxsize=None)
 def _degree_maps(n: int, degree: int):
-    """The degree-``degree`` monomials and the dense maps that depend only on
+    """The degree-``degree`` monomials, the block of ``_graded`` that a
+    corpus slices in its order, and the dense maps that depend only on
     (n, degree): the Laplacian L (degree -> degree - 2), the |y|^2 product T
     (degree - 2 -> degree) and the correction matrix L T."""
-    monos, lower = _monomials(n, degree), _monomials(n, degree - 2)
+    exps = list(map(tuple, _graded(n, degree)[0].tolist()))
+    monos = exps[math.comb(degree - 1 + n, n):]
+    lower = exps[math.comb(degree - 3 + n, n):math.comb(degree - 2 + n, n)] \
+        if degree >= 2 else []
     down = {e: i for i, e in enumerate(lower)}
     up = {e: i for i, e in enumerate(monos)}
     lap = np.zeros((len(lower), len(monos)))
@@ -209,8 +206,9 @@ class PolynomialEvaluator:
         n = self.dimension = polys[0].dimension
         if any(p.dimension != n for p in polys):
             raise OutOfRange("mixed dimensions in polynomial batch")
-        self.exponents, self._steps, index = _graded(
-            n, max(p.degree for p in polys))
+        # the degree the batch's rules are sized from
+        self.degree = max(p.degree for p in polys)
+        self.exponents, self._steps, index = _graded(n, self.degree)
         coeffs = np.zeros((len(index), len(polys)), dtype=complex)
         for j, p in enumerate(polys):
             coeffs[[index[e] for e in p.terms], j] = list(p.terms.values())

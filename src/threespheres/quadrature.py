@@ -308,10 +308,10 @@ def _shell_count(n: int, degree: int, kappa: float) -> int:
     kappa (n <= 4; at n = 3 the shell integral of |y-a|^-4 is
     pi/(s D) ((D - s)^-2 - (D + s)^-2)), so Gauss-Legendre errs like
     N^q rho^(-2N), q = max(0, 4 - n), rho = xi + sqrt(xi^2 - 1),
-    xi = 2 kappa - 1.  The count is the least N >= max(16, (degree + n + 1)
-    // 2) with N^q rho^(-2N) <= SHELL_TARGET, two decades below 1e-10 for
-    the constant the model leaves out (at most 5 at n = 2 to 4, kappa 1.01
-    to 2, against 300 shells); past SHELL_CAP, :class:`UnderResolved`.  No
+    xi = 2 kappa - 1.  The count is the least N >= max(16, BallRule.exact's)
+    with N^q rho^(-2N) <= SHELL_TARGET, two decades below 1e-10 for the
+    constant the model leaves out (at most 5 at n = 2 to 4, kappa 1.01 to 2,
+    against 300 shells); past SHELL_CAP, :class:`UnderResolved`.  No
     a-posteriori (Gauss-Kronrod) error estimate is made.
     """
     if not kappa > 1.0:
@@ -319,7 +319,7 @@ def _shell_count(n: int, degree: int, kappa: float) -> int:
                          "the integration ball)")
     xi = 2 * kappa - 1
     rate = 2 * math.log(xi + math.sqrt((xi - 1) * (xi + 1)))
-    floor = max(16, (degree + n + 1) // 2)
+    floor = max(16, BallRule.exact(n, degree).radial_points)
     for count in range(floor, max(floor, SHELL_CAP) + 1):
         if max(0, 4 - n) * math.log(count) - count * rate <= math.log(SHELL_TARGET):
             return count
@@ -346,6 +346,12 @@ class BallRule:
         return self.angular.n
 
     @classmethod
+    def exact(cls, n: int, degree: int) -> "BallRule":
+        """Stroud's (1971) n-ball rule exact at ``degree``: the sphere rule
+        of that degree and (degree + n + 1) // 2 shells."""
+        return cls(SphereRule.product(n, degree), (degree + n + 1) // 2)
+
+    @classmethod
     def weighted(cls, n: int, degree: int, distance: float, radius: float,
                  transverse: int) -> "BallRule":
         """dmu_a rule of a ball at ``distance`` from a: :func:`_shell_count`
@@ -360,11 +366,11 @@ class BallRule:
 
 
 class Column:
-    """A callable f of (N, n) points as a one-column evaluator, the P = 1
-    case of the (N, P) ``values`` / ``squared_values`` of a batch."""
+    """A callable f of (N, n) points, and its ``degree``, as a one-column
+    evaluator, the P = 1 case of a batch's ``values`` / ``squared_values``."""
 
-    def __init__(self, f):
-        self.f = f
+    def __init__(self, f, degree: int | None = None):
+        self.f, self.degree = f, degree
 
     def values(self, pts):
         return np.asarray(self.f(pts))[:, None]

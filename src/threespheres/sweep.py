@@ -21,21 +21,18 @@ import numpy as np
 from .errors import ConfigError, ThreeSpheresError, UnderResolved
 from .geometry import CorrelatedFamily
 from .harmonic import PolynomialEvaluator, random_harmonic_polynomials
-from .quadrature import SphereRule, integrals
 from .uniqueness import delta_lower_bound_check
 from .verify import (
-    CONVEXITY_SLACK,
     IDENTITY_FD_TOL,
     INEQUALITY_TOL,
     ball_rows,
-    convexity_margins,
+    convexity_rows,
     derivative_identity_check,
     embedding_identity_check,
     error_row,
     gradient_identity_check,
     holomorphic_variant_check,
     sphere_rows,
-    upper_report,
 )
 
 __all__ = [
@@ -127,44 +124,45 @@ class SweepConfig:
                          f"unknown key; known: {', '.join(keys)}")
             return d
 
+        base = cls()  # the defaults, declared once in the fields
         section(raw, "", ("dimensions", "corpus", "geometry", "checks", "beta",
                           "mc_samples", "output"))
-        dims = raw.get("dimensions", [2, 3])
+        dims = raw.get("dimensions", list(base.dimensions))
         if (not isinstance(dims, list) or not dims
                 or any(not isinstance(d, int) or d < 2 for d in dims)):
             fail("dimensions", f"must be a nonempty list of integers >= 2, got {dims!r}")
 
         corpus = section(raw.get("corpus", {}), "corpus",
                          ("count", "max_degree", "seed"))
-        count = get_int(corpus, "count", 100, "corpus.count")
-        max_degree = get_int(corpus, "max_degree", 8, "corpus.max_degree", minimum=0)
-        corpus_seed = get_int(corpus, "seed", 7, "corpus.seed", minimum=0)
+        count = get_int(corpus, "count", base.corpus_count, "corpus.count")
+        max_degree = get_int(corpus, "max_degree", base.corpus_max_degree, "corpus.max_degree", 0)
+        corpus_seed = get_int(corpus, "seed", base.corpus_seed, "corpus.seed", 0)
 
         geom = section(raw.get("geometry", {}), "geometry", (
             "count", "seed", "x_norm_range", "touch_margin", "t_count",
             "lambdas", "xbar_fraction"))
-        gcount = get_int(geom, "count", 20, "geometry.count")
-        gseed = get_int(geom, "seed", 11, "geometry.seed", minimum=0)
-        xr = geom.get("x_norm_range", [0.1, 0.7])
+        gcount = get_int(geom, "count", base.geometry_count, "geometry.count")
+        gseed = get_int(geom, "seed", base.geometry_seed, "geometry.seed", 0)
+        xr = geom.get("x_norm_range", list(base.x_norm_range))
         if (not isinstance(xr, list) or len(xr) != 2
                 or not all(real(v) for v in xr) or not 0 < xr[0] <= xr[1] < 1):
             fail("geometry.x_norm_range", f"must be [lo, hi] with 0 < lo <= hi < 1, got {xr!r}")
-        margin = geom.get("touch_margin", 0.05)
+        margin = geom.get("touch_margin", base.touch_margin)
         if not real(margin) or not 0 < margin < 1:
             fail("geometry.touch_margin", f"must be in (0, 1), got {margin!r}")
         # sample_geometries draws r from [0.02, 1 - |x| - touch_margin]
         if 1.0 - xr[1] - margin < 0.02:
             fail("geometry.x_norm_range", "hi + touch_margin must not exceed 0.98")
-        t_count = get_int(geom, "t_count", 10, "geometry.t_count")
-        lambdas = geom.get("lambdas", [0.3, 0.6, 0.9])
+        t_count = get_int(geom, "t_count", base.t_count, "geometry.t_count")
+        lambdas = geom.get("lambdas", list(base.lambdas))
         if (not isinstance(lambdas, list) or not lambdas
                 or any(not real(v) or not 0 < v < 1 for v in lambdas)):
             fail("geometry.lambdas", f"must be a nonempty list inside (0, 1), got {lambdas!r}")
-        xbar_fraction = geom.get("xbar_fraction", 0.5)
+        xbar_fraction = geom.get("xbar_fraction", base.xbar_fraction)
         if not real(xbar_fraction) or not 0 < xbar_fraction <= 1:
             fail("geometry.xbar_fraction", f"must be in (0, 1], got {xbar_fraction!r}")
 
-        checks = raw.get("checks", list(ALL_CHECKS))
+        checks = raw.get("checks", list(base.checks))
         if not isinstance(checks, list) or not checks:
             fail("checks", "must be a nonempty list (the corpus would be unused)")
         known = set(ALL_CHECKS) | set(OPTIONAL_CHECKS)
@@ -172,11 +170,11 @@ class SweepConfig:
             if not isinstance(c, str) or c not in known:
                 fail("checks", f"unknown check {c!r}; known: {sorted(known)}")
 
-        beta = raw.get("beta", "omega")
+        beta = raw.get("beta", base.beta)
         if beta not in ("omega", "alpha") and not real(beta):
             fail("beta", f"must be 'omega', 'alpha', or a number, got {beta!r}")
 
-        get_int(raw, "mc_samples", 20_000, "mc_samples", minimum=100)
+        get_int(raw, "mc_samples", 20_000, "mc_samples", 100)
 
         output = section(raw.get("output", {}), "output", ("csv", "json"))
         for key in ("csv", "json"):
@@ -199,8 +197,9 @@ def sample_corpus(n: int, count: int, max_degree: int, seed: int) -> list:
     return random_harmonic_polynomials(n, max_degree, seeds)
 
 
-def sample_geometries(n: int, count: int, seed: int, x_range=(0.1, 0.7),
-                      margin: float = 0.05) -> list:
+def sample_geometries(n: int, count: int, seed: int,
+                      x_range=SweepConfig.x_norm_range,
+                      margin: float = SweepConfig.touch_margin) -> list:
     rng = np.random.default_rng([seed, n])
     configs = []
     for _ in range(count):
@@ -220,17 +219,15 @@ def _config_rows(n, cfg: SweepConfig, ci, x_vec, r, polys, evaluator):
     rows = []
     fam = CorrelatedFamily.create(x_vec, r, R=1.0)
     x_norm = fam.x_norm
-    deg2 = 2 * cfg.corpus_max_degree
     meta = {"n": n, "x_norm": x_norm, "r": r}
     if "three_spheres" in cfg.checks or "transfer_identity" in cfg.checks:
         ts = [(j + 1) / cfg.t_count * x_norm for j in range(cfg.t_count)]
-        rows.extend(sphere_rows(evaluator, fam, ts, cfg.checks, cfg.beta,
-                                deg2))
+        rows.extend(sphere_rows(evaluator, fam, ts, cfg.checks, cfg.beta))
     if "three_balls" in cfg.checks or "embedded_bound" in cfg.checks:
         xbar = cfg.xbar_fraction * x_norm
         try:
             rows.extend(ball_rows(evaluator, fam, xbar, cfg.checks,
-                                  cfg.lambdas, deg2))
+                                  cfg.lambdas))
         except UnderResolved as exc:
             # no dmu_a rule resolves these balls: (27) gets error rows, and
             # the plain embedded bounds still run
@@ -238,7 +235,7 @@ def _config_rows(n, cfg: SweepConfig, ci, x_vec, r, polys, evaluator):
                                   t=xbar, **meta) for _ in polys)
             rows.extend(ball_rows(evaluator, fam, xbar,
                                   set(cfg.checks) - {"three_balls"},
-                                  cfg.lambdas, deg2))
+                                  cfg.lambdas))
 
     if "gradient_identity" in cfg.checks or "derivative_identity" in cfg.checks:
         # t = p names the test function: a constant, a coordinate, the
@@ -273,20 +270,11 @@ def _config_rows(n, cfg: SweepConfig, ci, x_vec, r, polys, evaluator):
     return rows
 
 
-def _dimension_rows(n, cfg: SweepConfig, polys, evaluator):
+def _dimension_rows(n, cfg: SweepConfig, evaluator):
     """Checks that do not depend on the geometry grid (origin-centered)."""
     rows = []
     if "log_convexity" in cfg.checks:
-        grid = np.linspace(0.05, 0.95, 20)
-        rule = SphereRule.product(n, 2 * cfg.corpus_max_degree)
-        logs = np.log(np.maximum([
-            integrals(evaluator.squared_values, rule, np.zeros(n), rad)[0]
-            for rad in grid], 1e-300))
-        margin, _ = convexity_margins(np.log(grid), logs)
-        for p in range(len(polys)):
-            rows.append(upper_report("log_convexity_eq18", -margin[p], 0.0,
-                                     0.0, budget=CONVEXITY_SLACK,
-                                     n=n, x_norm=0.0, r=0.0, t=float(p)))
+        rows.extend(convexity_rows(evaluator, n, np.linspace(0.05, 0.95, 20)))
     if "embedding_identity" in cfg.checks:
         b = np.zeros(n)
         b[0] = 0.2
@@ -334,7 +322,7 @@ def run_sweep(cfg: SweepConfig):
         for ci, (x_vec, r) in enumerate(geoms):
             reports.extend(_config_rows(n, cfg, ci, x_vec, r, polys,
                                         evaluator))
-        reports.extend(_dimension_rows(n, cfg, polys, evaluator))
+        reports.extend(_dimension_rows(n, cfg, evaluator))
     if "delta_lower_bound" in cfg.checks:
         reports.extend(_delta_lower_bound_rows())
     return reports, skipped

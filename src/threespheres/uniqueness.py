@@ -133,10 +133,11 @@ class SmallnessSequence:
 
     The criterion only ever consumes log eps_m, and the interesting decay
     rates (eps_m = exp(-m^3)) underflow double precision within a dozen
-    entries; ``log_eps`` therefore stores the canonical value, and an entry
-    may be built from log eps directly; an entry that gives both must have
-    |log eps - log_eps| <= 1e-12 max(1, |log_eps|).  ``x_norms`` keeps each
-    |x_m|.
+    entries; ``log_eps`` therefore stores the canonical value.  An entry
+    gives eps, log eps or both: a None in ``log_eps`` (or no ``log_eps`` at
+    all) takes log eps from eps, a None eps takes eps from log eps, and an
+    entry that gives both must have |log eps - log_eps| <= 1e-12 max(1,
+    |log_eps|).  ``x_norms`` keeps each |x_m|.
     """
 
     entries: tuple
@@ -144,21 +145,22 @@ class SmallnessSequence:
     x_norms: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
-        norm_entries = []
-        logs = []
-        x_norms = []
-        given = self.log_eps
+        norm_entries, logs, x_norms = [], [], []
         for i, (x, r, eps) in enumerate(self.entries):
+            log_eps = None if self.log_eps is None else self.log_eps[i]
             x = np.asarray(x, dtype=float)
             x_norm = float(np.linalg.norm(x))
             if not 0 < 2 * float(r) <= x_norm < math.inf:
                 raise ConstraintViolated(f"entry {i}: need 0 < 2 r <= |x| < "
                                          f"inf (r={r}, |x|={x_norm})")
             x_norms.append(x_norm)
-            if (given is None or eps is not None) and not float(eps) > 0:
+            if eps is None and log_eps is None:
+                raise ConstraintViolated(
+                    f"entry {i}: 'eps' or 'log_eps' must be numbers")
+            if eps is not None and not float(eps) > 0:
                 raise ConstraintViolated(f"entry {i}: eps must be positive")
             own = None if eps is None else math.log(float(eps))
-            logs.append(own if given is None else float(given[i]))
+            logs.append(own if log_eps is None else float(log_eps))
             if not math.isfinite(logs[-1]):
                 raise ConstraintViolated(f"entry {i}: log eps must be finite, "
                                          f"got {logs[-1]}")
@@ -177,30 +179,26 @@ class SmallnessSequence:
 
     @classmethod
     def from_json(cls, text: str) -> "SmallnessSequence":
+        """The sequence of a JSON array of entries {"x", "r", "eps",
+        "log_eps"}; an absent or null "eps" or "log_eps" is a None of the
+        constructor."""
         data = json.loads(text)
         if not isinstance(data, list):
             raise ConstraintViolated("sequence file must be a JSON array")
-        entries = []
-        logs = []
+        entries, logs = [], []
         for i, d in enumerate(data):
             if not isinstance(d, dict):
                 raise ConstraintViolated(f"entry {i}: must be a JSON object")
             if "x" not in d or "r" not in d:
                 raise ConstraintViolated(f"entry {i}: needs keys 'x' and 'r'")
-            if "eps" not in d and "log_eps" not in d:
-                raise ConstraintViolated(
-                    f"entry {i}: needs either 'eps' or 'log_eps'")
             try:
                 x, r = np.asarray(d["x"], dtype=float), float(d["r"])
-                eps = None if d.get("eps") is None else float(d["eps"])
-                log_eps = (float(d["log_eps"]) if "log_eps" in d
-                           else math.log(eps) if eps > 0 else None)
+                eps, log_eps = (None if d.get(key) is None else float(d[key])
+                                for key in ("eps", "log_eps"))
             except (TypeError, ValueError):
                 raise ConstraintViolated(
                     f"entry {i}: 'x', 'r', 'eps' and 'log_eps' must be "
                     "numbers") from None
-            if log_eps is None:
-                raise ConstraintViolated(f"entry {i}: eps must be positive")
             logs.append(log_eps)
             entries.append((x, r, eps))
         return cls(tuple(entries), tuple(logs))

@@ -10,10 +10,12 @@ integral is deterministic in every dimension, so no row carries a Monte
 Carlo budget: ``stderr_budget`` is zero but for the log-convexity rows,
 which carry their slack there.
 
-A check's ``degree`` must bound the polynomial degree of its function: the
-plain rules are exact at that degree and no higher, and the weighted rules
-are the Gauss rules of their weight, exact for a polynomial of that degree
-times the weight (see ``quadrature``).
+Every rule is sized from the degree its evaluator carries: a
+``PolynomialEvaluator``'s largest degree, or a public check's ``degree=``,
+else ``f.degree``; a callable with neither raises :class:`OutOfRange`.  The
+plain rules are exact at the integrand's degree (twice it for |f|^2) and no
+higher, and the weighted rules are the Gauss rules of their weight, exact
+for a polynomial of that degree times the weight (see ``quadrature``).
 
 The inequalities and the transfer identity are written once, over columns:
 an evaluator maps (N, n) points to the (N, P) values or squared moduli of P
@@ -30,7 +32,7 @@ from __future__ import annotations
 import itertools
 import logging
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -108,21 +110,9 @@ class InequalityReport:
     t: float | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "ratio": self.ratio,
-            "exponent_used": self.exponent_used,
-            "tolerance": self.tolerance,
-            "stderr_budget": self.stderr_budget,
-            "pass": self.passed,
-            "mode": self.mode,
-            "n": self.n,
-            "x_norm": self.x_norm,
-            "r": self.r,
-            "t": self.t,
-        }
+        """The fields by name, ``passed`` under the key "pass"."""
+        return {("pass" if f.name == "passed" else f.name):
+                getattr(self, f.name) for f in fields(self)}
 
 
 def _ratio(lhs: float, rhs: float) -> float:
@@ -190,20 +180,17 @@ def error_row(name, exc, tolerance, mode="upper", exponent=math.nan,
         stderr_budget=0.0, passed=False, mode=mode, **meta)
 
 
-def _degree_of(f, degree: int | None = None) -> int:
-    """The degree a check assumes for ``f``: ``degree`` if given, else
-    ``f.degree``, else 8."""
-    return int(degree if degree is not None else getattr(f, "degree", 8))
+def _column(f, degree: int | None = None) -> Column:
+    """``f`` as a one-column evaluator of degree ``degree``, else
+    ``f.degree``; a callable with neither has no rule to size."""
+    degree = getattr(f, "degree", None) if degree is None else degree
+    if degree is None:
+        raise OutOfRange(f"{f!r} has no degree: pass degree= to size rules")
+    return Column(f, int(degree))
 
 
 # ---------------------------------------------------------------------------
 # ball integrals
-
-
-def _exact_ball(n: int, degree: int) -> BallRule:
-    """The n-ball rule exact for polynomials of degree ``degree``: the sphere
-    rule of that degree and (degree + n + 1) // 2 shells (Stroud, 1971)."""
-    return BallRule(SphereRule.product(n, degree), (degree + n + 1) // 2)
 
 
 def _ball_integrals(fn, center: np.ndarray, radius: float, degree: int,
@@ -211,11 +198,11 @@ def _ball_integrals(fn, center: np.ndarray, radius: float, degree: int,
     """(dmu_a-weighted, plain) column integrals of ``fn`` over
     B_{center, radius}, the first only when ``inv`` is given and the second
     only when ``plain``, from one evaluation of every node: of
-    :func:`_exact_ball`, or with ``inv`` of ``BallRule.weighted``, two axial
+    ``BallRule.exact``, or with ``inv`` of ``BallRule.weighted``, two axial
     degrees up when the plain integral is wanted too."""
     n, axis = center.size, None
     if inv is None:
-        rule = _exact_ball(n, degree)
+        rule = BallRule.exact(n, degree)
     else:
         axis = inv.a - center
         dist = float(np.linalg.norm(axis))
@@ -260,7 +247,7 @@ def gradient_identity_check(f, x, r: float, e=None,
     """
     x = np.asarray(x, dtype=float)
     n = x.size
-    deg = _degree_of(f, degree)
+    col = _column(f, degree)
     if e is None:
         e = np.zeros(n)
         e[0] = 1.0
@@ -271,10 +258,9 @@ def gradient_identity_check(f, x, r: float, e=None,
             raise OutOfRange(f"direction e must be a nonzero finite vector "
                              f"of length {n}, got {e.tolist()!r}")
         e = e / norm
-    col = Column(f)
 
     def vol(center, radius):
-        _, vals = _ball_integrals(col.values, center, radius, deg)
+        _, vals = _ball_integrals(col.values, center, radius, col.degree)
         return complex(vals[0])
 
     h = FD_STEP
@@ -285,7 +271,8 @@ def gradient_identity_check(f, x, r: float, e=None,
         v = np.asarray(f(pts))
         return np.stack([v * ((pts - x) / r @ e), v], axis=1)
 
-    quad, = integrals(surface_forms, SphereRule.product(n, deg + 1), x, r)
+    quad, = integrals(surface_forms, SphereRule.product(n, col.degree + 1),
+                      x, r)
     quad_dir, quad_rad = complex(quad[0]), complex(quad[1])
     # derivative-magnitude floor keeps the relative test sane when the
     # directional derivative vanishes by symmetry
@@ -313,13 +300,13 @@ def derivative_identity_check(f, fam: CorrelatedFamily, t: float,
         raise OutOfRange("t must be interior to (0, |x|) for the central "
                          "difference")
     n = fam.dimension
-    deg = _degree_of(f, degree)
+    col = _column(f, degree)
     inv = fam.inversion
-    col = Column(f)
 
     def vol(s):
         ball = fam.ball(s)
-        _, vals = _ball_integrals(col.values, ball.center, ball.radius, deg)
+        _, vals = _ball_integrals(col.values, ball.center, ball.radius,
+                                  col.degree)
         return complex(vals[0])
 
     fd = (vol(t + FD_STEP) - vol(t - FD_STEP)) / (2 * FD_STEP)
@@ -336,8 +323,8 @@ def derivative_identity_check(f, fam: CorrelatedFamily, t: float,
         return np.stack([v * ((pts - center) / rt @ fam.e + rpt),
                          v * bracket, v], axis=1)
 
-    quad, = integrals(surface_forms, SphereRule.product(n, deg + 2), center,
-                      rt)
+    quad, = integrals(surface_forms, SphereRule.product(n, col.degree + 2),
+                      center, rt)
     rhs5 = complex(quad[0])
     rhs13 = complex(quad[1]) * (-1.0 / (2 * inv.a_norm * rt))
     floor = 1e-3 * max(1.0, abs(complex(quad[2])))
@@ -367,14 +354,34 @@ def log_convexity_check(L, grid) -> ConvexityGridReport:
     if np.any(np.diff(radii) <= 0) or radii[0] <= 0:
         raise OutOfRange("grid must be positive and strictly increasing")
     values = np.asarray([float(L(r)) for r in radii])
-    if np.any(values <= 0):
-        raise NonpositiveL("log-convexity requires L > 0 on the grid")
-    margin, worst = convexity_margins(np.log(radii), np.log(values)[:, None])
+    margin, worst = convexity_margins(np.log(radii), _logs(values)[:, None])
     return ConvexityGridReport(radii=radii, values=values,
                                worst_triple=tuple(radii[worst[0]]),
                                margin=float(margin[0]),
                                tolerance=CONVEXITY_SLACK,
                                passed=bool(margin[0] >= -CONVEXITY_SLACK))
+
+
+def convexity_rows(ev, n: int, grid) -> list:
+    """Log-convexity (18) rows of L(r) = int_{S_{0,r}} |f|^2 ds over the
+    radii of ``grid``, per column of ``ev``, each with the column's index in
+    ``t``: lhs is minus the column's worst margin (:func:`convexity_margins`)
+    and passes within the budget ``CONVEXITY_SLACK``."""
+    rule = SphereRule.product(n, 2 * ev.degree)
+    logs = _logs([integrals(ev.squared_values, rule, np.zeros(n), rad)[0]
+                  for rad in grid])
+    margin, _ = convexity_margins(np.log(grid), logs)
+    return [upper_report("log_convexity_eq18", -m, 0.0, 0.0,
+                         budget=CONVEXITY_SLACK, n=n, x_norm=0.0, r=0.0,
+                         t=float(p)) for p, m in enumerate(margin.tolist())]
+
+
+def _logs(values) -> np.ndarray:
+    """log L of the values of L, which must be positive."""
+    values = np.asarray(values, dtype=float)
+    if np.any(values <= 0):
+        raise NonpositiveL("log-convexity requires L > 0 on the grid")
+    return np.log(values)
 
 
 def convexity_margins(logr: np.ndarray, logs: np.ndarray):
@@ -395,7 +402,7 @@ def convexity_margins(logr: np.ndarray, logs: np.ndarray):
 
 
 def sphere_rows(ev, fam: CorrelatedFamily, ts, checks, beta="omega",
-                degree: int = 16, unchecked_beta: bool = False) -> list:
+                unchecked_beta: bool = False) -> list:
     """Three-spheres (24) and transfer (22) rows at each t of ``ts``, per
     column of ``ev``, for the names in ``checks``.
 
@@ -403,7 +410,7 @@ def sphere_rows(ev, fam: CorrelatedFamily, ts, checks, beta="omega",
     over the inner sphere (I), the unit sphere (O) and the family sphere at
     t (M, radius rbar); a beta outside (0, alpha_t] gives failed error rows.
     (22) compares the integral of |f*|^2 over S_{0, r_t*} with
-    rho^2 (r_t/r_t*) M.  ``degree`` bounds the degree of |f|^2.
+    rho^2 (r_t/r_t*) M.  The rules are exact at the degree of |f|^2.
     """
     n, r, x_norm, inv = fam.dimension, fam.r, fam.x_norm, fam.inversion
     three, transfer = "three_spheres" in checks, "transfer_identity" in checks
@@ -413,7 +420,7 @@ def sphere_rows(ev, fam: CorrelatedFamily, ts, checks, beta="omega",
     # the Kelvin spheres S_{0, r_t*}: every weighted rule in one pass
     sa = list(zip(ts, rt)) + ([(x_norm, r), (0.0, 1.0)] if three else [])
     rules = weighted_rules(
-        n, degree, [("s_a", inv.a_norm, c, s, inv.R) for c, s in sa]
+        n, 2 * ev.degree, [("s_a", inv.a_norm, c, s, inv.R) for c, s in sa]
         + [("kelvin", inv.a_norm, 0.0, s, inv.R) for s in rts])
 
     def sa_sphere(rule, center_norm, radius):  # a is on the +e ray
@@ -422,7 +429,7 @@ def sphere_rows(ev, fam: CorrelatedFamily, ts, checks, beta="omega",
 
     def kelvin_squared(pts):
         # |f*|^2 = |f(phi(y))|^2 (rho^2/|y-a|^2)^(n-2): a polynomial of
-        # degree <= ``degree`` times the "kelvin" weight on S_{0, r_t*}
+        # the degree of |f|^2 times the "kelvin" weight on S_{0, r_t*}
         sq = ev.squared_values(inversion_map(inv, pts))
         if n == 2:
             return sq
@@ -471,23 +478,24 @@ def three_spheres_check(f, x, r: float, t: float, beta="omega",
     with (xbar, rbar) the family ball at arclength t, beta in (0, alpha]
     (default the explicit bound omega).  ``unchecked_beta`` admits beta >
     alpha for negative controls, where the inequality may genuinely fail.
-    ``degree`` (default ``f.degree``, else 8) must bound the degree of f.
+    ``degree`` (default ``f.degree``) must bound the degree of f.
     """
+    col = _column(f, degree)
     fam = CorrelatedFamily.create(x, r, R=1.0)
     if not 0 < t <= fam.x_norm * (1 + 1e-12):
         raise OutOfRange("t must lie in (0, |x|]")
     _resolve_beta(fam.exponents(t), beta, unchecked_beta)
-    return sphere_rows(Column(f), fam, [float(t)], ("three_spheres",), beta,
-                       2 * _degree_of(f, degree), unchecked_beta)[0]
+    return sphere_rows(col, fam, [float(t)], ("three_spheres",), beta,
+                       unchecked_beta)[0]
 
 
 def transfer_identity_check(f, fam: CorrelatedFamily, t: float,
                             degree: int | None = None) -> InequalityReport:
     """Check L_2^2(r_t*, f*) = rho^2 (r_t/r_t*) int_{S_{x_t,r_t}} |f|^2 ds_a."""
+    col = _column(f, degree)
     if not 0 < t <= fam.x_norm * (1 + 1e-12):
         raise OutOfRange("t must lie in (0, |x|]")
-    return sphere_rows(Column(f), fam, [float(t)], ("transfer_identity",),
-                       degree=2 * _degree_of(f, degree))[0]
+    return sphere_rows(col, fam, [float(t)], ("transfer_identity",))[0]
 
 
 def holomorphic_variant_check(coeffs, x, r: float, t: float, beta="omega",
@@ -511,8 +519,7 @@ def holomorphic_variant_check(coeffs, x, r: float, t: float, beta="omega",
         shifted[k + 2] += c
     g = holomorphic_polynomial(shifted)
     report = three_spheres_check(g, x, r, t, beta=beta,
-                                 unchecked_beta=unchecked_beta,
-                                 degree=g.degree)
+                                 unchecked_beta=unchecked_beta)
     return replace(report, name="holomorphic_variant_remark3")
 
 
@@ -521,7 +528,7 @@ def holomorphic_variant_check(coeffs, x, r: float, t: float, beta="omega",
 
 
 def ball_rows(ev, fam: CorrelatedFamily, xbar_norm: float, checks,
-              lambdas=(), degree: int = 16, delta=None) -> list:
+              lambdas=(), delta=None) -> list:
     """Three-balls (27) rows and, for each lambda, embedded-bound rows (29)
     (at R = 1), (36) and (37), per column of ``ev``, for the names in
     ``checks``.
@@ -530,7 +537,8 @@ def ball_rows(ev, fam: CorrelatedFamily, xbar_norm: float, checks,
     B_{x0,r0} (I), the correlated ball B_{xbar,rbar} (M) and B_R (O).  The
     embedded bounds set the plain integral over B_{xbar, lambda rbar}
     against the plain I and O.  The inner and outer balls are evaluated once
-    for both measures.  ``degree`` bounds the degree of |u|^2.
+    for both measures, by rules exact at the degree of |u|^2.  The
+    embedded bounds' hypothesis |x0| >= R/2 is not checked here.
     """
     n, r0, R, x0n = fam.dimension, fam.r, fam.R, fam.x_norm
     if not 0 < xbar_norm <= x0n * (1 + 1e-12):
@@ -542,7 +550,7 @@ def ball_rows(ev, fam: CorrelatedFamily, xbar_norm: float, checks,
         raise DeltaOutOfRange(f"delta = {delta} outside (0, {d0}]")
     inv = fam.inversion if "three_balls" in checks else None
     embedded = "embedded_bound" in checks
-    sq = ev.squared_values
+    sq, degree = ev.squared_values, 2 * ev.degree
     in_mu, iv = _ball_integrals(sq, x0n * fam.e, r0, degree, inv, embedded)
     out_mu, ov = _ball_integrals(sq, np.zeros(n), R, degree, inv, embedded)
     meta = {"n": n, "x_norm": x0n, "r": r0}
@@ -598,9 +606,9 @@ def three_balls_check(u, x0, r0: float, xbar_norm: float, delta=None,
 
     for delta in (0, delta_0] (default delta_0 itself).
     """
+    col = _column(u, degree)
     fam = CorrelatedFamily.create(x0, r0, R=1.0)
-    return ball_rows(Column(u), fam, float(xbar_norm), ("three_balls",), (),
-                     2 * _degree_of(u, degree), delta)[0]
+    return ball_rows(col, fam, float(xbar_norm), ("three_balls",), (), delta)[0]
 
 
 def embedded_bound_check(u, x0, r0: float, xbar_norm: float, lam: float,
@@ -612,6 +620,7 @@ def embedded_bound_check(u, x0, r0: float, xbar_norm: float, lam: float,
     for any R the (R/rbar)^5 form; and the normalized-average form with
     prefactor sqrt(405)/(1-lam^2)^{5/4} (R/rbar)^{(n+5)/2}.
     """
+    col = _column(u, degree)
     x0 = np.asarray(x0, dtype=float)
     x0n = float(np.linalg.norm(x0))
     if x0n < R / 2 - 1e-12:
@@ -619,12 +628,11 @@ def embedded_bound_check(u, x0, r0: float, xbar_norm: float, lam: float,
     if not 0 < lam < 1:
         raise OutOfRange("lambda must lie in (0, 1)")
     fam = CorrelatedFamily.create(x0, r0, R=R)
-    rows = ball_rows(Column(u), fam, float(xbar_norm), ("embedded_bound",),
-                     (lam,), 2 * _degree_of(u, degree))
+    rows = ball_rows(col, fam, float(xbar_norm), ("embedded_bound",), (lam,))
     return [replace(rep, t=float(xbar_norm)) for rep in rows]
 
 
-def embedding_identity_check(g, b, l: float, g_degree: int = 6,
+def embedding_identity_check(g, b, l: float, g_degree: int | None = None,
                              convention: str = "squared"
                              ) -> InequalityReport:
     """Check the slice identity behind the R^{n+5} embedding.
@@ -635,8 +643,10 @@ def embedding_identity_check(g, b, l: float, g_degree: int = 6,
 
     ``convention="squared"`` uses the slice radius sqrt(l^2 - |x-b|^2) (the
     reading that reproduces the (n+5)-volume); ``"printed"`` keeps
-    sqrt(l - |x-b|^2) as displayed in the source.
+    sqrt(l - |x-b|^2) as displayed in the source.  ``g_degree`` (default
+    ``g.degree``) must bound the degree of g.
     """
+    g_degree = _column(g, g_degree).degree
     b = np.asarray(b, dtype=float)
     n = b.size
     if not 0 < l <= 1:
@@ -653,12 +663,12 @@ def embedding_identity_check(g, b, l: float, g_degree: int = 6,
 
     # an even degree: the odd-degree product rule puts its nodes on one axis,
     # where |g| can vanish and leave no scale
-    vals, = integrals(g_and_abs, _exact_ball(m, g_degree + g_degree % 2),
+    vals, = integrals(g_and_abs, BallRule.exact(m, g_degree + g_degree % 2),
                       center, l)
     lhs, abs_scale = map(float, vals.real)
 
     # inner 5-ball template: displacements and weights for unit radius
-    disp, wq = _points(_exact_ball(5, g_degree), np.zeros(5), 1.0)
+    disp, wq = _points(BallRule.exact(5, g_degree), np.zeros(5), 1.0)
     disp, wq = disp.reshape(-1, 5), wq.reshape(-1)
     # outer ball in u = rho^2 / l^2: rho^(n-1) d rho (l^2 - rho^2)^(5/2) is
     # (l^(n+5) / 2) u^((n-2)/2) (1 - u)^(5/2) du, and the slice integral a

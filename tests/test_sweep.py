@@ -198,6 +198,11 @@ def test_config_validation_messages():
     assert cfg.dimensions == (2, 3)
 
 
+def test_config_defaults_are_the_dataclass_defaults():
+    # from_dict reads every default from the fields of SweepConfig
+    assert SweepConfig.from_dict({}) == SweepConfig()
+
+
 def test_csv_floats_roundtrip(tmp_path):
     cfg = SweepConfig.from_dict({
         "dimensions": [2],

@@ -225,6 +225,26 @@ def test_sequence_validation():
         SmallnessSequence.from_json(json.dumps([{"x": [2.0, 0.0], "r": 1.0}]))
 
 
+def test_null_log_eps_takes_log_eps_from_eps():
+    # "log_eps": null is an absent log_eps: log eps comes from eps, which
+    # must then be given and positive
+    seq = SmallnessSequence.from_json(json.dumps([
+        {"x": [2.0, 0.0], "r": 1.0, "eps": 0.25, "log_eps": None},
+        {"x": [4.0, 0.0], "r": 1.0, "eps": None, "log_eps": -100.0}]))
+    assert seq.log_eps == (math.log(0.25), -100.0)
+    assert seq.entries[0][2] == 0.25
+    assert seq.entries[1][2] == math.exp(-100.0)
+    assert SmallnessSequence((([2.0, 0.0], 1.0, 0.25),), (None,)).log_eps \
+        == seq.log_eps[:1]
+    for entry, message in [
+            ({"x": [2.0, 0.0], "r": 1.0, "log_eps": None},
+             "'eps' or 'log_eps' must be numbers"),
+            ({"x": [2.0, 0.0], "r": 1.0, "eps": 0.0, "log_eps": None},
+             "eps must be positive")]:
+        with pytest.raises(ConstraintViolated, match=re.escape(message)):
+            SmallnessSequence.from_json(json.dumps([entry]))
+
+
 def test_propagation_bound_values():
     # eps = M collapses the exponents: bound = prefactor * M
     b_eq = propagation_bound([0.5, 0.0], 0.2, 0.25, 0.6, 1.0, 2.0, 2.0)

@@ -17,11 +17,17 @@ from threespheres.harmonic import (
     PolynomialEvaluator,
     random_harmonic_polynomial,
 )
-from threespheres.quadrature import BallRule, SphereRule, ball_volume
+from threespheres.quadrature import (
+    BallRule,
+    SphereRule,
+    ball_volume,
+    l2_sphere_norm,
+)
 from threespheres.sweep import sample_corpus
 from threespheres.verify import (
     _ball_integrals,
     ball_rows,
+    convexity_rows,
     derivative_identity_check,
     embedded_bound_check,
     embedding_identity_check,
@@ -414,7 +420,7 @@ def test_rule_sizes_carry_no_margin():
         calls.append(len(p))
         return np.ones(len(p))
 
-    embedding_identity_check(one, (0.2, 0.0, 0.0), 0.8)  # g_degree 6
+    embedding_identity_check(one, (0.2, 0.0, 0.0), 0.8, g_degree=6)
     # (n+5)-ball: 4^6 polar nodes x 7 azimuths x 7 shells; then one outer
     # Gauss-Jacobi shell at a time, 6 // 2 + 2 of them: 28 directions x the
     # inner 5-ball's 448 x 6 nodes
@@ -478,11 +484,9 @@ def _weighted_rows(n, degree):
     x[:2] = 0.3, -0.1  # off the coordinate axes, so every rule is turned
     fam = CorrelatedFamily.create(x, 0.2)
     return (sphere_rows(ev, fam, [0.6 * fam.x_norm, fam.x_norm],
-                        ("three_spheres", "transfer_identity"),
-                        degree=2 * degree)
+                        ("three_spheres", "transfer_identity"))
             + ball_rows(ev, fam, 0.5 * fam.x_norm,
-                        ("three_balls", "embedded_bound"), (0.6,),
-                        degree=2 * degree))
+                        ("three_balls", "embedded_bound"), (0.6,)))
 
 
 def _use_oracle(monkeypatch, **options):
@@ -528,6 +532,56 @@ def test_weighted_rows_match_analytic_oracle(n, monkeypatch):
     _assert_rows_match(gauss, _weighted_rows(n, degree), 1e-13)
 
 
+@pytest.mark.parametrize("n", [2, 3])
+def test_rows_size_their_rules_from_the_evaluator(n, monkeypatch):
+    # a degree-10 corpus and no degree given: the rows integrate |f|^2 of
+    # degree 20 exactly, as do rules sized for 20 whatever they are asked
+    from threespheres import verify
+
+    rows = _weighted_rows(n, 10)
+    monkeypatch.setattr(verify, "weighted_rules", lambda n_, degree, spheres: [
+        analytic_sphere_rule(n, 20, *sphere) for sphere in spheres])
+    monkeypatch.setattr(BallRule, "weighted", classmethod(
+        lambda cls, n_, degree, distance, radius, transverse:
+        analytic_ball_rule(n, 22, distance, radius, 20)))
+    monkeypatch.setattr(BallRule, "exact", classmethod(
+        lambda cls, n_, degree: BallRule(SphereRule.product(n, 20), 12)))
+    _assert_rows_match(rows, _weighted_rows(n, 10), 1e-12)
+
+
+@pytest.mark.parametrize("check", [
+    lambda f: gradient_identity_check(f, [0.3, 0.1], 0.25),
+    lambda f: derivative_identity_check(
+        f, CorrelatedFamily.create([0.5, 0.0], 0.2), 0.25),
+    lambda f: transfer_identity_check(
+        f, CorrelatedFamily.create([0.5, 0.0], 0.2), 0.25),
+    lambda f: three_spheres_check(f, [0.5, 0.0], 0.2, 0.25),
+    lambda f: three_balls_check(f, [0.5, 0.0], 0.2, 0.25),
+    lambda f: embedded_bound_check(f, [0.6, 0.0], 0.2, 0.3, 0.6),
+    lambda f: embedding_identity_check(f, [0.2, 0.0], 0.8),
+])
+def test_checks_refuse_a_callable_without_a_degree(check):
+    # no rule can be sized: no default degree is assumed
+    with pytest.raises(OutOfRange, match="has no degree"):
+        check(lambda pts: np.ones(len(pts)))
+
+
+def test_convexity_rows_match_the_scalar_check():
+    n, grid = 3, np.linspace(0.05, 0.95, 20)
+    polys = sample_corpus(n, 3, 6, 4)
+    rows = convexity_rows(PolynomialEvaluator(polys), n, grid)
+    assert [r.t for r in rows] == [0.0, 1.0, 2.0]
+    rule = SphereRule.product(n, 12)
+    for row, poly in zip(rows, polys):
+        rep = log_convexity_check(
+            lambda s: l2_sphere_norm(poly, np.zeros(n), s, rule) ** 2, grid)
+        assert abs(row.lhs + rep.margin) <= 1e-12
+        assert row.passed == rep.passed
+    zero = HarmonicPolynomial(n, {})
+    with pytest.raises(NonpositiveL):
+        convexity_rows(PolynomialEvaluator([polys[0], zero]), n, grid)
+
+
 def test_row_builders_match_one_row_reports():
     meta = {"n": 3, "x_norm": 0.4, "r": 0.1, "t": 0.2}
     # rhs = 0 gives ratio inf for lhs > 0 and 1.0 otherwise
@@ -558,7 +612,7 @@ def test_embedded_rows_interleave_per_polynomial():
     fam = CorrelatedFamily.create([0.6, 0.0, 0.0], 0.1)
     xbar = 0.5 * fam.x_norm
     rows = ball_rows(PolynomialEvaluator(polys), fam, xbar,
-                     ("three_balls", "embedded_bound"), lams, degree=8)
+                     ("three_balls", "embedded_bound"), lams)
     assert [r.name for r in rows[:3]] == ["three_balls_eq27"] * 3
     rbar = correlated_radius_general(fam.x_norm, fam.r, xbar, 1.0)
     for k, lam in enumerate(lams):
