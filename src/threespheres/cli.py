@@ -16,7 +16,8 @@ import numpy as np
 from .errors import ConfigError, ThreeSpheresError
 from .geometry import CorrelatedFamily
 from .sweep import SweepConfig, read_json, run_sweep, write_csv, write_json
-from .uniqueness import GrowthEnvelope, SmallnessSequence, criterion_trace
+from .uniqueness import (DEFAULT_THRESHOLD, DEFAULT_WINDOW, VERDICT_DIVERGES,
+                         GrowthEnvelope, SmallnessSequence, criterion_trace)
 
 _F = ".10g"
 
@@ -105,9 +106,8 @@ def cmd_uniqueness(args) -> int:
             fh.write(text)
     else:
         sys.stdout.write(text)
-    names = {"diverges to -inf over the given prefix": "diverges"}
-    va = names.get(trace.verdict_a, trace.verdict_a)
-    vb = names.get(trace.verdict_b, trace.verdict_b)
+    va, vb = ("diverges" if v == VERDICT_DIVERGES else v
+              for v in (trace.verdict_a, trace.verdict_b))
     if va == vb == "diverges":
         print("trend: diverges (variant A and B)")
     elif "diverges" in (va, vb):
@@ -178,8 +178,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--envelope", required=True,
                    help='JSON {"kind": "power"|"exp_power"|"table", ...}')
     p.add_argument("--out-csv", default=None)
-    p.add_argument("--window", type=int, default=10)
-    p.add_argument("--threshold", type=float, default=1e3)
+    p.add_argument("--window", type=int, default=DEFAULT_WINDOW)
+    p.add_argument("--threshold", type=float, default=DEFAULT_THRESHOLD)
     p.set_defaults(fn=cmd_uniqueness)
 
     p = sub.add_parser("report", help="summarize a JSON report file")

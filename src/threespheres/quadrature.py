@@ -17,9 +17,9 @@ discretised Stieltjes procedure, times the S^{n-2} rule of the integrand's
 degree across it (Stroud, 1971); a dmu_a ball takes one per radial shell.
 
 Integration works on columns: :func:`integrals` places a rule on a sphere or
-ball, calls a function mapping (N, n) points to (N, P) values once on all
-its nodes, and contracts the values with plain, ds_a or dmu_a weights,
-returning one array of column integrals per weight.  The batched checks call
+ball, with its first axis toward a when given the inversion data, calls a
+function mapping (N, n) points to (N, P) values once on all its nodes, and
+contracts the values with plain, ds_a or dmu_a weights, returning one array of column integrals per weight.  The batched checks call
 it with P corpus functions; the public integrals below are its one-column
 case and return one number: a numpy scalar for the raw integrals (real for
 real integrands, complex otherwise) and a float for the norms.
@@ -66,12 +66,13 @@ def ball_volume(n: int) -> float:
 class SphereRule:
     """Quadrature nodes (unit vectors) and weights on S^{n-1}.
 
-    ``kind`` is "exact" for deterministic product rules (with ``degree`` the
-    largest polynomial degree integrated exactly, and ``transverse`` the
-    largest degree across the first axis, see :meth:`product`), "s_a",
-    "kelvin" or "mu_a" for :func:`weighted_rules` (stacked per radial shell
-    on a ball: nodes (S, N, n)), or "monte-carlo" (with ``samples`` and
-    ``seed`` recorded).  Product and Monte Carlo weights sum to the area.
+    ``kind`` is "exact" for the isotropic product rules (``degree`` the
+    largest polynomial degree integrated exactly, see :meth:`product`),
+    "s_a", "kelvin" or "mu_a" for :func:`weighted_rules` (stacked per radial
+    shell on a ball: nodes (S, N, n)), placed only given the inversion data,
+    or "monte-carlo" (with ``samples`` and ``seed`` recorded).  ``transverse``
+    is the degree across the first axis.  Product and Monte Carlo weights sum
+    to the area.
     """
 
     n: int
@@ -87,30 +88,21 @@ class SphereRule:
         return self.weights.size
 
     @classmethod
-    def product(cls, n: int, degree: int,
-                transverse: int | None = None) -> "SphereRule":
-        """Deterministic product rule exact for the polynomials of degree up
-        to ``degree`` whose degree in the coordinates across the first axis
-        is at most ``transverse`` (default ``degree``, the isotropic rule).
-
-        n = 2: equispaced trapezoid (no transverse direction).  n = 3:
-        Gauss-Legendre in the polar cosine times trapezoid in the azimuth.
-        n >= 4: Gauss-Gegenbauer in each polar cosine times trapezoid
-        (Stroud's S_n product form).  The first polar cosine takes
-        degree // 2 + 1 nodes; the S^{n-2} across it is the isotropic rule of
-        degree ``transverse``.
-        """
+    def product(cls, n: int, degree: int) -> "SphereRule":
+        """Deterministic isotropic rule exact to ``degree``: n = 2, the
+        equispaced trapezoid; n = 3, Gauss-Legendre in the polar cosine times
+        trapezoid in the azimuth; n >= 4, Gauss-Gegenbauer in each polar
+        cosine times trapezoid (Stroud's S_n product form).  The first polar
+        cosine takes degree // 2 + 1 nodes, the S^{n-2} across it the rule of
+        ``degree``."""
         if n < 2:
             raise OutOfRange("sphere rules need n >= 2")
         degree = int(degree)
-        transverse = degree if transverse is None else int(transverse)
-        if degree < 0 or transverse < 0:
-            raise OutOfRange(f"rule degrees must be >= 0, got degree {degree} "
-                             f"and transverse {transverse}")
-        transverse = degree if n == 2 else min(transverse, degree)
-        nodes, weights = _product_rule_cached(n, degree, transverse)
+        if degree < 0:
+            raise OutOfRange(f"rule degrees must be >= 0, got {degree}")
+        nodes, weights = _product_rule_cached(n, degree)
         return cls(n=n, nodes=nodes, weights=weights, kind="exact",
-                   degree=degree, transverse=transverse)
+                   degree=degree, transverse=degree)
 
     @classmethod
     def monte_carlo(cls, n: int, samples: int = 200_000, seed: int = 0) -> "SphereRule":
@@ -185,15 +177,13 @@ def _across(t, w, omega, v):
 
 
 @lru_cache(maxsize=256)
-def _product_rule_cached(n: int, degree: int, transverse: int):
+def _product_rule_cached(n: int, degree: int):
     if n == 2:
         theta = 2 * math.pi * np.arange(degree + 1) / (degree + 1)
         return _frozen(np.stack([np.cos(theta), np.sin(theta)], axis=1),
                        np.full(degree + 1, 2 * math.pi / (degree + 1)))
-    # the first polar cosine carries the full degree, the S^{n-2} across it
-    # (the other polar axes and the azimuth) the transverse degree
     return _across(*_gauss_jacobi(degree // 2 + 1, (n - 3) / 2),
-                   *_product_rule_cached(n - 1, transverse, transverse))
+                   *_product_rule_cached(n - 1, degree))
 
 
 @lru_cache(maxsize=64)
@@ -202,6 +192,7 @@ def _radial_rule_cached(m: int):
     return _frozen((t + 1) / 2, w / 2)
 
 
+WEIGHTED = ("s_a", "kelvin", "mu_a")  # the kinds of the weighted rules
 # the fine rules of the weighted rules: panels of k Gauss nodes, k in
 # FINE_NODES, shrinking by GRADING toward the pole; moments to MOMENT_TOL
 GRADING = 0.25
@@ -265,7 +256,7 @@ def _weighted_cached(n: int, degree: int, transverse: int, spheres: tuple):
     a, c, s, R = np.array([sphere[1:] for sphere in spheres]).T[:, :, None]
     nu0 = np.where(kinds[:, None] == "s_a", a * a + R * R - 2 * a * (c + s), 1.0)
     if (n < 2 or min(degree, transverse) < 0 or np.any((s <= 0) | (s >= a - c))
-            or np.any(nu0 <= 0) or not set(kinds) <= {"s_a", "kelvin", "mu_a"}):
+            or np.any(nu0 <= 0) or not set(kinds) <= set(WEIGHTED)):
         raise OutOfRange(f"no weighted rule for n = {n}, degree {degree} and "
                          f"{spheres}: annulus ratio <= 1 or sphere outside B_R")
     eps = (a - c - s) ** 2 / (2 * s * (a - c))
@@ -292,7 +283,7 @@ def _weighted_cached(n: int, degree: int, transverse: int, spheres: tuple):
                             f"{worst:.3g} of the mass between fine rules of "
                             f"{FINE_NODES} nodes per panel")
     across = ((np.array([[1.0], [-1.0]]), np.ones(2)) if n == 2
-              else _product_rule_cached(n - 1, transverse, transverse))
+              else _product_rule_cached(n - 1, transverse))
     return _across(1 - u, w / factor(u), *across)
 
 
@@ -412,11 +403,11 @@ def _density(pts: np.ndarray, inv: InversionData, weight: str) -> np.ndarray:
     return dens
 
 
-def _points(rule, center: np.ndarray, radius: float, axis=None):
+def _points(rule, center: np.ndarray, radius: float, inv=None):
     """Points and plain weights of a rule on S_{center,radius} (SphereRule:
     (N, n) and (N,)) or B_{center,radius} (BallRule: (S, N, n) and (S, N),
-    radial shells first).  ``axis``, a unit vector, turns a deterministic
-    rule's polar axis toward an off-domain singularity of the integrand."""
+    radial shells first).  With ``inv`` the first axis points at a (unless
+    the centre is a); a weighted rule is refused without that turn."""
     angular = getattr(rule, "angular", rule)
     n = angular.n
     if center.size != n:
@@ -424,9 +415,10 @@ def _points(rule, center: np.ndarray, radius: float, axis=None):
             f"rule dimension {n} != center dimension {center.size}")
     if radius <= 0:
         raise OutOfRange("radius must be positive")
-    nodes = angular.nodes
-    if axis is not None:
-        nodes = _orient(nodes, axis)
+    axis = None if inv is None else _unit(inv.a - center)
+    if axis is None and angular.kind in WEIGHTED:
+        raise OutOfRange(f"a {angular.kind!r} rule needs inv to point it at a")
+    nodes = angular.nodes if axis is None else _orient(angular.nodes, axis)
     if angular is rule:
         return center + radius * nodes, angular.weights * radius ** (n - 1)
     tref, wref = _radial_rule_cached(rule.radial_points)
@@ -437,7 +429,7 @@ def _points(rule, center: np.ndarray, radius: float, axis=None):
     return pts, shell_w[:, None] * angular.weights
 
 
-def integrals(fn, rule, center, radius: float, axis=None, inv=None,
+def integrals(fn, rule, center, radius: float, inv=None,
               weights=(None,)) -> list:
     """Column integrals of ``fn`` over the sphere (SphereRule) or ball
     (BallRule) of ``radius`` at ``center``.
@@ -445,11 +437,11 @@ def integrals(fn, rule, center, radius: float, axis=None, inv=None,
     ``fn`` maps (N, n) points to (N, P) values and is called once, on every
     node of the sphere or ball.  One length-P array of integrals is returned
     per entry of ``weights``: None for the plain measure, "s_a" or "mu_a"
-    for the densities of ``inv``, all from the same values.  Nodes are summed
-    in node order, without BLAS (whose threads would split the sum and
-    change its bits).
+    for the densities of ``inv`` (which turns the rule toward a), all from
+    the same values.  Nodes are summed in node order, without BLAS (whose
+    threads would split the sum and change its bits).
     """
-    pts, w = _points(rule, np.asarray(center, dtype=float), radius, axis)
+    pts, w = _points(rule, np.asarray(center, dtype=float), radius, inv)
     pts, w = pts.reshape(-1, pts.shape[-1]), w.reshape(-1)
     values = fn(pts).reshape(w.size, -1)
     return [np.einsum("i,ij->j", w if kind is None
@@ -457,10 +449,9 @@ def integrals(fn, rule, center, radius: float, axis=None, inv=None,
             for kind in weights]
 
 
-def _integral(fn, rule, center, radius: float, axis=None, inv=None,
-              weight=None):
+def _integral(fn, rule, center, radius: float, inv=None, weight=None):
     """The one integral of :func:`integrals` of a one-column function."""
-    return integrals(fn, rule, center, radius, axis, inv, (weight,))[0][0]
+    return integrals(fn, rule, center, radius, inv, (weight,))[0][0]
 
 
 def surface_integral(f, center, radius: float, rule: SphereRule):
@@ -482,9 +473,7 @@ def weighted_surface_integral_sa(f, center, radius: float, inv: InversionData,
                                  rule: SphereRule):
     """Integral of f against ds_a = (|y-a|^2 + R^2 - |y|^2)/|y-a|^4 ds, a
     numpy scalar as for :func:`surface_integral`."""
-    center = np.asarray(center, dtype=float)
-    return _integral(Column(f).values, rule, center, radius,
-                     _unit(inv.a - center), inv, "s_a")
+    return _integral(Column(f).values, rule, center, radius, inv, "s_a")
 
 
 def ball_integral(f, ball: Ball, rule: BallRule):
@@ -499,8 +488,8 @@ def weighted_ball_integral_mua(f, ball: Ball, rule: BallRule,
     :func:`surface_integral`."""
     if inv.a_norm <= inv.R - 1e-12:
         raise OutOfRange("inversion center must lie outside the closed ball")
-    return _integral(Column(f).values, rule, ball.center, ball.radius,
-                     _unit(inv.a - ball.center), inv, "mu_a")
+    return _integral(Column(f).values, rule, ball.center, ball.radius, inv,
+                     "mu_a")
 
 
 def _root(sq, vol: float = 1.0) -> float:

@@ -134,10 +134,10 @@ class SmallnessSequence:
     The criterion only ever consumes log eps_m, and the interesting decay
     rates (eps_m = exp(-m^3)) underflow double precision within a dozen
     entries; ``log_eps`` therefore stores the canonical value.  An entry
-    gives eps, log eps or both: a None in ``log_eps`` (or no ``log_eps`` at
-    all) takes log eps from eps, a None eps takes eps from log eps, and an
-    entry that gives both must have |log eps - log_eps| <= 1e-12 max(1,
-    |log_eps|).  ``x_norms`` keeps each |x_m|.
+    gives eps, log eps or both: a None in ``log_eps`` (one value per entry,
+    or no ``log_eps`` at all) takes log eps from eps, a None eps takes eps
+    from log eps, and an entry that gives both must have |log eps - log_eps|
+    <= 1e-12 max(1, |log_eps|).  ``x_norms`` keeps each |x_m|.
     """
 
     entries: tuple
@@ -145,6 +145,9 @@ class SmallnessSequence:
     x_norms: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
+        if self.log_eps is not None and len(self.log_eps) != len(self.entries):
+            raise ConstraintViolated(f"{len(self.log_eps)} log_eps values for "
+                                     f"{len(self.entries)} entries")
         norm_entries, logs, x_norms = [], [], []
         for i, (x, r, eps) in enumerate(self.entries):
             log_eps = None if self.log_eps is None else self.log_eps[i]

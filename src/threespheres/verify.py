@@ -200,16 +200,14 @@ def _ball_integrals(fn, center: np.ndarray, radius: float, degree: int,
     only when ``plain``, from one evaluation of every node: of
     ``BallRule.exact``, or with ``inv`` of ``BallRule.weighted``, two axial
     degrees up when the plain integral is wanted too."""
-    n, axis = center.size, None
+    n = center.size
     if inv is None:
         rule = BallRule.exact(n, degree)
     else:
-        axis = inv.a - center
-        dist = float(np.linalg.norm(axis))
-        axis = axis / dist
+        dist = float(np.linalg.norm(inv.a - center))
         rule = BallRule.weighted(n, degree + 2 * plain, dist, radius, degree)
     weights = (("mu_a",) if inv is not None else ()) + ((None,) if plain else ())
-    cols = integrals(fn, rule, center, radius, axis, inv, weights)
+    cols = integrals(fn, rule, center, radius, inv, weights)
     return (cols[0] if inv is not None else None), (cols[-1] if plain else None)
 
 
@@ -425,7 +423,7 @@ def sphere_rows(ev, fam: CorrelatedFamily, ts, checks, beta="omega",
 
     def sa_sphere(rule, center_norm, radius):  # a is on the +e ray
         return integrals(ev.squared_values, rule, center_norm * fam.e, radius,
-                         fam.e, inv, ("s_a",))[0]
+                         inv, ("s_a",))[0]
 
     def kelvin_squared(pts):
         # |f*|^2 = |f(phi(y))|^2 (rho^2/|y-a|^2)^(n-2): a polynomial of
@@ -460,7 +458,7 @@ def sphere_rows(ev, fam: CorrelatedFamily, ts, checks, beta="omega",
                     INEQUALITY_TOL, exponent=b, **meta))
         if transfer:
             kv, = integrals(kelvin_squared, rules[len(sa) + j], np.zeros(n),
-                            rts[j], fam.e)
+                            rts[j], inv)
             factor = inv.rho2 * rt[j] / rts[j]
             rows.extend(identity_rows("transfer_identity_eq22", kv,
                                       factor * mv, TRANSFER_TOL, **meta))

@@ -43,6 +43,20 @@ def analytic_degree(degree, kappa, digits=12, pole_order=4):
     return degree + ((extra + 3) // 4) * 4
 
 
+def anisotropic_rule(n, degree, transverse):
+    """Product rule on S^{n-1}, n >= 3, exact for the polynomials of degree
+    <= ``degree`` whose degree across the first axis is <= ``transverse``:
+    the package's first polar factor of ``degree`` times its S^{n-2} rule of
+    ``transverse``."""
+    from threespheres.quadrature import (SphereRule, _across, _gauss_jacobi,
+                                         _product_rule_cached)
+
+    nodes, weights = _across(*_gauss_jacobi(degree // 2 + 1, (n - 3) / 2),
+                             *_product_rule_cached(n - 1, transverse))
+    return SphereRule(n, nodes, weights, "exact", degree,
+                      transverse=transverse)
+
+
 def analytic_sphere_rule(n, degree, kind, a_norm, center_norm, radius, R=1.0,
                          transverse=None, digits=15, isotropic=False):
     """Independent oracle for ``weighted_rules``: the plain product
@@ -55,10 +69,10 @@ def analytic_sphere_rule(n, degree, kind, a_norm, center_norm, radius, R=1.0,
     kappa = (a_norm - center_norm) / radius
     axial = analytic_degree(degree, kappa, digits,
                             12 if kind == "kelvin" else 4)
-    if isotropic:
+    if isotropic or n == 2:
         return SphereRule.product(n, axial)
-    return SphereRule.product(n, axial,
-                              degree if transverse is None else transverse)
+    return anisotropic_rule(n, axial,
+                            degree if transverse is None else transverse)
 
 
 def analytic_ball_rule(n, degree, distance, radius, transverse=None,

@@ -148,12 +148,13 @@ class _Norm2:
 
 def test_criterion_05_derivative_identities():
     started = time.perf_counter()
-    for n in (2, 3):
+    # n = 4 on a reduced grid of 3 geometries
+    for n, geometries in ((2, 10), (3, 10), (4, 3)):
         one = HarmonicPolynomial(n, {tuple([0] * n): 1.0})
         coord = HarmonicPolynomial(n, {tuple([1] + [0] * (n - 1)): 1.0})
         fns = [one, coord, _Norm2(), random_harmonic_polynomial(n, 4, seed=1),
                random_harmonic_polynomial(n, 8, seed=2)]
-        for (x_vec, r) in _geometry_samples(n, 10, seed=505):
+        for (x_vec, r) in _geometry_samples(n, geometries, seed=505):
             fam = CorrelatedFamily.create(x_vec, r)
             for f in fns:
                 for rep in gradient_identity_check(f, x_vec, r):
@@ -165,9 +166,12 @@ def test_criterion_05_derivative_identities():
 
 def test_criterion_06_transfer_identity():
     started = time.perf_counter()
-    for n in (2, 3):
-        polys = [random_harmonic_polynomial(n, 8, seed=s) for s in range(10)]
-        for ci, (x_vec, r) in enumerate(_geometry_samples(n, 10, seed=606)):
+    # n = 4 on a reduced grid: 5 polynomials on 3 geometries
+    for n, count, geometries in ((2, 10, 10), (3, 10, 10), (4, 5, 3)):
+        polys = [random_harmonic_polynomial(n, 8, seed=s)
+                 for s in range(count)]
+        for ci, (x_vec, r) in enumerate(_geometry_samples(n, geometries,
+                                                          seed=606)):
             fam = CorrelatedFamily.create(x_vec, r)
             # rotate through small/middle/endpoint t: near t = 0 both spheres
             # approach the unit sphere and the Kelvin side is hardest
@@ -240,9 +244,9 @@ def test_criterion_08_three_balls_and_embedded_bounds():
 def test_criterion_09_log_convexity_parseval():
     started = time.perf_counter()
     grid = np.linspace(0.05, 0.95, 20)
-    for n in (2, 3):
+    for n, seeds in ((2, 25), (3, 25), (4, 5)):  # n = 4 on 5 seeds
         rule = SphereRule.product(n, 16)
-        for seed in range(25):
+        for seed in range(seeds):
             f = random_harmonic_polynomial(n, 8, seed=seed)
             parts = f.homogeneous_parts()
             cks = {k: l2_sphere_norm(p, np.zeros(n), 1.0, rule) ** 2

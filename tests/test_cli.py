@@ -7,7 +7,8 @@ import threading
 import pytest
 
 import threespheres
-from threespheres.cli import main
+from threespheres import uniqueness
+from threespheres.cli import build_parser, main
 from threespheres.sweep import SweepConfig, run_sweep
 
 
@@ -288,6 +289,13 @@ def test_uniqueness_cubic_and_linear(tmp_path, capsys):
     out = capsys.readouterr().out
     assert rc == 0
     assert "trend: does not" in out
+
+
+def test_uniqueness_defaults_are_the_criterion_constants():
+    args = build_parser().parse_args(["uniqueness", "--sequence", "s.json",
+                                      "--envelope", "e.json"])
+    assert args.window == uniqueness.DEFAULT_WINDOW
+    assert args.threshold == uniqueness.DEFAULT_THRESHOLD
 
 
 def test_uniqueness_malformed_json(tmp_path, capsys):

@@ -8,12 +8,13 @@ from scipy.special import beta, roots_jacobi, roots_legendre
 
 from conftest import (
     analytic_degree,
+    anisotropic_rule,
     exact_ball_monomial,
     exact_sphere_monomial,
     weighted_rule,
 )
 from threespheres.errors import OutOfRange, RuleDimensionMismatch, UnderResolved
-from threespheres.geometry import Ball, solve_inversion_center
+from threespheres.geometry import Ball, CorrelatedFamily, solve_inversion_center
 from threespheres.harmonic import PolynomialEvaluator, random_harmonic_polynomial
 from threespheres.quadrature import (
     BallRule,
@@ -63,11 +64,12 @@ def test_monomial_exactness_vs_gamma_oracle(n, rng):
 
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_anisotropic_product_exactness(n):
-    # exact for every monomial of degree <= ``degree`` whose exponents
-    # across the first axis total <= ``transverse``: on the first axis the
-    # monomial u1^a times the transverse part has degree a + |b|
+    # the test oracle's rule is exact for every monomial of degree <=
+    # ``degree`` whose exponents across the first axis total <=
+    # ``transverse``: on the first axis the monomial u1^a times the
+    # transverse part has degree a + |b|
     degree, transverse = 14, 6
-    rule = SphereRule.product(n, degree, transverse)
+    rule = anisotropic_rule(n, degree, transverse)
     assert (rule.degree, rule.transverse) == (degree, transverse)
     assert len(rule) == ((degree // 2 + 1) * (transverse // 2 + 1) ** (n - 3)
                          * (transverse + 1))
@@ -84,10 +86,8 @@ def test_anisotropic_product_exactness(n):
     vals, = integrals(monomials, rule, np.zeros(n), 1.0)
     exact = np.array([exact_sphere_monomial(n, e) for e in exps])
     np.testing.assert_allclose(vals, exact, rtol=0, atol=1e-12)
-    # no transverse degree is the isotropic rule; it is capped at the degree
-    iso = SphereRule.product(n, degree)
-    assert iso.transverse == degree
-    assert SphereRule.product(n, degree, degree + 4).nodes is iso.nodes
+    # the package's product rules are isotropic
+    assert SphereRule.product(n, degree).transverse == degree
 
 
 # every node count up to 50, then the larger factors of wide rules
@@ -198,10 +198,9 @@ def test_kelvin_closed_form_at_n3(kappa):
     s = inv.a_norm / kappa
     rule = weighted_rule(3, 0, "kelvin", inv.a_norm, 0.0, s)
     assert len(rule) == 1
-    axis = inv.a / inv.a_norm
     vals, = integrals(lambda p: (inv.rho2 / np.einsum(
         "ij,ij->i", p - inv.a, p - inv.a))[:, None], rule, np.zeros(3), s,
-        axis)
+        inv)
     exact = (inv.rho2 * 2 * math.pi * s / inv.a_norm
              * math.log((inv.a_norm + s) / (inv.a_norm - s)))
     assert abs(vals[0] - exact) <= 1e-12 * exact
@@ -242,6 +241,43 @@ def test_weighted_rule_domain():
         weighted_rule(3, 8, "mu", 2.0, 0.5, 0.6)
     with pytest.raises(OutOfRange):  # the sphere leaves B_R
         weighted_rule(3, 8, "s_a", 1.2, 0.5, 0.6)
+
+
+def _one(pts):
+    return np.ones(len(pts))
+
+
+def test_weighted_rules_are_placed_only_toward_a():
+    # a weighted rule is exact only with its first axis toward a: placed
+    # without the inversion data it is refused (unturned, this s_a rule
+    # read 3.0179 against 3.0415, 0.78 % off); placed with it, it agrees
+    # with a degree-400 product rule
+    fam = CorrelatedFamily.create([0.3, 0.4, 0.2], 0.2)
+    inv, t = fam.inversion, 0.3
+    center, radius = t * fam.e, float(fam.radius(t))
+    rule = weighted_rule(3, 4, "s_a", inv.a_norm, t, radius)
+    kelvin = weighted_rule(3, 4, "kelvin", inv.a_norm, 0.0, 0.5)
+    ball = BallRule.weighted(3, 4, inv.a_norm, 0.5, 4)
+    with pytest.raises(OutOfRange, match="'s_a' rule needs"):
+        surface_integral(_one, center, radius, rule)
+    with pytest.raises(OutOfRange, match="'kelvin' rule needs"):
+        integrals(lambda p: p[:, :1], kelvin, np.zeros(3), 0.5)
+    with pytest.raises(OutOfRange, match="'mu_a' rule needs"):
+        ball_integral(_one, Ball(np.zeros(3), 0.5), ball)
+    got = weighted_surface_integral_sa(_one, center, radius, inv, rule)
+    want = weighted_surface_integral_sa(_one, center, radius, inv,
+                                        SphereRule.product(3, 400))
+    assert abs(got - want) <= 1e-13 * want
+
+
+def test_ball_centred_at_a_is_not_turned():
+    # no direction from a ball's centre to a: the rule is placed as built
+    inv = solve_inversion_center(0.5, 0.2, dimension=3)
+    rule = BallRule.exact(3, 4)
+    got = weighted_ball_integral_mua(_one, Ball(inv.a, 0.1), rule, inv)
+    want, = integrals(lambda p: np.einsum("ij,ij->i", p - inv.a, p - inv.a)
+                      [:, None] ** -2.0, rule, inv.a, 0.1)
+    assert np.isfinite(got) and got == want[0]
 
 
 def test_weighted_rule_checks_its_fine_rules(monkeypatch):
@@ -323,12 +359,11 @@ def test_ball_integrand_called_once():
     # each column bit for bit the one-weight call's
     inv = solve_inversion_center(0.5, 0.2, dimension=3)
     center = np.array([0.1, 0.2, 0.0])
-    axis = (inv.a - center) / np.linalg.norm(inv.a - center)
     calls.clear()
-    mu, plain = integrals(fn, rule, center, 0.5, axis, inv, ("mu_a", None))
+    mu, plain = integrals(fn, rule, center, 0.5, inv, ("mu_a", None))
     assert calls == [(5 * len(rule.angular), 3)]
-    mu_alone, = integrals(fn, rule, center, 0.5, axis, inv, ("mu_a",))
-    plain_alone, = integrals(fn, rule, center, 0.5, axis, inv)
+    mu_alone, = integrals(fn, rule, center, 0.5, inv, ("mu_a",))
+    plain_alone, = integrals(fn, rule, center, 0.5, inv)
     np.testing.assert_array_equal(mu, mu_alone)
     np.testing.assert_array_equal(plain, plain_alone)
 
@@ -455,9 +490,8 @@ def test_rule_dimension_mismatch():
     lambda: BallRule(SphereRule.product(2, 4), radial_points=0),
     lambda: BallRule(SphereRule.product(2, 4), radial_points=-3),
     lambda: SphereRule.product(3, -4),
-    lambda: SphereRule.product(3, 4, transverse=-1),
     lambda: SphereRule.monte_carlo(2, samples=0),
-], ids=["radial-0", "radial-neg", "degree-neg", "transverse-neg", "samples-0"])
+], ids=["radial-0", "radial-neg", "degree-neg", "samples-0"])
 def test_rule_sizes_out_of_range(make):
     # a rule of the wrong size raises instead of integrating with a clamp
     with pytest.raises(OutOfRange):

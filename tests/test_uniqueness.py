@@ -203,6 +203,19 @@ def test_sequence_rejects_eps_contradicting_log_eps():
     assert seq.entries[0][2] == 0.5
 
 
+def test_sequence_needs_one_log_eps_per_entry():
+    # a longer tuple is not cut to the entries, nor a shorter one indexed
+    # past its end
+    entry = (([1.0, 0.0], 0.25, None),)
+    with pytest.raises(ConstraintViolated, match="2 log_eps values for 1 "
+                                                 "entries"):
+        SmallnessSequence(entry, (-1.0, -2.0))
+    with pytest.raises(ConstraintViolated, match="1 log_eps values for 2 "
+                                                 "entries"):
+        SmallnessSequence(entry * 2, (-1.0,))
+    assert SmallnessSequence(entry, (-1.0,)).log_eps == (-1.0,)
+
+
 def test_nonpositive_phi_raises():
     tab = GrowthEnvelope.table([0.0, 100.0], [-5.0, 10.0])
     seq = SmallnessSequence((([2.0, 0.0], 1.0, 0.5),))
