@@ -19,10 +19,11 @@ degree across it (Stroud, 1971); a dmu_a ball takes one per radial shell.
 Integration works on columns: :func:`integrals` places a rule on a sphere or
 ball, with its first axis toward a when given the inversion data, calls a
 function mapping (N, n) points to (N, P) values once on all its nodes, and
-contracts the values with plain, ds_a or dmu_a weights, returning one array of column integrals per weight.  The batched checks call
-it with P corpus functions; the public integrals below are its one-column
-case and return one number: a numpy scalar for the raw integrals (real for
-real integrands, complex otherwise) and a float for the norms.
+contracts the values with plain, ds_a, dmu_a or Kelvin weights, returning
+one array of column integrals per weight.  The batched checks call it with
+P functions; the public integrals below are its one-column case and return
+one number: a numpy scalar for the raw integrals (real for real integrands,
+complex otherwise) and a float for the norms.
 """
 
 from __future__ import annotations
@@ -332,10 +333,6 @@ class BallRule:
             raise OutOfRange(f"ball rules need radial_points >= 1, got "
                              f"{self.radial_points}")
 
-    @property
-    def n(self) -> int:
-        return self.angular.n
-
     @classmethod
     def exact(cls, n: int, degree: int) -> "BallRule":
         """Stroud's (1971) n-ball rule exact at ``degree``: the sphere rule
@@ -357,14 +354,15 @@ class BallRule:
 
 
 class Column:
-    """A callable f of (N, n) points, and its ``degree``, as a one-column
-    evaluator, the P = 1 case of a batch's ``values`` / ``squared_values``."""
+    """Callables f_1 .. f_P of (N, n) points, and their common ``degree``,
+    as an evaluator of P columns, like a batch's ``values`` /
+    ``squared_values``; ``Column([f], degree)`` is the one-column case."""
 
-    def __init__(self, f, degree: int | None = None):
-        self.f, self.degree = f, degree
+    def __init__(self, fns, degree: int | None = None):
+        self.fns, self.degree = fns, degree
 
     def values(self, pts):
-        return np.asarray(self.f(pts))[:, None]
+        return np.stack([np.asarray(f(pts)) for f in self.fns], axis=1)
 
     def squared_values(self, pts):
         v = self.values(pts)
@@ -391,11 +389,14 @@ def _orient(nodes: np.ndarray, axis: np.ndarray) -> np.ndarray:
 
 
 def _density(pts: np.ndarray, inv: InversionData, weight: str) -> np.ndarray:
-    """The ds_a ("s_a") or dmu_a ("mu_a") density at each of (N, n) points."""
+    """The ds_a ("s_a") or dmu_a ("mu_a") density or the Kelvin factor
+    (rho^2/|y-a|^2)^(n-2) ("kelvin") at each of (N, n) points."""
     d = pts - inv.a
     d2 = np.einsum("ij,ij->i", d, d)
     if weight == "mu_a":
         return 1.0 / d2 ** 2
+    if weight == "kelvin":
+        return (inv.rho2 / d2) ** (pts.shape[1] - 2)
     dens = (d2 + inv.R ** 2 - np.einsum("ij,ij->i", pts, pts)) / d2 ** 2
     if np.any(dens <= 0.0):
         raise OutOfRange("s_a density must be positive on the closed ball; "
@@ -436,10 +437,11 @@ def integrals(fn, rule, center, radius: float, inv=None,
 
     ``fn`` maps (N, n) points to (N, P) values and is called once, on every
     node of the sphere or ball.  One length-P array of integrals is returned
-    per entry of ``weights``: None for the plain measure, "s_a" or "mu_a"
-    for the densities of ``inv`` (which turns the rule toward a), all from
-    the same values.  Nodes are summed in node order, without BLAS (whose
-    threads would split the sum and change its bits).
+    per entry of ``weights``: None for the plain measure, "s_a", "mu_a" or
+    "kelvin" for the weights of ``inv`` (which turns the rule toward a; see
+    :func:`_density`), all from the same values.  Nodes are summed without
+    BLAS (whose threads would split the sum and change its bits), in node
+    order but for a lone real column, which einsum unrolls.
     """
     pts, w = _points(rule, np.asarray(center, dtype=float), radius, inv)
     pts, w = pts.reshape(-1, pts.shape[-1]), w.reshape(-1)
@@ -466,20 +468,20 @@ def surface_integral(f, center, radius: float, rule: SphereRule):
     radius : float
     rule : SphereRule
     """
-    return _integral(Column(f).values, rule, center, radius)
+    return _integral(Column([f]).values, rule, center, radius)
 
 
 def weighted_surface_integral_sa(f, center, radius: float, inv: InversionData,
                                  rule: SphereRule):
     """Integral of f against ds_a = (|y-a|^2 + R^2 - |y|^2)/|y-a|^4 ds, a
     numpy scalar as for :func:`surface_integral`."""
-    return _integral(Column(f).values, rule, center, radius, inv, "s_a")
+    return _integral(Column([f]).values, rule, center, radius, inv, "s_a")
 
 
 def ball_integral(f, ball: Ball, rule: BallRule):
     """Integral of f over the open ball (plain Lebesgue measure), a numpy
     scalar as for :func:`surface_integral`."""
-    return _integral(Column(f).values, rule, ball.center, ball.radius)
+    return _integral(Column([f]).values, rule, ball.center, ball.radius)
 
 
 def weighted_ball_integral_mua(f, ball: Ball, rule: BallRule,
@@ -488,7 +490,7 @@ def weighted_ball_integral_mua(f, ball: Ball, rule: BallRule,
     :func:`surface_integral`."""
     if inv.a_norm <= inv.R - 1e-12:
         raise OutOfRange("inversion center must lie outside the closed ball")
-    return _integral(Column(f).values, rule, ball.center, ball.radius, inv,
+    return _integral(Column([f]).values, rule, ball.center, ball.radius, inv,
                      "mu_a")
 
 
@@ -499,17 +501,17 @@ def _root(sq, vol: float = 1.0) -> float:
 
 def l2_sphere_norm(f, center, radius: float, rule: SphereRule) -> float:
     """L_2(x, r, f) = (int_{S_{x,r}} |f|^2 ds)^{1/2} (unnormalized)."""
-    return _root(_integral(Column(f).squared_values, rule, center, radius))
+    return _root(_integral(Column([f]).squared_values, rule, center, radius))
 
 
 def l2_ball_norm(f, ball: Ball, rule: BallRule) -> float:
     """A_2(x, r, f) = (int_{B_{x,r}} |f|^2 dy)^{1/2} (unnormalized form)."""
-    return _root(_integral(Column(f).squared_values, rule, ball.center,
+    return _root(_integral(Column([f]).squared_values, rule, ball.center,
                            ball.radius))
 
 
 def normalized_average_A2(f, ball: Ball, rule: BallRule) -> float:
     """Volume-normalized root mean square of |f| over the ball."""
     vol = ball_volume(ball.dimension) * ball.radius ** ball.dimension
-    return _root(_integral(Column(f).squared_values, rule, ball.center,
+    return _root(_integral(Column([f]).squared_values, rule, ball.center,
                            ball.radius), vol)

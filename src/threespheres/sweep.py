@@ -21,16 +21,16 @@ import numpy as np
 from .errors import ConfigError, ThreeSpheresError, UnderResolved
 from .geometry import CorrelatedFamily
 from .harmonic import PolynomialEvaluator, random_harmonic_polynomials
+from .quadrature import Column
 from .uniqueness import delta_lower_bound_check
 from .verify import (
-    IDENTITY_FD_TOL,
     INEQUALITY_TOL,
     ball_rows,
     convexity_rows,
-    derivative_identity_check,
+    derivative_rows,
     embedding_identity_check,
     error_row,
-    gradient_identity_check,
+    gradient_rows,
     holomorphic_variant_check,
     sphere_rows,
 )
@@ -238,27 +238,18 @@ def _config_rows(n, cfg: SweepConfig, ci, x_vec, r, polys, evaluator):
                                   cfg.lambdas))
 
     if "gradient_identity" in cfg.checks or "derivative_identity" in cfg.checks:
-        # t = p names the test function: a constant, a coordinate, the
-        # non-harmonic |y|^2 and two corpus polynomials (the identities hold
-        # for any continuous f), each with its degree; the derivative
-        # identity is taken at t = |x|/2
-        fns = [(lambda pts: np.ones(len(pts)), 0),
-               (lambda pts: np.asarray(pts)[:, 0], 1),
-               (lambda pts: np.einsum("ij,ij->i", pts, pts), 2)]
-        fns += [(poly, poly.degree) for poly in polys[:2]]
-        for p, (f, deg) in enumerate(fns):
-            try:
-                if "gradient_identity" in cfg.checks:
-                    rows.extend(replace(rep, t=float(p)) for rep in
-                                gradient_identity_check(f, x_vec, r,
-                                                        degree=deg))
-                if "derivative_identity" in cfg.checks:
-                    rows.extend(replace(rep, t=float(p)) for rep in
-                                derivative_identity_check(
-                                    f, fam, 0.5 * x_norm, degree=deg))
-            except ThreeSpheresError as exc:
-                rows.append(error_row("identity", exc, IDENTITY_FD_TOL,
-                                      mode="identity", t=float(p), **meta))
+        # t = p names the test function: 1, y_1, |y|^2 (the identities hold
+        # for any continuous f) and two corpus polynomials, at a degree exact
+        # for all five; gradient along e_1, derivative identity at t = |x|/2
+        fns = [lambda pts: np.ones(len(pts)), lambda pts: pts[:, 0],
+               lambda pts: np.einsum("ij,ij->i", pts, pts), *polys[:2]]
+        col, fd = Column(fns, max(2, evaluator.degree)), []
+        if "gradient_identity" in cfg.checks:
+            fd += gradient_rows(col, x_vec, r, np.eye(n)[0])
+        if "derivative_identity" in cfg.checks:
+            fd += derivative_rows(col, fam, 0.5 * x_norm)
+        rows.extend(replace(rep, t=float(p % len(fns)))
+                    for p, rep in enumerate(fd))
 
     if "holomorphic_variant" in cfg.checks and n == 2:
         rng = np.random.default_rng([cfg.corpus_seed, ci, 77])

@@ -61,29 +61,26 @@ def rho(x_norm: float, r: float) -> float:
 
 
 class GrowthEnvelope:
-    """Named monotone increasing growth bound on [0, infinity).
-
-    Kinds: ``power`` (c * r^p), ``exp_power`` (c * exp(r^p)), and ``table``
+    """Monotone increasing growth bound on [0, infinity), made by one of
+    the kinds ``power`` (c * r^p), ``exp_power`` (c * exp(r^p)) and ``table``
     (monotone samples with linear interpolation, constant beyond the ends).
     """
 
-    def __init__(self, kind: str, fn, params: dict):
-        self.kind = kind
+    def __init__(self, fn):
         self._fn = fn
-        self.params = params
 
     @classmethod
     def power(cls, p: float, c: float = 1.0) -> "GrowthEnvelope":
         if not (0 < p < math.inf and 0 < c < math.inf):
             raise OutOfRange("power envelope needs finite p > 0 and c > 0")
-        return cls("power", lambda r: c * r ** p, {"p": p, "c": c})
+        return cls(lambda r: c * r ** p)
 
     @classmethod
     def exp_power(cls, p: float, c: float = 1.0) -> "GrowthEnvelope":
         if not (0 < p < math.inf and 0 < c < math.inf):
             raise OutOfRange("exp_power envelope needs finite p > 0 and "
                              "c > 0")
-        return cls("exp_power", lambda r: c * math.exp(r ** p), {"p": p, "c": c})
+        return cls(lambda r: c * math.exp(r ** p))
 
     @classmethod
     def table(cls, radii, values) -> "GrowthEnvelope":
@@ -97,8 +94,7 @@ class GrowthEnvelope:
             raise OutOfRange("table radii must be strictly increasing")
         if np.any(np.diff(values) < 0):
             raise OutOfRange("table values must be monotone increasing")
-        fn = lambda r: float(np.interp(r, radii, values))
-        return cls("table", fn, {"r": radii.tolist(), "phi": values.tolist()})
+        return cls(lambda r: float(np.interp(r, radii, values)))
 
     @classmethod
     def from_spec(cls, spec: dict) -> "GrowthEnvelope":
@@ -252,9 +248,12 @@ def criterion_trace(seq: SmallnessSequence, phi: GrowthEnvelope,
     log phi(4 |x_m|) as used in the proof.  The verdict looks at the last
     ``window`` entries: strictly decreasing and below -``threshold`` reads as
     consistent with divergence.  An empty or short prefix is inconclusive.
+    ``window`` must be >= 2 and ``threshold`` finite and >= 0.
     """
     if window < 2:
         raise OutOfRange("window must be >= 2")
+    if not 0 <= threshold < math.inf:
+        raise OutOfRange(f"threshold must be finite and >= 0, got {threshold}")
     x_norms, radii, rhos, terms_a, terms_b = [], [], [], [], []
     for (_x, r, _eps), x_norm, log_eps in zip(seq.entries, seq.x_norms,
                                               seq.log_eps):

@@ -17,12 +17,14 @@ plain rules are exact at the integrand's degree (twice it for |f|^2) and no
 higher, and the weighted rules are the Gauss rules of their weight, exact
 for a polynomial of that degree times the weight (see ``quadrature``).
 
-The inequalities and the transfer identity are written once, over columns:
-an evaluator maps (N, n) points to the (N, P) values or squared moduli of P
-functions, and :func:`sphere_rows` / :func:`ball_rows` integrate them and
-emit a group's P rows at once (:func:`upper_rows`, :func:`identity_rows`,
-whose one-row cases are :func:`upper_report` and :func:`identity_report`).
-The sweep passes a ``PolynomialEvaluator`` over its corpus; each public
+The inequalities and the derivative and transfer identities are written
+once, over columns: an evaluator maps (N, n) points to the (N, P) values or
+squared moduli of P functions, and :func:`gradient_rows`,
+:func:`derivative_rows`, :func:`sphere_rows` and :func:`ball_rows`
+integrate them and emit a group's P rows at once (:func:`upper_rows`,
+:func:`identity_rows`, whose one-row cases are :func:`upper_report` and
+:func:`identity_report`).  The sweep passes a ``PolynomialEvaluator`` over
+its corpus, or a :class:`Column` of its test functions; each public
 ``*_check`` passes a one-column :class:`Column` around its callable, so
 both use the same rules and arithmetic.
 """
@@ -30,7 +32,6 @@ both use the same rules and arithmetic.
 from __future__ import annotations
 
 import itertools
-import logging
 import math
 from dataclasses import dataclass, fields, replace
 
@@ -55,7 +56,6 @@ from .quadrature import (
     Column,
     SphereRule,
     _gauss_jacobi,
-    _points,
     ball_volume,
     integrals,
     weighted_rules,
@@ -74,8 +74,6 @@ __all__ = [
     "three_spheres_check",
     "transfer_identity_check",
 ]
-
-log = logging.getLogger(__name__)
 
 IDENTITY_FD_TOL = 1e-5
 FD_STEP = 1e-5
@@ -141,17 +139,18 @@ def identity_rows(name, lhs, rhs, tolerance, scale_floor=0.0,
                   **meta) -> list:
     """One "identity" report per entry of the ``lhs`` and ``rhs`` columns;
     complex sides are recorded by magnitude but the pass decision uses the
-    full complex gap.  ``scale_floor`` keeps the relative test meaningful
-    when both sides nearly vanish."""
+    full complex gap.  ``scale_floor``, one value for every row or one per
+    row, keeps the relative test meaningful when both sides nearly
+    vanish."""
+    lhs, rhs = np.asarray(lhs, dtype=complex), np.asarray(rhs, dtype=complex)
     rows = []
     # Python's complex abs: numpy's differs from it in the last bit
-    for a, b in zip(np.asarray(lhs, dtype=complex).tolist(),
-                    np.asarray(rhs, dtype=complex).tolist()):
+    for a, b, floor in zip(lhs.tolist(), rhs.tolist(),
+                           np.full(lhs.shape, scale_floor).tolist()):
         gap, a, b = abs(a - b), abs(a), abs(b)
         rows.append(InequalityReport(
             name, a, b, _ratio(a, b), math.nan, tolerance, 0.0,
-            gap <= tolerance * max(a, b, scale_floor, 1e-300), "identity",
-            **meta))
+            gap <= tolerance * max(a, b, floor, 1e-300), "identity", **meta))
     return rows
 
 
@@ -186,7 +185,7 @@ def _column(f, degree: int | None = None) -> Column:
     degree = getattr(f, "degree", None) if degree is None else degree
     if degree is None:
         raise OutOfRange(f"{f!r} has no degree: pass degree= to size rules")
-    return Column(f, int(degree))
+    return Column([f], int(degree))
 
 
 # ---------------------------------------------------------------------------
@@ -233,6 +232,39 @@ def _resolve_beta(rec, beta, unchecked: bool = False) -> float:
 # derivative identities
 
 
+def _fd_rows(groups, plain, **meta) -> list:
+    """Identity rows of each (name, difference quotients, surface forms) of
+    ``groups``, P each, on the scale floor 1e-3 max(1, |int f ds|) of each
+    column (``plain``), which keeps the relative test sane when a derivative
+    vanishes by symmetry."""
+    floors = [1e-3 * max(1.0, abs(v)) for v in plain.tolist()]
+    return [row for name, fd, quad in groups for row in identity_rows(
+        name, fd, quad, IDENTITY_FD_TOL, floors, **meta)]
+
+
+def gradient_rows(ev, x: np.ndarray, r: float, e: np.ndarray) -> list:
+    """The rows of :func:`gradient_identity_check` for each column of
+    ``ev``, ``e`` a unit vector: P rows of (2), then P of (3)."""
+    n, h = x.size, FD_STEP
+
+    def vol(center, radius):
+        return _ball_integrals(ev.values, center, radius, ev.degree)[1]
+
+    fd_dir = (vol(x + h * e, r) - vol(x - h * e, r)) / (2 * h)
+    fd_rad = (vol(x, r + h) - vol(x, r - h)) / (2 * h)
+
+    def surface_forms(pts):  # f (e . n) and f on S_{x,r}
+        v = ev.values(pts)
+        return np.concatenate([v * ((pts - x) / r @ e)[:, None], v], axis=1)
+
+    quad, = integrals(surface_forms, SphereRule.product(n, ev.degree + 1),
+                      x, r)
+    quad_dir, quad_rad = quad.reshape(2, -1)
+    return _fd_rows([("gradient_identity_eq2", fd_dir, quad_dir),
+                     ("gradient_identity_eq3", fd_rad, quad_rad)], quad_rad,
+                    n=n, x_norm=float(np.linalg.norm(x)), r=float(r))
+
+
 def gradient_identity_check(f, x, r: float, e=None,
                             degree: int | None = None) -> list[InequalityReport]:
     """Check the two ball-average derivative identities.
@@ -241,14 +273,14 @@ def gradient_identity_check(f, x, r: float, e=None,
     int_{S_{x,r}} f (e . n) ds, and its radial derivative equals
     int_{S_{x,r}} f ds; both finite-difference derivatives (step
     ``FD_STEP``) must match quadrature to relative 1e-5.  ``e`` (default the
-    first axis) must be a nonzero vector of length n.
+    first axis) must be a nonzero vector of length n.  The rows are those
+    of :func:`gradient_rows` for the one column f.
     """
     x = np.asarray(x, dtype=float)
     n = x.size
     col = _column(f, degree)
     if e is None:
-        e = np.zeros(n)
-        e[0] = 1.0
+        e = np.eye(n)[0]
     else:
         e = np.asarray(e, dtype=float)
         norm = float(np.linalg.norm(e))
@@ -256,32 +288,38 @@ def gradient_identity_check(f, x, r: float, e=None,
             raise OutOfRange(f"direction e must be a nonzero finite vector "
                              f"of length {n}, got {e.tolist()!r}")
         e = e / norm
+    return gradient_rows(col, x, r, e)
 
-    def vol(center, radius):
-        _, vals = _ball_integrals(col.values, center, radius, col.degree)
-        return complex(vals[0])
 
-    h = FD_STEP
-    fd_dir = (vol(x + h * e, r) - vol(x - h * e, r)) / (2 * h)
-    fd_rad = (vol(x, r + h) - vol(x, r - h)) / (2 * h)
+def derivative_rows(ev, fam: CorrelatedFamily, t: float) -> list:
+    """The rows of :func:`derivative_identity_check` at ``t`` for each
+    column of ``ev``: P rows of (5), then P of (13)."""
+    n, inv, h = fam.dimension, fam.inversion, FD_STEP
 
-    def surface_forms(pts):  # f (e . n) and f on S_{x,r}
-        v = np.asarray(f(pts))
-        return np.stack([v * ((pts - x) / r @ e), v], axis=1)
+    def vol(s):
+        ball = fam.ball(s)
+        return _ball_integrals(ev.values, ball.center, ball.radius,
+                               ev.degree)[1]
 
-    quad, = integrals(surface_forms, SphereRule.product(n, col.degree + 1),
-                      x, r)
-    quad_dir, quad_rad = complex(quad[0]), complex(quad[1])
-    # derivative-magnitude floor keeps the relative test sane when the
-    # directional derivative vanishes by symmetry
-    floor = 1e-3 * max(1.0, abs(quad_rad))
-    meta = {"n": n, "x_norm": float(np.linalg.norm(x)), "r": float(r)}
-    return [
-        identity_report("gradient_identity_eq2", fd_dir, quad_dir,
-                        IDENTITY_FD_TOL, scale_floor=floor, **meta),
-        identity_report("gradient_identity_eq3", fd_rad, quad_rad,
-                        IDENTITY_FD_TOL, scale_floor=floor, **meta),
-    ]
+    fd = (vol(t + h) - vol(t - h)) / (2 * h)
+    rt, rpt = float(fam.radius(t)), float(fam.radius_derivative(t))
+    center = fam.center(t)
+
+    def surface_forms(pts):  # the curve form, the weighted form and f
+        v = ev.values(pts)
+        d = pts - inv.a
+        bracket = (np.einsum("ij,ij->i", d, d) + inv.R ** 2
+                   - np.einsum("ij,ij->i", pts, pts))
+        return np.concatenate([v * ((pts - center) / rt @ fam.e + rpt)[:, None],
+                               v * bracket[:, None], v], axis=1)
+
+    quad, = integrals(surface_forms, SphereRule.product(n, ev.degree + 2),
+                      center, rt)
+    rhs5, weighted, plain = quad.reshape(3, -1)
+    return _fd_rows([("derivative_identity_eq5", fd, rhs5),
+                     ("derivative_identity_eq13", fd,
+                      weighted * (-1.0 / (2 * inv.a_norm * rt)))], plain,
+                    n=n, x_norm=fam.x_norm, r=fam.r, t=float(t))
 
 
 def derivative_identity_check(f, fam: CorrelatedFamily, t: float,
@@ -291,48 +329,14 @@ def derivative_identity_check(f, fam: CorrelatedFamily, t: float,
     The curve form integrates f (e . n + r_t'); substituting the closed-form
     r_t' turns it into -(2|a| r_t)^{-1} int f [|y-a|^2 + R^2 - |y|^2] ds.
     Both must match the central finite difference (step ``FD_STEP``) of the
-    family volume integral to relative 1e-5.
+    family volume integral to relative 1e-5; ``t`` must be interior to
+    (0, |x|).  The rows are those of :func:`derivative_rows` for the one
+    column f.
     """
-    x_norm = fam.x_norm
-    if not 0 < t < x_norm:
+    if not 0 < t < fam.x_norm:
         raise OutOfRange("t must be interior to (0, |x|) for the central "
                          "difference")
-    n = fam.dimension
-    col = _column(f, degree)
-    inv = fam.inversion
-
-    def vol(s):
-        ball = fam.ball(s)
-        _, vals = _ball_integrals(col.values, ball.center, ball.radius,
-                                  col.degree)
-        return complex(vals[0])
-
-    fd = (vol(t + FD_STEP) - vol(t - FD_STEP)) / (2 * FD_STEP)
-
-    rt = float(fam.radius(t))
-    rpt = float(fam.radius_derivative(t))
-    center = fam.center(t)
-
-    def surface_forms(pts):  # the curve form, the weighted form and f
-        v = np.asarray(f(pts))
-        d = pts - inv.a
-        bracket = (np.einsum("ij,ij->i", d, d) + inv.R ** 2
-                   - np.einsum("ij,ij->i", pts, pts))
-        return np.stack([v * ((pts - center) / rt @ fam.e + rpt),
-                         v * bracket, v], axis=1)
-
-    quad, = integrals(surface_forms, SphereRule.product(n, col.degree + 2),
-                      center, rt)
-    rhs5 = complex(quad[0])
-    rhs13 = complex(quad[1]) * (-1.0 / (2 * inv.a_norm * rt))
-    floor = 1e-3 * max(1.0, abs(complex(quad[2])))
-    meta = {"n": n, "x_norm": x_norm, "r": fam.r, "t": float(t)}
-    return [
-        identity_report("derivative_identity_eq5", fd, rhs5, IDENTITY_FD_TOL,
-                        scale_floor=floor, **meta),
-        identity_report("derivative_identity_eq13", fd, rhs13,
-                        IDENTITY_FD_TOL, scale_floor=floor, **meta),
-    ]
+    return derivative_rows(_column(f, degree), fam, t)
 
 
 # ---------------------------------------------------------------------------
@@ -426,13 +430,9 @@ def sphere_rows(ev, fam: CorrelatedFamily, ts, checks, beta="omega",
                          inv, ("s_a",))[0]
 
     def kelvin_squared(pts):
-        # |f*|^2 = |f(phi(y))|^2 (rho^2/|y-a|^2)^(n-2): a polynomial of
-        # the degree of |f|^2 times the "kelvin" weight on S_{0, r_t*}
-        sq = ev.squared_values(inversion_map(inv, pts))
-        if n == 2:
-            return sq
-        d = pts - inv.a
-        return sq * ((inv.rho2 / np.einsum("ij,ij->i", d, d)) ** (n - 2))[:, None]
+        # |f*|^2 = |f(phi(y))|^2 (rho^2/|y-a|^2)^(n-2): a polynomial of the
+        # degree of |f|^2 times the "kelvin" weight, which carries the factor
+        return ev.squared_values(inversion_map(inv, pts))
 
     if three:
         iv = sa_sphere(rules[len(ts)], x_norm, r)
@@ -458,7 +458,7 @@ def sphere_rows(ev, fam: CorrelatedFamily, ts, checks, beta="omega",
                     INEQUALITY_TOL, exponent=b, **meta))
         if transfer:
             kv, = integrals(kelvin_squared, rules[len(sa) + j], np.zeros(n),
-                            rts[j], inv)
+                            rts[j], inv, ("kelvin",))
             factor = inv.rho2 * rt[j] / rts[j]
             rows.extend(identity_rows("transfer_identity_eq22", kv,
                                       factor * mv, TRANSFER_TOL, **meta))
@@ -665,9 +665,11 @@ def embedding_identity_check(g, b, l: float, g_degree: int | None = None,
                       center, l)
     lhs, abs_scale = map(float, vals.real)
 
-    # inner 5-ball template: displacements and weights for unit radius
-    disp, wq = _points(BallRule.exact(5, g_degree), np.zeros(5), 1.0)
-    disp, wq = disp.reshape(-1, 5), wq.reshape(-1)
+    def slices(z):  # g at (outer node, z), a column per outer node of xs
+        pts = np.concatenate([np.repeat(xs, len(z), axis=0),
+                              np.tile(z, (len(xs), 1))], axis=1)
+        return np.asarray(g(pts), dtype=float).reshape(len(xs), -1).T
+
     # outer ball in u = rho^2 / l^2: rho^(n-1) d rho (l^2 - rho^2)^(5/2) is
     # (l^(n+5) / 2) u^((n-2)/2) (1 - u)^(5/2) du, and the slice integral a
     # polynomial in u of degree <= g_degree / 2, so Gauss-Jacobi is exact
@@ -675,22 +677,17 @@ def embedding_identity_check(g, b, l: float, g_degree: int | None = None,
     u = (u + 1) / 2
     # l^n / 2 times 2^-(alpha + beta + 1) from [-1, 1] to u in [0, 1]
     wu = wu * (l ** n / 2 ** (n / 2 + 3.5))
-    dirs = SphereRule.product(n, g_degree)
+    dirs, inner = SphereRule.product(n, g_degree), BallRule.exact(5, g_degree)
     rhs = 0.0
     for ui, wi in zip(u.tolist(), wu.tolist()):  # one outer shell at a time
         xs = b + l * math.sqrt(ui) * dirs.nodes
         s = math.sqrt(l * l - l * l * ui if convention == "squared"
                       else l - l * l * ui)
-        # block-evaluate g on (outer node, inner node) pairs
-        pts = np.concatenate([np.repeat(xs, disp.shape[0], axis=0),
-                              np.tile(s * disp, (xs.shape[0], 1))], axis=1)
-        vals = np.asarray(g(pts), dtype=float).reshape(xs.shape[0], -1)
-        # s^5 over the (l^2 - rho^2)^(5/2) the Gauss-Jacobi weight carries
-        rhs += wi * s ** 5 / (1 - ui) ** 2.5 * float(dirs.weights @ (vals @ wq))
+        # g over the 5-ball of radius s at each outer node, over the
+        # (l^2 - rho^2)^(5/2) the Gauss-Jacobi weight carries
+        cols, = integrals(slices, inner, np.zeros(5), s)
+        rhs += wi / (1 - ui) ** 2.5 * float(dirs.weights @ cols)
 
-    report = identity_report(f"embedding_identity_eq30_{convention}", lhs, rhs,
-                             EMBEDDING_TOL, scale_floor=1e-3 * abs_scale, n=n,
-                             r=float(l))
-    log.debug("embedding identity (%s): lhs=%.12g rhs=%.12g", convention, lhs,
-              rhs)
-    return report
+    return identity_report(f"embedding_identity_eq30_{convention}", lhs, rhs,
+                           EMBEDDING_TOL, scale_floor=1e-3 * abs_scale, n=n,
+                           r=float(l))

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -37,6 +38,9 @@ def test_correlate_table(capsys):
     lines = [l for l in out.strip().splitlines() if l.strip()]
     assert "1.891248853" in lines[0]
     assert len(lines) == 2 + 11  # header rows + 11 grid rows
+    # the default grid is 0:|x|:11
+    assert main(["correlate", "--x-norm", "0.5", "--r", "0.2"]) == 0
+    assert capsys.readouterr().out == out
 
 
 def test_correlate_error_exits(capsys):
@@ -45,6 +49,12 @@ def test_correlate_error_exits(capsys):
     assert main(["correlate", "--x-norm", "0", "--r", "0.3"]) == 2
     err = capsys.readouterr().err
     assert "x != 0" in err or "concentric" in err.lower()
+    for grid, message in [("1:2", "--t-grid must be start:stop:count"),
+                          ("0:1:3", "0 <= start < stop <= |x|")]:
+        assert main(["correlate", "--x-norm", "0.5", "--r", "0.2",
+                     "--t-grid", grid]) == 2
+        captured = capsys.readouterr()
+        assert not captured.out and message in captured.err
 
 
 def test_verify_small_config_passes(tmp_path, capsys):
@@ -289,6 +299,42 @@ def test_uniqueness_cubic_and_linear(tmp_path, capsys):
     out = capsys.readouterr().out
     assert rc == 0
     assert "trend: does not" in out
+
+
+def test_uniqueness_mixed_trends(tmp_path, capsys):
+    # |x_m| = m and r_m = m/2, so rho_m = 1/log 4 and each term is
+    # log(eps_m) / (100 log 4) plus phi(4m) (A) or log phi(4m) (B)
+    def trend(log_eps, envelope, *flags):
+        seq, env = tmp_path / "seq.json", tmp_path / "env.json"
+        seq.write_text(json.dumps([
+            {"x": [float(m), 0.0], "r": m / 2.0, "log_eps": v}
+            for m, v in enumerate(log_eps, start=1)]))
+        env.write_text(json.dumps(envelope))
+        assert main(["uniqueness", "--sequence", str(seq), "--envelope",
+                     str(env), *flags]) == 0
+        return capsys.readouterr().out.strip().splitlines()[-1]
+
+    ms = range(1, 13)
+    # phi < 1 rising a decade per step: A falls with log eps below -1e3,
+    # B rises
+    tiny = {"kind": "table", "r": [4.0 * m for m in ms],
+            "phi": [math.exp(10.0 * m - 200) for m in ms]}
+    assert trend([-1e6 - 1e3 * m for m in ms], tiny) == (
+        "trend: diverges (variant A only; other: does not)")
+    # phi = 16 m^2 rises faster than its log: A rises, B falls but stays
+    # above -1e3
+    assert trend([-1e3 * m for m in ms], {"kind": "power", "p": 2}) == (
+        "trend: variant A: does not; variant B: inconclusive")
+
+
+def test_uniqueness_refuses_a_nan_threshold(tmp_path, capsys):
+    seq, env = tmp_path / "seq.json", tmp_path / "env.json"
+    seq.write_text(json.dumps([{"x": [2.0, 0.0], "r": 1.0, "log_eps": -1}]))
+    env.write_text(json.dumps({"kind": "power", "p": 2}))
+    assert main(["uniqueness", "--sequence", str(seq), "--envelope",
+                 str(env), "--threshold", "nan"]) == 2
+    captured = capsys.readouterr()
+    assert not captured.out and "threshold" in captured.err
 
 
 def test_uniqueness_defaults_are_the_criterion_constants():

@@ -206,6 +206,23 @@ def test_kelvin_closed_form_at_n3(kappa):
     assert abs(vals[0] - exact) <= 1e-12 * exact
 
 
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_kelvin_weight_is_the_kelvin_factor(n):
+    # the "kelvin" weight of integrals carries (rho^2/|y-a|^2)^(n-2), 1 at
+    # n = 2, like the other weights of the inversion
+    inv = solve_inversion_center(0.5, 0.2, dimension=n)
+    rule = weighted_rule(n, 4, "kelvin", inv.a_norm, 0.0, 0.6)
+
+    def cube(p):
+        return p[:, :1] ** 3 + 1.0
+
+    weighted, = integrals(cube, rule, np.zeros(n), 0.6, inv, ("kelvin",))
+    by_hand, = integrals(lambda p: cube(p) * ((inv.rho2 / np.einsum(
+        "ij,ij->i", p - inv.a, p - inv.a)) ** (n - 2))[:, None], rule,
+        np.zeros(n), 0.6, inv)
+    assert abs(weighted[0] - by_hand[0]) <= 1e-15 * abs(by_hand[0])
+
+
 @pytest.mark.parametrize("kappa,tol", [(1.0201, 1e-12), (1.002, 1e-11)])
 def test_widest_annulus_rule_is_exact(kappa, tol):
     # near touching, where the Gauss-Legendre axis of the analytic rule

@@ -442,3 +442,33 @@ def test_n4_identity_and_convexity_rows_match_exact_moments(n):
     assert [rep.t for rep in convexity] == [0.0, 1.0]
     for rep, m in zip(convexity, margin):
         assert abs(rep.lhs + m) <= tol, (rep, m)
+
+
+
+def test_fd_rows_integrate_the_test_functions_together(monkeypatch):
+    # per geometry: four ball integrals and one sphere integral for (2) and
+    # (3), two and one for (5) and (13), each over all five test functions,
+    # whose rows come in (check, function) order
+    from threespheres import verify
+
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return integrals(*args, **kwargs)
+
+    integrals = verify.integrals
+    monkeypatch.setattr(verify, "integrals", counted)
+    reports, _ = run_sweep(SweepConfig.from_dict({
+        "dimensions": [3], "corpus": {"count": 3, "max_degree": 6, "seed": 2},
+        "geometry": {"count": 2, "seed": 3},
+        "checks": ["gradient_identity", "derivative_identity"]}))
+    assert len(calls) == 8 * 2
+    assert all(r.passed for r in reports)
+    names = ["gradient_identity_eq2", "gradient_identity_eq3",
+             "derivative_identity_eq5", "derivative_identity_eq13"]
+    for geometry in (reports[:20], reports[20:]):
+        assert [(r.name, r.t) for r in geometry] == [
+            (name, float(p)) for name in names for p in range(5)]
+        assert len({r.r for r in geometry}) == 1
+    assert reports[0].r != reports[20].r

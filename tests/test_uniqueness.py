@@ -143,6 +143,18 @@ def test_running_verdicts_match_per_prefix_rule():
         assert verdict == running[-1]
 
 
+@pytest.mark.parametrize("threshold", [math.nan, math.inf, -1.0])
+def test_trace_refuses_a_threshold_that_is_not_finite_and_nonnegative(
+        threshold):
+    # terms < -nan is never true, and a negative threshold lets terms
+    # above zero read as diverging
+    with pytest.raises(OutOfRange, match="threshold"):
+        criterion_trace(cubic_sequence([1, 2, 3]), GrowthEnvelope.power(2.0),
+                        threshold=threshold)
+    assert len(criterion_trace(cubic_sequence([1, 2, 3]),
+                               GrowthEnvelope.power(2.0), threshold=0.0)) == 3
+
+
 def test_envelopes():
     p = GrowthEnvelope.power(2.0, 3.0)
     assert abs(p(2.0) - 12.0) < 1e-15

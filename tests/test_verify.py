@@ -19,6 +19,7 @@ from threespheres.harmonic import (
 )
 from threespheres.quadrature import (
     BallRule,
+    Column,
     SphereRule,
     ball_volume,
     l2_sphere_norm,
@@ -29,9 +30,11 @@ from threespheres.verify import (
     ball_rows,
     convexity_rows,
     derivative_identity_check,
+    derivative_rows,
     embedded_bound_check,
     embedding_identity_check,
     gradient_identity_check,
+    gradient_rows,
     holomorphic_variant_check,
     identity_report,
     identity_rows,
@@ -104,6 +107,41 @@ def test_derivative_identity_many_t(rng):
     f = random_harmonic_polynomial(3, 6, seed=5)
     for t in np.linspace(0.05, 0.95, 20) * fam.x_norm:
         assert all(r.passed for r in derivative_identity_check(f, fam, t))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_fd_row_builders_match_the_public_checks(n):
+    # k columns at once give the k public checks' rows, (check, function)
+    # ordered, at the same degree.  The surface sides and every side of the
+    # complex corpus columns are summed alike; numpy's einsum sums a lone
+    # real column with its unrolled kernel and a batch in node order, so a
+    # real column's ball integrals differ in the last bits, which the
+    # difference quotient multiplies by 1/(2 FD_STEP)
+    polys = sample_corpus(n, 2, 5, 9)
+    fns = [lambda pts: np.ones(len(pts)), lambda pts: pts[:, 0], Norm2(),
+           *polys]
+    k, degree = len(fns), 5
+    x = np.array([0.4, -0.2, 0.1, 0.05][:n])
+    fam = CorrelatedFamily.create(x, 0.15)
+    e = np.eye(n)[0]
+    t = 0.4 * fam.x_norm
+    for rows, check in [
+            (gradient_rows(Column(fns, degree), x, 0.15, e),
+             lambda f: gradient_identity_check(f, x, 0.15, degree=degree)),
+            (derivative_rows(Column(fns, degree), fam, t),
+             lambda f: derivative_identity_check(f, fam, t, degree=degree))]:
+        assert len(rows) == 2 * k
+        for p, f in enumerate(fns):
+            for i, want in enumerate(check(f)):
+                got = rows[i * k + p]
+                assert (got.name, got.passed, got.n, got.x_norm, got.r,
+                        got.t) == (want.name, want.passed, want.n,
+                                   want.x_norm, want.r, want.t)
+                assert got.passed
+                assert abs(got.rhs - want.rhs) <= 1e-14 * abs(want.rhs)
+                assert abs(got.lhs - want.lhs) <= (
+                    1e-14 * abs(want.lhs) if p >= 3
+                    else 1e-9 * max(abs(want.lhs), 1e-3))
 
 
 def test_derivative_identity_requires_interior_t():
@@ -604,6 +642,10 @@ def test_row_builders_match_one_row_reports():
     assert [r.ratio for r in rows[:2]] == [math.inf, 1.0]
     assert [r.passed for r in rows] == [False, True, True, True, False]
     assert rows[4].lhs == rows[4].rhs == 5.0
+    # a floor per row: the same gap passes on the larger floor only
+    rows = identity_rows("i", [1e-6, 1e-6], [0.0, 0.0], 1e-5,
+                         scale_floor=[1e-3, 1.0], **meta)
+    assert [r.passed for r in rows] == [False, True]
 
 
 def test_embedded_rows_interleave_per_polynomial():
