@@ -18,6 +18,7 @@ from .geometry import CorrelatedFamily
 from .sweep import SweepConfig, read_json, run_sweep, write_csv, write_json
 from .uniqueness import (DEFAULT_THRESHOLD, DEFAULT_WINDOW, VERDICT_DIVERGES,
                          GrowthEnvelope, SmallnessSequence, criterion_trace)
+from .verify import flat
 
 _F = ".10g"
 
@@ -61,17 +62,18 @@ def cmd_verify(args) -> int:
         if path:  # an unwritable path fails here, not after the sweep
             with open(path, "a", encoding="utf-8"):
                 pass
-    reports, skipped = run_sweep(cfg)
+    groups, skipped = run_sweep(cfg)
     if out_csv:
-        write_csv(reports, out_csv)
+        write_csv(groups, out_csv)
     if out_json:
-        write_json(reports, out_json)
-    failures = [r for r in reports if not r.passed]
+        write_json(groups, out_json)
     by_name: dict = {}
-    for rep in reports:
-        ok, bad = by_name.get(rep.name, (0, 0))
-        by_name[rep.name] = (ok + (1 if rep.passed else 0),
-                             bad + (0 if rep.passed else 1))
+    for group in groups:
+        for head, passed in zip(group.heads, group.passed.T.tolist()):
+            ok, bad = by_name.get(head.name, (0, 0))
+            by_name[head.name] = (ok + sum(passed), bad + passed.count(False))
+    failures = [rep for rep in flat(g for g in groups if not g.passed.all())
+                if not rep.passed]
     for name in sorted(by_name):
         ok, bad = by_name[name]
         print(f"{name}: {ok} passed, {bad} failed")

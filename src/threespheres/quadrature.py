@@ -441,14 +441,18 @@ def integrals(fn, rule, center, radius: float, inv=None,
     "kelvin" for the weights of ``inv`` (which turns the rule toward a; see
     :func:`_density`), all from the same values.  Nodes are summed without
     BLAS (whose threads would split the sum and change its bits), in node
-    order but for a lone real column, which einsum unrolls.
+    order, so a column's integral does not depend on the others.
     """
     pts, w = _points(rule, np.asarray(center, dtype=float), radius, inv)
     pts, w = pts.reshape(-1, pts.shape[-1]), w.reshape(-1)
     values = fn(pts).reshape(w.size, -1)
-    return [np.einsum("i,ij->j", w if kind is None
-                      else w * _density(pts, inv, kind), values)
+    # einsum unrolls a lone real column's sum; a complex one is in node order
+    lone = values.shape[1] == 1 and values.dtype.kind != "c"
+    cols = values.astype(complex) if lone else values
+    sums = [np.einsum("i,ij->j", w if kind is None
+                      else w * _density(pts, inv, kind), cols)
             for kind in weights]
+    return [s.real for s in sums] if lone else sums
 
 
 def _integral(fn, rule, center, radius: float, inv=None, weight=None):

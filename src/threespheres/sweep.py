@@ -1,8 +1,9 @@
-"""Batch verification sweeps: corpus x geometry grid -> report rows.
+"""Batch verification sweeps: corpus x geometry grid -> report row groups.
 
 A sweep draws a corpus of random harmonic polynomials and a grid of random
 inner-ball configurations per dimension, then runs the selected checks on
-every combination, one configuration after another.  The row order is
+every combination, one configuration after another, and returns the
+``verify`` builders' row groups, which the writers format.  The row order is
 (dimension, config index, check, polynomial index, t index), and every
 integral is deterministic and summed in node order, so identical configs
 produce byte-identical CSV output.  The package runs OpenBLAS on one thread,
@@ -25,6 +26,7 @@ from .quadrature import Column
 from .uniqueness import delta_lower_bound_check
 from .verify import (
     INEQUALITY_TOL,
+    RowGroup,
     ball_rows,
     convexity_rows,
     derivative_rows,
@@ -215,27 +217,32 @@ def sample_geometries(n: int, count: int, seed: int,
 # per-config batched checks
 
 
+def _one_row(rep) -> RowGroup:
+    """A public check's report as a group of one row."""
+    return RowGroup((rep,), *(np.array([[v]]) for v in (
+        rep.lhs, rep.rhs, rep.ratio, rep.passed)))
+
+
 def _config_rows(n, cfg: SweepConfig, ci, x_vec, r, polys, evaluator):
-    rows = []
+    groups = []
     fam = CorrelatedFamily.create(x_vec, r, R=1.0)
     x_norm = fam.x_norm
-    meta = {"n": n, "x_norm": x_norm, "r": r}
     if "three_spheres" in cfg.checks or "transfer_identity" in cfg.checks:
         ts = [(j + 1) / cfg.t_count * x_norm for j in range(cfg.t_count)]
-        rows.extend(sphere_rows(evaluator, fam, ts, cfg.checks, cfg.beta))
+        groups += sphere_rows(evaluator, fam, ts, cfg.checks, cfg.beta)
     if "three_balls" in cfg.checks or "embedded_bound" in cfg.checks:
         xbar = cfg.xbar_fraction * x_norm
         try:
-            rows.extend(ball_rows(evaluator, fam, xbar, cfg.checks,
-                                  cfg.lambdas))
+            groups += ball_rows(evaluator, fam, xbar, cfg.checks, cfg.lambdas)
         except UnderResolved as exc:
             # no dmu_a rule resolves these balls: (27) gets error rows, and
             # the plain embedded bounds still run
-            rows.extend(error_row("three_balls_eq27", exc, INEQUALITY_TOL,
-                                  t=xbar, **meta) for _ in polys)
-            rows.extend(ball_rows(evaluator, fam, xbar,
-                                  set(cfg.checks) - {"three_balls"},
-                                  cfg.lambdas))
+            groups.append(error_row("three_balls_eq27", exc, INEQUALITY_TOL,
+                                    len(polys), n=n, x_norm=x_norm, r=r,
+                                    t=xbar))
+            groups += ball_rows(evaluator, fam, xbar,
+                                set(cfg.checks) - {"three_balls"},
+                                cfg.lambdas)
 
     if "gradient_identity" in cfg.checks or "derivative_identity" in cfg.checks:
         # t = p names the test function: 1, y_1, |y|^2 (the identities hold
@@ -248,24 +255,23 @@ def _config_rows(n, cfg: SweepConfig, ci, x_vec, r, polys, evaluator):
             fd += gradient_rows(col, x_vec, r, np.eye(n)[0])
         if "derivative_identity" in cfg.checks:
             fd += derivative_rows(col, fam, 0.5 * x_norm)
-        rows.extend(replace(rep, t=float(p % len(fns)))
-                    for p, rep in enumerate(fd))
+        groups += [group.indexed() for group in fd]
 
     if "holomorphic_variant" in cfg.checks and n == 2:
         rng = np.random.default_rng([cfg.corpus_seed, ci, 77])
         coeff_sets = [[1.0], [0.0, 0.0, 0.0, 1.0],
                       list(rng.standard_normal(7) + 1j * rng.standard_normal(7))]
         for coeffs in coeff_sets:
-            rows.append(holomorphic_variant_check(coeffs, x_vec, r,
-                                                  0.5 * x_norm, beta="omega"))
-    return rows
+            groups.append(_one_row(holomorphic_variant_check(
+                coeffs, x_vec, r, 0.5 * x_norm, beta="omega")))
+    return groups
 
 
 def _dimension_rows(n, cfg: SweepConfig, evaluator):
     """Checks that do not depend on the geometry grid (origin-centered)."""
-    rows = []
+    groups = []
     if "log_convexity" in cfg.checks:
-        rows.extend(convexity_rows(evaluator, n, np.linspace(0.05, 0.95, 20)))
+        groups += convexity_rows(evaluator, n, np.linspace(0.05, 0.95, 20))
     if "embedding_identity" in cfg.checks:
         b = np.zeros(n)
         b[0] = 0.2
@@ -278,29 +284,28 @@ def _dimension_rows(n, cfg: SweepConfig, evaluator):
         ]
         for idx, (label, g, gdeg) in enumerate(cases):
             rep = embedding_identity_check(g, b, 0.8, g_degree=gdeg)
-            rows.append(replace(rep, name=f"embedding_identity_eq30[{label}]",
-                                t=float(idx)))
-    return rows
+            groups.append(_one_row(replace(
+                rep, name=f"embedding_identity_eq30[{label}]", t=float(idx))))
+    return groups
 
 
 def _delta_lower_bound_rows():
-    rows = []
+    groups = []
     for xn in np.geomspace(16.0, 1024.0, 7):
         for variant in ("scaled", "printed"):
             try:
-                rows.append(delta_lower_bound_check(float(xn), float(xn) / 4,
-                                                    variant=variant))
+                groups.append(_one_row(delta_lower_bound_check(
+                    float(xn), float(xn) / 4, variant=variant)))
             except ThreeSpheresError as exc:
-                rows.append(error_row(f"delta_lower_bound_{variant}", exc,
-                                      0.0, n=None, x_norm=float(xn),
-                                      r=float(xn) / 4, t=None))
-    return rows
+                groups.append(error_row(f"delta_lower_bound_{variant}", exc,
+                                        0.0, n=None, x_norm=float(xn),
+                                        r=float(xn) / 4, t=None))
+    return groups
 
 
 def run_sweep(cfg: SweepConfig):
-    """Execute the sweep; returns (reports, skipped_messages)."""
-    reports: list = []
-    skipped: list = []
+    """Execute the sweep; returns (row groups, skipped_messages)."""
+    groups, skipped = [], []
     for n in cfg.dimensions:
         polys = sample_corpus(n, cfg.corpus_count, cfg.corpus_max_degree,
                               cfg.corpus_seed)
@@ -311,70 +316,44 @@ def run_sweep(cfg: SweepConfig):
             skipped.append(f"holomorphic_variant skipped for n={n}: planar "
                            "check")
         for ci, (x_vec, r) in enumerate(geoms):
-            reports.extend(_config_rows(n, cfg, ci, x_vec, r, polys,
-                                        evaluator))
-        reports.extend(_dimension_rows(n, cfg, evaluator))
+            groups += _config_rows(n, cfg, ci, x_vec, r, polys, evaluator)
+        groups += _dimension_rows(n, cfg, evaluator)
     if "delta_lower_bound" in cfg.checks:
-        reports.extend(_delta_lower_bound_rows())
-    return reports, skipped
+        groups += _delta_lower_bound_rows()
+    return groups, skipped
 
 
 # ---------------------------------------------------------------------------
 # report serialization
 
 
-def _fmt(v) -> str:
-    if v is None:
-        return ""
-    if isinstance(v, float):
-        return format(v, ".17g")
-    return str(v)
-
-
-def _templates(reports, template) -> list:
-    """``template(rep)`` per report, made again only where a report's fields
-    but lhs, rhs, ratio and pass are not the same objects as those of the
-    previous report of its name (equal values can print apart: 0.0, -0.0)."""
-    last: dict = {}
-    out = []
-    for rep in reports:
-        prev, tpl = last.get(rep.name, (None, None))
-        if (prev is None or rep.t is not prev.t or rep.r is not prev.r
-                or rep.x_norm is not prev.x_norm or rep.n is not prev.n
-                or rep.exponent_used is not prev.exponent_used
-                or rep.tolerance is not prev.tolerance
-                or rep.stderr_budget is not prev.stderr_budget
-                or rep.mode is not prev.mode):
-            tpl = template(rep)
-        last[rep.name] = rep, tpl
-        out.append(tpl)
-    return out
-
-
-def write_csv(reports, path: str) -> None:
-    """CSV summary, one row per report: full 17-significant-digit floats,
+def write_csv(groups, path: str) -> None:
+    """CSV summary, one line per row: full 17-significant-digit floats,
     '.' decimal separator, LF line endings (byte-stable for golden files).
     lhs, rhs and ratio are floats, as every report builder makes them."""
 
     def head(rep):
-        return ",".join([rep.name, _fmt(rep.n), _fmt(rep.x_norm), _fmt(rep.r),
-                         _fmt(rep.t), _fmt(rep.exponent_used), ""]
-                        ).replace("%", "%%") + "%.17g,%.17g,%.17g,%s"
+        shared = ["" if v is None else format(v, ".17g")
+                  if isinstance(v, float) else str(v)
+                  for v in (rep.n, rep.x_norm, rep.r, rep.t, rep.exponent_used)]
+        return (",".join([rep.name, *shared, ""]).replace("%", "%%")
+                + "%.17g,%.17g,%.17g,%s")
 
     lines = ["name,n,x_norm,r,t_or_xbar,exponent,lhs,rhs,ratio,pass"]
-    lines += [tpl % (rep.lhs, rep.rhs, rep.ratio,
-                     "true" if rep.passed else "false")
-              for tpl, rep in zip(_templates(reports, head), reports)]
+    lines += [tpl % (lhs, rhs, ratio, "true" if ok else "false")
+              for group in groups for tpl, lhs, rhs, ratio, ok
+              in group.cells(list(map(head, group.heads)))]
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
-def write_json(reports, path: str) -> None:
-    """One JSON object per report, serialized as a JSON array.
+def write_json(groups, path: str) -> None:
+    """One JSON object per row, serialized as a JSON array.
 
-    The bytes are those of ``json.dump(..., indent=1, sort_keys=True)``:
-    each group's shared fields go through the C encoder once, and each row
-    spells its three floats as the encoder does.
+    The bytes are those of ``json.dump(..., indent=1, sort_keys=True)`` of
+    the rows' ``to_dict()``: each group's shared fields go through the C
+    encoder once per name, and each row spells its three floats from the
+    group's arrays as the encoder does.
     """
     special = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
@@ -388,8 +367,8 @@ def write_json(reports, path: str) -> None:
         text = float.__repr__(v)
         return special.get(text, text)
 
-    rows = [tpl % (num(rep.lhs), "true" if rep.passed else "false",
-                   num(rep.ratio), num(rep.rhs))
-            for tpl, rep in zip(_templates(reports, body), reports)]
+    rows = [tpl % (num(lhs), "true" if ok else "false", num(ratio), num(rhs))
+            for group in groups for tpl, lhs, rhs, ratio, ok
+            in group.cells(list(map(body, group.heads)))]
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("[\n" + ",\n".join(rows) + "\n]\n" if rows else "[]\n")

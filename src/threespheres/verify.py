@@ -1,7 +1,7 @@
 """Numerical checks for the derivative identities, the transfer identity,
 log-convexity, and the three-spheres / three-balls inequalities.
 
-Every check emits an :class:`InequalityReport`.  Upper-bound checks pass iff
+Every check emits :class:`InequalityReport` rows.  Upper-bound checks pass iff
 
     lhs <= rhs * (1 + tolerance) + stderr_budget,
 
@@ -17,15 +17,15 @@ plain rules are exact at the integrand's degree (twice it for |f|^2) and no
 higher, and the weighted rules are the Gauss rules of their weight, exact
 for a polynomial of that degree times the weight (see ``quadrature``).
 
-The inequalities and the derivative and transfer identities are written
-once, over columns: an evaluator maps (N, n) points to the (N, P) values or
-squared moduli of P functions, and :func:`gradient_rows`,
-:func:`derivative_rows`, :func:`sphere_rows` and :func:`ball_rows`
-integrate them and emit a group's P rows at once (:func:`upper_rows`,
-:func:`identity_rows`, whose one-row cases are :func:`upper_report` and
-:func:`identity_report`).  The sweep passes a ``PolynomialEvaluator`` over
-its corpus, or a :class:`Column` of its test functions; each public
-``*_check`` passes a one-column :class:`Column` around its callable, so
+The inequalities and the identities are written once, over columns: an
+evaluator maps (N, n) points to the (N, P) values or squared moduli of P
+functions, which the row builders (``gradient_rows``, ``derivative_rows``,
+``convexity_rows``, ``sphere_rows``, ``ball_rows``) integrate into row
+groups (:class:`RowGroup`; :func:`upper_rows`, :func:`identity_rows`,
+:func:`error_row`): shared fields once per name, sides and pass as arrays.
+The sweep passes a ``PolynomialEvaluator`` over its corpus, or a
+:class:`Column` of its test functions; each public ``*_check`` passes a
+one-column :class:`Column` and returns its groups' rows (:func:`flat`), so
 both use the same rules and arithmetic.
 """
 
@@ -34,6 +34,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, fields, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -113,49 +114,83 @@ class InequalityReport:
                 getattr(self, f.name) for f in fields(self)}
 
 
-def _ratio(lhs: float, rhs: float) -> float:
-    if rhs == 0.0:
-        return math.inf if lhs > 0 else 1.0
-    return lhs / rhs
+class RowGroup(NamedTuple):
+    """P rows of each of k names, interleaved per column: row p k + j is
+    ``heads[j]``, an :class:`InequalityReport` of its shared fields (sides
+    unread; NaN from the builders), with entry (p, j) of the arrays below."""
+
+    heads: tuple
+    lhs: np.ndarray
+    rhs: np.ndarray
+    ratio: np.ndarray
+    passed: np.ndarray
+
+    def cells(self, heads=None):
+        """(head, lhs, rhs, ratio, pass) per row, with ``heads`` if given."""
+        return zip(list(heads or self.heads) * len(self.lhs),
+                   *(a.ravel().tolist() for a in self[1:]))
+
+    def rows(self) -> list:
+        return [InequalityReport(h.name, a, b, q, h.exponent_used,
+                                 h.tolerance, h.stderr_budget, ok, h.mode,
+                                 h.n, h.x_norm, h.r, h.t)
+                for h, a, b, q, ok in self.cells()]
+
+    def indexed(self) -> "RowGroup":
+        """The (P, 1) group as (1, P), column p's head with t = p."""
+        return RowGroup(tuple(replace(self.heads[0], t=float(p)) for p in
+                              range(len(self.lhs))), *(a.T for a in self[1:]))
+
+
+def flat(groups) -> list:
+    """The rows of ``groups`` as :class:`InequalityReport`s, in order."""
+    return [rep for group in groups for rep in group.rows()]
+
+
+def _group(names, lhs, rhs, passed, mode, exponent, tolerance, budget,
+           meta) -> RowGroup:
+    """Rows of ``names``; ratio lhs / rhs, at rhs = 0 inf if lhs > 0 else 1."""
+    heads = tuple([InequalityReport(name, math.nan, math.nan, math.nan,
+                                    exponent, tolerance, budget, False, mode,
+                                    **meta) for name in names])
+    zero = rhs == 0.0
+    with np.errstate(all="ignore"):  # Python's float division does not warn
+        ratio = lhs / rhs
+    if np.count_nonzero(zero):
+        ratio[zero] = np.where(lhs[zero] > 0, math.inf, 1.0)
+    return RowGroup(heads, lhs, rhs, ratio, passed)
 
 
 def upper_rows(name, lhs, rhs, tolerance, budget=0.0, exponent=math.nan,
-               **meta) -> list:
-    """One "upper" report per entry of the ``lhs`` and ``rhs`` columns; the
-    rows share every other field object."""
-    lhs, rhs = np.asarray(lhs, dtype=float), np.asarray(rhs, dtype=float)
-    passed = lhs <= rhs * (1 + tolerance) + budget
-    exponent, budget = float(exponent), float(budget)
-    return [InequalityReport(name, a, b, _ratio(a, b), exponent, tolerance,
-                             budget, ok, "upper", **meta)
-            for a, b, ok in zip(lhs.tolist(), rhs.tolist(), passed.tolist())]
+               **meta) -> RowGroup:
+    """The "upper" rows of (P,) sides, or of (P, k) for a tuple of k names."""
+    names = (name,) if isinstance(name, str) else name
+    lhs = np.asarray(lhs, dtype=float).reshape(-1, len(names))
+    rhs = np.asarray(rhs, dtype=float).reshape(-1, len(names))
+    return _group(names, lhs, rhs, lhs <= rhs * (1 + tolerance) + budget,
+                  "upper", float(exponent), tolerance, float(budget), meta)
 
 
 def upper_report(name, lhs, rhs, *args, **meta) -> InequalityReport:
-    return upper_rows(name, [lhs], [rhs], *args, **meta)[0]
+    return upper_rows(name, [lhs], [rhs], *args, **meta).rows()[0]
 
 
 def identity_rows(name, lhs, rhs, tolerance, scale_floor=0.0,
-                  **meta) -> list:
-    """One "identity" report per entry of the ``lhs`` and ``rhs`` columns;
-    complex sides are recorded by magnitude but the pass decision uses the
-    full complex gap.  ``scale_floor``, one value for every row or one per
-    row, keeps the relative test meaningful when both sides nearly
-    vanish."""
-    lhs, rhs = np.asarray(lhs, dtype=complex), np.asarray(rhs, dtype=complex)
-    rows = []
-    # Python's complex abs: numpy's differs from it in the last bit
-    for a, b, floor in zip(lhs.tolist(), rhs.tolist(),
-                           np.full(lhs.shape, scale_floor).tolist()):
-        gap, a, b = abs(a - b), abs(a), abs(b)
-        rows.append(InequalityReport(
-            name, a, b, _ratio(a, b), math.nan, tolerance, 0.0,
-            gap <= tolerance * max(a, b, floor, 1e-300), "identity", **meta))
-    return rows
+                  **meta) -> RowGroup:
+    """The "identity" rows of the ``lhs`` and ``rhs`` columns; complex sides
+    are recorded by magnitude but the pass decision uses the full complex
+    gap.  ``scale_floor``, one value for every row or one per row, keeps the
+    relative test meaningful when both sides nearly vanish."""
+    lhs, rhs = np.asarray(lhs), np.asarray(rhs)
+    z = np.array([lhs - rhs, lhs, rhs]).reshape(3, -1, 1)
+    gap, a, b = np.hypot(z.real, z.imag)  # Python's abs; numpy's differs
+    floor = np.maximum(scale_floor, 1e-300).reshape(-1, 1)
+    return _group((name,), a, b, gap <= tolerance * np.maximum(
+        np.maximum(a, b), floor), "identity", math.nan, tolerance, 0.0, meta)
 
 
 def identity_report(name, lhs, rhs, *args, **meta) -> InequalityReport:
-    return identity_rows(name, [lhs], [rhs], *args, **meta)[0]
+    return identity_rows(name, [lhs], [rhs], *args, **meta).rows()[0]
 
 
 @dataclass(frozen=True)
@@ -170,13 +205,12 @@ class ConvexityGridReport:
     passed: bool
 
 
-def error_row(name, exc, tolerance, mode="upper", exponent=math.nan,
-              **meta) -> InequalityReport:
-    """Failed placeholder row for a check that raised ``exc``."""
-    return InequalityReport(
-        name=f"{name}:error:{type(exc).__name__}", lhs=math.nan, rhs=math.nan,
-        ratio=math.nan, exponent_used=exponent, tolerance=tolerance,
-        stderr_budget=0.0, passed=False, mode=mode, **meta)
+def error_row(name, exc, tolerance, count=1, exponent=math.nan,
+              **meta) -> RowGroup:
+    """``count`` failed rows, NaN sides, for a check that raised ``exc``."""
+    nan = np.full(count, math.nan)
+    return upper_rows(f"{name}:error:{type(exc).__name__}", nan, nan,
+                      tolerance, exponent=exponent, **meta)
 
 
 def _column(f, degree: int | None = None) -> Column:
@@ -233,25 +267,26 @@ def _resolve_beta(rec, beta, unchecked: bool = False) -> float:
 
 
 def _fd_rows(groups, plain, **meta) -> list:
-    """Identity rows of each (name, difference quotients, surface forms) of
-    ``groups``, P each, on the scale floor 1e-3 max(1, |int f ds|) of each
+    """A group of identity rows per (name, difference quotients, surface
+    forms) of ``groups``, on the scale floor 1e-3 max(1, |int f ds|) of each
     column (``plain``), which keeps the relative test sane when a derivative
     vanishes by symmetry."""
-    floors = [1e-3 * max(1.0, abs(v)) for v in plain.tolist()]
-    return [row for name, fd, quad in groups for row in identity_rows(
-        name, fd, quad, IDENTITY_FD_TOL, floors, **meta)]
+    floors = 1e-3 * np.fmax(1.0, np.hypot(plain.real, plain.imag))
+    return [identity_rows(name, fd, quad, IDENTITY_FD_TOL, floors, **meta)
+            for name, fd, quad in groups]
 
 
 def gradient_rows(ev, x: np.ndarray, r: float, e: np.ndarray) -> list:
     """The rows of :func:`gradient_identity_check` for each column of
-    ``ev``, ``e`` a unit vector: P rows of (2), then P of (3)."""
+    ``ev``, ``e`` a unit vector: a group of (2) rows, then one of (3)."""
     n, h = x.size, FD_STEP
 
     def vol(center, radius):
         return _ball_integrals(ev.values, center, radius, ev.degree)[1]
 
-    fd_dir = (vol(x + h * e, r) - vol(x - h * e, r)) / (2 * h)
-    fd_rad = (vol(x, r + h) - vol(x, r - h)) / (2 * h)
+    # times 1 / (2 h), as numpy divides complex columns: real ones round alike
+    fd_dir = (vol(x + h * e, r) - vol(x - h * e, r)) * (1 / (2 * h))
+    fd_rad = (vol(x, r + h) - vol(x, r - h)) * (1 / (2 * h))
 
     def surface_forms(pts):  # f (e . n) and f on S_{x,r}
         v = ev.values(pts)
@@ -288,12 +323,12 @@ def gradient_identity_check(f, x, r: float, e=None,
             raise OutOfRange(f"direction e must be a nonzero finite vector "
                              f"of length {n}, got {e.tolist()!r}")
         e = e / norm
-    return gradient_rows(col, x, r, e)
+    return flat(gradient_rows(col, x, r, e))
 
 
 def derivative_rows(ev, fam: CorrelatedFamily, t: float) -> list:
     """The rows of :func:`derivative_identity_check` at ``t`` for each
-    column of ``ev``: P rows of (5), then P of (13)."""
+    column of ``ev``: a group of (5) rows, then one of (13)."""
     n, inv, h = fam.dimension, fam.inversion, FD_STEP
 
     def vol(s):
@@ -301,7 +336,7 @@ def derivative_rows(ev, fam: CorrelatedFamily, t: float) -> list:
         return _ball_integrals(ev.values, ball.center, ball.radius,
                                ev.degree)[1]
 
-    fd = (vol(t + h) - vol(t - h)) / (2 * h)
+    fd = (vol(t + h) - vol(t - h)) * (1 / (2 * h))  # as in gradient_rows
     rt, rpt = float(fam.radius(t)), float(fam.radius_derivative(t))
     center = fam.center(t)
 
@@ -336,7 +371,7 @@ def derivative_identity_check(f, fam: CorrelatedFamily, t: float,
     if not 0 < t < fam.x_norm:
         raise OutOfRange("t must be interior to (0, |x|) for the central "
                          "difference")
-    return derivative_rows(_column(f, degree), fam, t)
+    return flat(derivative_rows(_column(f, degree), fam, t))
 
 
 # ---------------------------------------------------------------------------
@@ -373,9 +408,9 @@ def convexity_rows(ev, n: int, grid) -> list:
     logs = _logs([integrals(ev.squared_values, rule, np.zeros(n), rad)[0]
                   for rad in grid])
     margin, _ = convexity_margins(np.log(grid), logs)
-    return [upper_report("log_convexity_eq18", -m, 0.0, 0.0,
-                         budget=CONVEXITY_SLACK, n=n, x_norm=0.0, r=0.0,
-                         t=float(p)) for p, m in enumerate(margin.tolist())]
+    return [upper_rows("log_convexity_eq18", -margin, np.zeros(margin.size),
+                       0.0, budget=CONVEXITY_SLACK, n=n, x_norm=0.0,
+                       r=0.0).indexed()]
 
 
 def _logs(values) -> np.ndarray:
@@ -405,8 +440,8 @@ def convexity_margins(logr: np.ndarray, logs: np.ndarray):
 
 def sphere_rows(ev, fam: CorrelatedFamily, ts, checks, beta="omega",
                 unchecked_beta: bool = False) -> list:
-    """Three-spheres (24) and transfer (22) rows at each t of ``ts``, per
-    column of ``ev``, for the names in ``checks``.
+    """Three-spheres (24) and transfer (22) row groups at each t of ``ts``,
+    over the columns of ``ev``, for the names in ``checks``.
 
     (24) is rbar M <= (r I)^beta O^(1-beta) for the ds_a integrals of |f|^2
     over the inner sphere (I), the unit sphere (O) and the family sphere at
@@ -437,7 +472,7 @@ def sphere_rows(ev, fam: CorrelatedFamily, ts, checks, beta="omega",
     if three:
         iv = sa_sphere(rules[len(ts)], x_norm, r)
         ov = sa_sphere(rules[len(ts) + 1], 0.0, 1.0)
-    rows = []
+    groups = []
     for j, t in enumerate(ts):
         meta = {"n": n, "x_norm": x_norm, "r": r, "t": t}
         mv = sa_sphere(rules[j], t, rt[j])
@@ -445,13 +480,11 @@ def sphere_rows(ev, fam: CorrelatedFamily, ts, checks, beta="omega",
             try:
                 b = _resolve_beta(fam.exponents(t), beta, unchecked_beta)
             except BetaOutOfRange as exc:
-                rows.extend(error_row("three_spheres_eq24", exc,
-                                      INEQUALITY_TOL, exponent=float(beta),
-                                      **meta)
-                            for _ in mv)
+                groups.append(error_row("three_spheres_eq24", exc,
+                                        INEQUALITY_TOL, mv.size, beta, **meta))
             else:
                 # Python-float powers: numpy's array power moves last bits
-                rows.extend(upper_rows(
+                groups.append(upper_rows(
                     "three_spheres_eq24", rt[j] * mv,
                     [(r * i) ** b * o ** (1 - b)
                      for i, o in zip(iv.tolist(), ov.tolist())],
@@ -460,9 +493,9 @@ def sphere_rows(ev, fam: CorrelatedFamily, ts, checks, beta="omega",
             kv, = integrals(kelvin_squared, rules[len(sa) + j], np.zeros(n),
                             rts[j], inv, ("kelvin",))
             factor = inv.rho2 * rt[j] / rts[j]
-            rows.extend(identity_rows("transfer_identity_eq22", kv,
-                                      factor * mv, TRANSFER_TOL, **meta))
-    return rows
+            groups.append(identity_rows("transfer_identity_eq22", kv,
+                                        factor * mv, TRANSFER_TOL, **meta))
+    return groups
 
 
 def three_spheres_check(f, x, r: float, t: float, beta="omega",
@@ -484,7 +517,7 @@ def three_spheres_check(f, x, r: float, t: float, beta="omega",
         raise OutOfRange("t must lie in (0, |x|]")
     _resolve_beta(fam.exponents(t), beta, unchecked_beta)
     return sphere_rows(col, fam, [float(t)], ("three_spheres",), beta,
-                       unchecked_beta)[0]
+                       unchecked_beta)[0].rows()[0]
 
 
 def transfer_identity_check(f, fam: CorrelatedFamily, t: float,
@@ -493,7 +526,7 @@ def transfer_identity_check(f, fam: CorrelatedFamily, t: float,
     col = _column(f, degree)
     if not 0 < t <= fam.x_norm * (1 + 1e-12):
         raise OutOfRange("t must lie in (0, |x|]")
-    return sphere_rows(col, fam, [float(t)], ("transfer_identity",))[0]
+    return flat(sphere_rows(col, fam, [float(t)], ("transfer_identity",)))[0]
 
 
 def holomorphic_variant_check(coeffs, x, r: float, t: float, beta="omega",
@@ -527,9 +560,9 @@ def holomorphic_variant_check(coeffs, x, r: float, t: float, beta="omega",
 
 def ball_rows(ev, fam: CorrelatedFamily, xbar_norm: float, checks,
               lambdas=(), delta=None) -> list:
-    """Three-balls (27) rows and, for each lambda, embedded-bound rows (29)
-    (at R = 1), (36) and (37), per column of ``ev``, for the names in
-    ``checks``.
+    """A three-balls (27) row group and, for each lambda, one of
+    embedded-bound rows (29) (at R = 1), (36) and (37), interleaved per
+    column of ``ev``, for the names in ``checks``.
 
     (27) is M <= I^delta O^(1-delta) for the dmu_a integrals of |u|^2 over
     B_{x0,r0} (I), the correlated ball B_{xbar,rbar} (M) and B_R (O).  The
@@ -552,7 +585,7 @@ def ball_rows(ev, fam: CorrelatedFamily, xbar_norm: float, checks,
     in_mu, iv = _ball_integrals(sq, x0n * fam.e, r0, degree, inv, embedded)
     out_mu, ov = _ball_integrals(sq, np.zeros(n), R, degree, inv, embedded)
     meta = {"n": n, "x_norm": x0n, "r": r0}
-    rows, vol = [], ball_volume(n)
+    groups, vol = [], ball_volume(n)
 
     def blend(inner, outer):  # Python-float powers, as in sphere_rows
         return np.array([i ** delta * o ** (1 - delta)
@@ -564,26 +597,26 @@ def ball_rows(ev, fam: CorrelatedFamily, xbar_norm: float, checks,
 
     if inv is not None:
         mv, _ = _ball_integrals(sq, xbar_norm * fam.e, rbar, degree, inv, False)
-        rows.extend(upper_rows("three_balls_eq27", mv, blend(in_mu, out_mu),
-                               INEQUALITY_TOL, exponent=delta, t=xbar_norm,
-                               **meta))
+        groups.append(upper_rows("three_balls_eq27", mv,
+                                 blend(in_mu, out_mu), INEQUALITY_TOL,
+                                 exponent=delta, t=xbar_norm, **meta))
     if embedded:
         core, a2_in, a2_out = blend(iv, ov), average(iv, r0), average(ov, R)
     for lam in lambdas if embedded else ():
         _, lv = _ball_integrals(sq, xbar_norm * fam.e, lam * rbar, degree)
         c36 = EMBED_CONSTANT / (1 - lam * lam) ** 2.5 * (R / rbar) ** 5
-        groups = [("embedded_bound_eq36", lv, c36 * core),
-                  ("embedded_bound_eq37", average(lv, lam * rbar),
-                   [certificate37(n, lam, R, rbar, i, o, delta)
-                    for i, o in zip(a2_in, a2_out)])]
+        sides = [("embedded_bound_eq36", lv, c36 * core),
+                 ("embedded_bound_eq37", average(lv, lam * rbar),
+                  [certificate37(n, lam, R, rbar, i, o, delta)
+                   for i, o in zip(a2_in, a2_out)])]
         if abs(R - 1.0) < 1e-14:
-            groups.insert(0, ("embedded_bound_eq29", lv, EMBED_CONSTANT
-                              / (rbar * (1 - lam * lam) ** 2.5) * core))
+            sides.insert(0, ("embedded_bound_eq29", lv, EMBED_CONSTANT
+                             / (rbar * (1 - lam * lam) ** 2.5) * core))
         # each polynomial's rows together: eq29, eq36, eq37
-        rows.extend(itertools.chain.from_iterable(zip(*(
-            upper_rows(name, lhs, rhs, INEQUALITY_TOL, exponent=delta, t=lam,
-                       **meta) for name, lhs, rhs in groups))))
-    return rows
+        names, lhs, rhs = zip(*sides)
+        groups.append(upper_rows(names, np.stack(lhs, 1), np.stack(rhs, 1),
+                                 INEQUALITY_TOL, exponent=delta, t=lam, **meta))
+    return groups
 
 
 def certificate37(n: int, lam: float, R: float, rbar: float, inner: float,
@@ -606,7 +639,8 @@ def three_balls_check(u, x0, r0: float, xbar_norm: float, delta=None,
     """
     col = _column(u, degree)
     fam = CorrelatedFamily.create(x0, r0, R=1.0)
-    return ball_rows(col, fam, float(xbar_norm), ("three_balls",), (), delta)[0]
+    return ball_rows(col, fam, float(xbar_norm), ("three_balls",), (),
+                     delta)[0].rows()[0]
 
 
 def embedded_bound_check(u, x0, r0: float, xbar_norm: float, lam: float,
@@ -626,8 +660,8 @@ def embedded_bound_check(u, x0, r0: float, xbar_norm: float, lam: float,
     if not 0 < lam < 1:
         raise OutOfRange("lambda must lie in (0, 1)")
     fam = CorrelatedFamily.create(x0, r0, R=R)
-    rows = ball_rows(col, fam, float(xbar_norm), ("embedded_bound",), (lam,))
-    return [replace(rep, t=float(xbar_norm)) for rep in rows]
+    group, = ball_rows(col, fam, float(xbar_norm), ("embedded_bound",), (lam,))
+    return [replace(rep, t=float(xbar_norm)) for rep in group.rows()]
 
 
 def embedding_identity_check(g, b, l: float, g_degree: int | None = None,

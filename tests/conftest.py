@@ -95,3 +95,13 @@ def weighted_rule(n, degree, kind, a_norm, center_norm, radius, R=1.0):
 
     return weighted_rules(n, degree,
                           [(kind, a_norm, center_norm, radius, R)])[0]
+
+
+def sweep_rows(cfg):
+    """The rows of ``run_sweep(cfg)`` flattened from its groups, and its
+    skip messages."""
+    from threespheres.sweep import run_sweep
+    from threespheres.verify import flat
+
+    groups, skipped = run_sweep(cfg)
+    return flat(groups), skipped

@@ -36,6 +36,7 @@ from threespheres.sweep import SweepConfig, run_sweep, sample_geometries
 from threespheres.uniqueness import delta_lower_bound_check
 from threespheres.verify import (
     derivative_identity_check,
+    flat,
     gradient_identity_check,
     log_convexity_check,
     transfer_identity_check,
@@ -191,7 +192,7 @@ def test_criterion_07_three_spheres_theorem():
         "geometry": {"count": 20, "seed": 11, "t_count": 10},
         "checks": ["three_spheres"],
     })
-    reports, _ = run_sweep(cfg)
+    reports = flat(run_sweep(cfg)[0])
     assert len(reports) == 2 * 100 * 20 * 10
     bad = [r for r in reports if not r.passed]
     assert not bad, f"{len(bad)} three-spheres violations, first: {bad[0]}"
@@ -203,7 +204,7 @@ def test_criterion_07_three_spheres_theorem():
         "checks": ["three_spheres"],
         "mc_samples": 20_000,
     })
-    reports4, _ = run_sweep(cfg4)
+    reports4 = flat(run_sweep(cfg4)[0])
     assert len(reports4) == 20 * 5 * 5
     bad4 = [r for r in reports4 if not r.passed]
     assert not bad4, f"{len(bad4)} n=4 three-spheres violations"
@@ -221,7 +222,7 @@ def test_criterion_08_three_balls_and_embedded_bounds():
                      "lambdas": [0.3, 0.6, 0.9]},
         "checks": ["three_balls", "embedded_bound"],
     })
-    reports, _ = run_sweep(cfg)
+    reports = flat(run_sweep(cfg)[0])
     names = {r.name for r in reports}
     assert names == {"three_balls_eq27", "embedded_bound_eq29",
                      "embedded_bound_eq36", "embedded_bound_eq37"}
@@ -235,7 +236,7 @@ def test_criterion_08_three_balls_and_embedded_bounds():
         "checks": ["three_balls", "embedded_bound"],
         "mc_samples": 5000,
     })
-    reports4, _ = run_sweep(cfg4)
+    reports4 = flat(run_sweep(cfg4)[0])
     bad4 = [r for r in reports4 if not r.passed]
     assert not bad4, f"{len(bad4)} n=4 violations"
     _report(8, "three-balls and embedded bounds", started, 300.0)

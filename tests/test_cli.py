@@ -10,7 +10,8 @@ import pytest
 import threespheres
 from threespheres import uniqueness
 from threespheres.cli import build_parser, main
-from threespheres.sweep import SweepConfig, run_sweep
+from threespheres.sweep import ALL_CHECKS, SweepConfig, run_sweep
+from threespheres.verify import flat
 
 
 SMALL_CONFIG = {
@@ -91,8 +92,8 @@ def test_sweep_starts_no_thread(monkeypatch):
         raise AssertionError(f"the sweep started a thread: {self!r}")
 
     monkeypatch.setattr(threading.Thread, "start", refuse)
-    reports, _ = run_sweep(SweepConfig.from_dict(SMALL_CONFIG))
-    assert reports and all(r.passed for r in reports)
+    groups, _ = run_sweep(SweepConfig.from_dict(SMALL_CONFIG))
+    assert groups and all(r.passed for r in flat(groups))
 
 
 def fresh_env(threads: str) -> dict:
@@ -204,6 +205,33 @@ def test_verify_beta_above_alpha_fails_with_rows(tmp_path, capsys):
     assert rc == 1
     assert "FAILED rows" in out
     assert "BetaOutOfRange" in out
+
+
+def test_verify_summary_is_that_of_the_flattened_rows(tmp_path, capsys):
+    # every check, beta above alpha (error rows) and the delta_0 rows that
+    # fail by design: the printed counts and failed rows are those of the
+    # rows the writers flatten
+    cfg = write_config(tmp_path, {
+        "dimensions": [2, 3], "beta": 0.99,
+        "geometry": {"count": 1, "seed": 5, "x_norm_range": [0.5, 0.7],
+                     "t_count": 2, "lambdas": [0.6]},
+        "checks": list(ALL_CHECKS) + ["delta_lower_bound"]})
+    rc = main(["verify", "--config", cfg])
+    out = capsys.readouterr().out.splitlines()
+    groups, skipped = run_sweep(SweepConfig.from_file(cfg))
+    rows = flat(groups)
+    failed = [r for r in rows if not r.passed]
+    names = sorted({r.name for r in rows})
+    assert rc == 1 and failed and skipped
+    assert out == [
+        f"{name}: {sum(r.passed for r in rows if r.name == name)} passed, "
+        f"{sum(not r.passed for r in rows if r.name == name)} failed"
+        for name in names] + [f"skipped: {msg}" for msg in skipped] + [
+        f"FAILED rows ({len(failed)}):"] + [
+        f"  {r.name} n={r.n} |x|={r.x_norm} r={r.r} t={r.t} lhs={r.lhs!r} "
+        f"rhs={r.rhs!r}" for r in failed]
+    assert {r.name for r in failed} >= {
+        "three_spheres_eq24:error:BetaOutOfRange", "delta_lower_bound_scaled"}
 
 
 def test_verify_config_errors(tmp_path, capsys):

@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import exact_sphere_monomial, weighted_rule
+from conftest import exact_sphere_monomial, sweep_rows, weighted_rule
 from threespheres.cli import main
 from threespheres.errors import ConfigError, OutOfRange, UnderResolved
 from threespheres.geometry import CorrelatedFamily
@@ -21,7 +21,14 @@ from threespheres.sweep import (
     write_csv,
     write_json,
 )
-from threespheres.verify import InequalityReport, convexity_margins
+from threespheres.verify import (
+    InequalityReport,
+    RowGroup,
+    convexity_margins,
+    error_row,
+    flat,
+    upper_rows,
+)
 
 
 def test_weighted_rule_policy():
@@ -86,7 +93,7 @@ def test_weighted_rule_point_counts(monkeypatch):
            "geometry": {"count": 1, "seed": 11, "t_count": 2}}
     per_rule = 5 * 9
     counts = _count_points(monkeypatch)
-    reports, _ = run_sweep(SweepConfig.from_dict(
+    reports, _ = sweep_rows(SweepConfig.from_dict(
         dict(cfg, checks=["three_spheres", "transfer_identity"])))
     # inner and outer ds_a spheres, then a ds_a and a Kelvin sphere per t
     assert counts == [per_rule] * 6
@@ -110,8 +117,8 @@ def _ball_config_rows(n, margin, x_norm):
     polys = sample_corpus(n, 3, 8, 2)
     x = np.zeros(n)
     x[0] = x_norm
-    return _config_rows(n, cfg, 0, x, 1 - x_norm - margin, polys,
-                        PolynomialEvaluator(polys))
+    return flat(_config_rows(n, cfg, 0, x, 1 - x_norm - margin, polys,
+                             PolynomialEvaluator(polys)))
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -210,9 +217,10 @@ def test_csv_floats_roundtrip(tmp_path):
         "geometry": {"count": 1, "seed": 1, "t_count": 2},
         "checks": ["three_spheres"],
     })
-    reports, _ = run_sweep(cfg)
+    groups, _ = run_sweep(cfg)
+    reports = flat(groups)
     path = tmp_path / "r.csv"
-    write_csv(reports, str(path))
+    write_csv(groups, str(path))
     lines = path.read_text().splitlines()
     assert lines[0] == "name,n,x_norm,r,t_or_xbar,exponent,lhs,rhs,ratio,pass"
     # 17 significant digits reproduce the doubles exactly
@@ -222,9 +230,30 @@ def test_csv_floats_roundtrip(tmp_path):
         assert float(cells[7]) == rep.rhs
         assert float(cells[8]) == rep.ratio
     jpath = tmp_path / "r.json"
-    write_json(reports, str(jpath))
+    write_json(groups, str(jpath))
     data = json.loads(jpath.read_text())
     assert data[0]["lhs"] == reports[0].lhs
+
+
+def one_row(rep) -> RowGroup:
+    """``rep`` as a group of one row, its shared fields in a head with NaN
+    sides, so a writer that read the head's sides would be caught."""
+    head = replace(rep, lhs=math.nan, rhs=math.nan, ratio=math.nan,
+                   passed=False)
+    return RowGroup((head,), *(np.array([[v]]) for v in (
+        rep.lhs, rep.rhs, rep.ratio, rep.passed)))
+
+
+def assert_writers_match(groups, path):
+    """The CSV equals the per-cell oracle and the JSON ``json.dump`` of the
+    flattened rows' ``to_dict()``."""
+    rows = flat(groups)
+    write_csv(groups, str(path))
+    assert path.read_bytes() == oracle_csv(rows)
+    write_json(groups, str(path))
+    buf = io.StringIO()
+    json.dump([r.to_dict() for r in rows], buf, indent=1, sort_keys=True)
+    assert path.read_bytes() == (buf.getvalue() + "\n").encode()
 
 
 def test_write_json_bytes_match_json_dump(tmp_path):
@@ -234,16 +263,14 @@ def test_write_json_bytes_match_json_dump(tmp_path):
         "geometry": {"count": 1, "seed": 1, "t_count": 2},
         "checks": ["three_spheres", "transfer_identity"],
     })
-    reports, _ = run_sweep(cfg)
-    odd = [InequalityReport('say "ü"', math.nan, math.inf, -math.inf,
-                            -0.0, 1e-9, 0.0, False, n=None, x_norm=-0.0),
-           replace(reports[0], lhs=-math.inf, ratio=math.nan, t=None)]
-    path = tmp_path / "r.json"
-    for reps in (reports, odd, [], reports[:1]):
-        write_json(reps, str(path))
-        buf = io.StringIO()
-        json.dump([r.to_dict() for r in reps], buf, indent=1, sort_keys=True)
-        assert path.read_bytes() == (buf.getvalue() + "\n").encode()
+    groups, _ = run_sweep(cfg)
+    first = flat(groups)[0]
+    odd = [one_row(InequalityReport('say "ü"', math.nan, math.inf,
+                                    -math.inf, -0.0, 1e-9, 0.0, False,
+                                    n=None, x_norm=-0.0)),
+           one_row(replace(first, lhs=-math.inf, ratio=math.nan, t=None))]
+    for case in (groups, odd, [], groups[:1]):
+        assert_writers_match(case, tmp_path / "r.json")
 
 
 def oracle_csv(reports) -> bytes:
@@ -265,7 +292,7 @@ def oracle_csv(reports) -> bytes:
 def test_writers_match_per_cell_oracle(tmp_path):
     # every check, error rows (beta above alpha gives NaN sides) and rows
     # with null n and t (delta_lower_bound)
-    reports, _ = run_sweep(SweepConfig.from_dict({
+    groups, _ = run_sweep(SweepConfig.from_dict({
         "dimensions": [2],
         "corpus": {"count": 2, "max_degree": 4, "seed": 1},
         "geometry": {"count": 1, "seed": 1, "x_norm_range": [0.5, 0.7],
@@ -273,27 +300,32 @@ def test_writers_match_per_cell_oracle(tmp_path):
         "checks": list(ALL_CHECKS) + ["delta_lower_bound"],
         "beta": 0.99,
     }))
+    reports = flat(groups)
     assert any(math.isnan(r.lhs) for r in reports)
     assert any(r.n is None for r in reports)
     base = InequalityReport("hand", 1.0, 2.0, 0.5, 0.25, 1e-9, 0.0, True,
                             n=2, x_norm=0.5, r=0.1, t=0.2)
     # equal shared values whose text differs, and equal distinct objects
-    hand = [replace(base, lhs=-0.0), replace(base, ratio=math.inf),
-            replace(base, lhs=math.nan, rhs=float("nan"), ratio=-math.inf,
-                    passed=False),
-            replace(base, n=None, t=None),
-            replace(base, x_norm=0.0), replace(base, x_norm=-0.0),
-            replace(base, n=2.0), replace(base, t=float("0.75")),
-            replace(base, t=float("0.75")),
-            replace(base, name='say "ü" at 100%s', tolerance=-0.0)]
-    path = tmp_path / "r"
-    for reps in (reports, hand, reports + hand, []):
-        write_csv(reps, str(path))
-        assert path.read_bytes() == oracle_csv(reps)
-        write_json(reps, str(path))
-        buf = io.StringIO()
-        json.dump([r.to_dict() for r in reps], buf, indent=1, sort_keys=True)
-        assert path.read_bytes() == (buf.getvalue() + "\n").encode()
+    hand = [one_row(rep) for rep in (
+        replace(base, lhs=-0.0), replace(base, ratio=math.inf),
+        replace(base, lhs=math.nan, rhs=float("nan"), ratio=-math.inf,
+                passed=False),
+        replace(base, n=None, t=None),
+        replace(base, x_norm=0.0), replace(base, x_norm=-0.0),
+        replace(base, n=2.0), replace(base, t=float("0.75")),
+        replace(base, t=float("0.75")),
+        replace(base, name='say "ü" at 100%s', tolerance=-0.0))]
+    # three names interleaved per column, and P error rows
+    lhs = np.array([[1.0, -0.0, math.inf], [math.nan, 2.5, 1e-300]])
+    hand += [upper_rows(("a", "b%d", 'c"ü'), lhs, np.array(
+                 [[2.0, 0.0, math.inf], [1.0, 0.0, 0.0]]), 1e-9,
+                 exponent=0.5, n=3, x_norm=-0.0, r=0.25, t=None),
+             error_row("e%", ValueError("x"), 1e-9, 4, exponent=0.99, n=2,
+                       x_norm=0.5, r=0.1, t=0.0)]
+    assert [len(flat([g])) for g in hand[-2:]] == [6, 4]
+    assert [r.name for r in flat(hand[-2:-1])] == ["a", "b%d", 'c"ü'] * 2
+    for case in (groups, hand, groups + hand, []):
+        assert_writers_match(case, tmp_path / "r")
 
 
 def test_n4_rows_are_deterministic():
@@ -304,7 +336,7 @@ def test_n4_rows_are_deterministic():
         "checks": ["three_spheres", "three_balls"],
         "mc_samples": 2000,
     })
-    reports, skipped = run_sweep(cfg)
+    reports, skipped = sweep_rows(cfg)
     assert reports
     assert all(r.passed for r in reports)
     assert all(r.stderr_budget == 0 for r in reports)
@@ -315,7 +347,7 @@ def test_sweep_runs_every_check(tmp_path, capsys):
     raw = {"corpus": {"count": 2, "max_degree": 6, "seed": 3},
            "geometry": {"count": 1, "seed": 5, "x_norm_range": [0.5, 0.7],
                         "t_count": 2, "lambdas": [0.6]}}
-    reports, skipped = run_sweep(SweepConfig.from_dict(
+    reports, skipped = sweep_rows(SweepConfig.from_dict(
         dict(raw, dimensions=[2, 3])))
     counts = {}
     for rep in reports:
@@ -369,7 +401,7 @@ def test_n4_identity_and_convexity_rows_match_exact_moments(n):
         "checks": ["gradient_identity", "derivative_identity",
                    "log_convexity", "embedding_identity"],
     })
-    reports, skipped = run_sweep(cfg)
+    reports, skipped = sweep_rows(cfg)
     assert not skipped and all(r.passed for r in reports)
     assert [rep.name for rep in reports
             if rep.name.startswith("embedding_identity")] == [
@@ -459,7 +491,7 @@ def test_fd_rows_integrate_the_test_functions_together(monkeypatch):
 
     integrals = verify.integrals
     monkeypatch.setattr(verify, "integrals", counted)
-    reports, _ = run_sweep(SweepConfig.from_dict({
+    reports, _ = sweep_rows(SweepConfig.from_dict({
         "dimensions": [3], "corpus": {"count": 3, "max_degree": 6, "seed": 2},
         "geometry": {"count": 2, "seed": 3},
         "checks": ["gradient_identity", "derivative_identity"]}))

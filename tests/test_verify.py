@@ -33,6 +33,7 @@ from threespheres.verify import (
     derivative_rows,
     embedded_bound_check,
     embedding_identity_check,
+    flat,
     gradient_identity_check,
     gradient_rows,
     holomorphic_variant_check,
@@ -112,11 +113,8 @@ def test_derivative_identity_many_t(rng):
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_fd_row_builders_match_the_public_checks(n):
     # k columns at once give the k public checks' rows, (check, function)
-    # ordered, at the same degree.  The surface sides and every side of the
-    # complex corpus columns are summed alike; numpy's einsum sums a lone
-    # real column with its unrolled kernel and a batch in node order, so a
-    # real column's ball integrals differ in the last bits, which the
-    # difference quotient multiplies by 1/(2 FD_STEP)
+    # ordered, at the same degree, bit for bit: every column, a lone one
+    # too, is summed in node order
     polys = sample_corpus(n, 2, 5, 9)
     fns = [lambda pts: np.ones(len(pts)), lambda pts: pts[:, 0], Norm2(),
            *polys]
@@ -126,9 +124,9 @@ def test_fd_row_builders_match_the_public_checks(n):
     e = np.eye(n)[0]
     t = 0.4 * fam.x_norm
     for rows, check in [
-            (gradient_rows(Column(fns, degree), x, 0.15, e),
+            (flat(gradient_rows(Column(fns, degree), x, 0.15, e)),
              lambda f: gradient_identity_check(f, x, 0.15, degree=degree)),
-            (derivative_rows(Column(fns, degree), fam, t),
+            (flat(derivative_rows(Column(fns, degree), fam, t)),
              lambda f: derivative_identity_check(f, fam, t, degree=degree))]:
         assert len(rows) == 2 * k
         for p, f in enumerate(fns):
@@ -138,10 +136,7 @@ def test_fd_row_builders_match_the_public_checks(n):
                         got.t) == (want.name, want.passed, want.n,
                                    want.x_norm, want.r, want.t)
                 assert got.passed
-                assert abs(got.rhs - want.rhs) <= 1e-14 * abs(want.rhs)
-                assert abs(got.lhs - want.lhs) <= (
-                    1e-14 * abs(want.lhs) if p >= 3
-                    else 1e-9 * max(abs(want.lhs), 1e-3))
+                assert (got.lhs, got.rhs) == (want.lhs, want.rhs)
 
 
 def test_derivative_identity_requires_interior_t():
@@ -483,7 +478,7 @@ def test_sweep_rows_match_single_checks():
             "checks": ["three_spheres", "three_balls", "transfer_identity",
                        "embedded_bound"],
         })
-        reports, _ = run_sweep(cfg)
+        reports = flat(run_sweep(cfg)[0])
         polys = sample_corpus(n, 2, 6, 3)
         (x_vec, r), = sample_geometries(n, 1, 5, x_range=(0.5, 0.7))
         x_norm = float(np.linalg.norm(x_vec))
@@ -521,9 +516,9 @@ def _weighted_rows(n, degree):
     x = np.zeros(n)
     x[:2] = 0.3, -0.1  # off the coordinate axes, so every rule is turned
     fam = CorrelatedFamily.create(x, 0.2)
-    return (sphere_rows(ev, fam, [0.6 * fam.x_norm, fam.x_norm],
-                        ("three_spheres", "transfer_identity"))
-            + ball_rows(ev, fam, 0.5 * fam.x_norm,
+    return flat(sphere_rows(ev, fam, [0.6 * fam.x_norm, fam.x_norm],
+                            ("three_spheres", "transfer_identity"))
+                + ball_rows(ev, fam, 0.5 * fam.x_norm,
                         ("three_balls", "embedded_bound"), (0.6,)))
 
 
@@ -607,7 +602,7 @@ def test_checks_refuse_a_callable_without_a_degree(check):
 def test_convexity_rows_match_the_scalar_check():
     n, grid = 3, np.linspace(0.05, 0.95, 20)
     polys = sample_corpus(n, 3, 6, 4)
-    rows = convexity_rows(PolynomialEvaluator(polys), n, grid)
+    rows = flat(convexity_rows(PolynomialEvaluator(polys), n, grid))
     assert [r.t for r in rows] == [0.0, 1.0, 2.0]
     rule = SphereRule.product(n, 12)
     for row, poly in zip(rows, polys):
@@ -626,25 +621,37 @@ def test_row_builders_match_one_row_reports():
     lhs = np.array([0.5, 2.0, 0.0, 1.0, -0.0, 1.0 + 1e-8])
     rhs = np.array([1.0, 1.0, 0.0, 0.0, 3.0, 1.0])
     rows = upper_rows("u", lhs, rhs, 1e-9, budget=1e-12, exponent=0.3,
-                      **meta)
+                      **meta).rows()
     assert list(map(repr, rows)) == [
         repr(upper_report("u", a, b, 1e-9, budget=1e-12, exponent=0.3,
                           **meta)) for a, b in zip(lhs, rhs)]
     assert [r.ratio for r in rows[2:4]] == [1.0, math.inf]
     assert [r.passed for r in rows] == [True, False, True, False, True,
                                         False]
+
+    def ratio(a, b):  # the rule per row, in Python floats
+        return (math.inf if a > 0 else 1.0) if b == 0 else a / b
+
+    assert [r.ratio for r in rows] == [
+        ratio(a, b) for a, b in zip(lhs.tolist(), rhs.tolist())]
     lhs = np.array([1 + 1j, 0j, 2.0, -1e-20, 3 - 4j])
     rhs = np.array([0.0, 0.0, 2.0 + 1e-9, 1e-20, 5.0])
-    rows = identity_rows("i", lhs, rhs, 1e-8, scale_floor=1e-3, **meta)
+    rows = identity_rows("i", lhs, rhs, 1e-8, scale_floor=1e-3,
+                         **meta).rows()
     assert list(map(repr, rows)) == [
         repr(identity_report("i", a, b, 1e-8, scale_floor=1e-3, **meta))
         for a, b in zip(lhs, rhs)]
     assert [r.ratio for r in rows[:2]] == [math.inf, 1.0]
     assert [r.passed for r in rows] == [False, True, True, True, False]
     assert rows[4].lhs == rows[4].rhs == 5.0
+    # Python's complex abs and max, per row
+    assert [(r.lhs, r.rhs, r.ratio, r.passed) for r in rows] == [
+        (abs(a), abs(b), ratio(abs(a), abs(b)),
+         abs(a - b) <= 1e-8 * max(abs(a), abs(b), 1e-3, 1e-300))
+        for a, b in zip(lhs.tolist(), rhs.tolist())]
     # a floor per row: the same gap passes on the larger floor only
     rows = identity_rows("i", [1e-6, 1e-6], [0.0, 0.0], 1e-5,
-                         scale_floor=[1e-3, 1.0], **meta)
+                         scale_floor=[1e-3, 1.0], **meta).rows()
     assert [r.passed for r in rows] == [False, True]
 
 
@@ -653,8 +660,8 @@ def test_embedded_rows_interleave_per_polynomial():
     polys = sample_corpus(n, 3, 4, 1)
     fam = CorrelatedFamily.create([0.6, 0.0, 0.0], 0.1)
     xbar = 0.5 * fam.x_norm
-    rows = ball_rows(PolynomialEvaluator(polys), fam, xbar,
-                     ("three_balls", "embedded_bound"), lams)
+    rows = flat(ball_rows(PolynomialEvaluator(polys), fam, xbar,
+                          ("three_balls", "embedded_bound"), lams))
     assert [r.name for r in rows[:3]] == ["three_balls_eq27"] * 3
     rbar = correlated_radius_general(fam.x_norm, fam.r, xbar, 1.0)
     for k, lam in enumerate(lams):
