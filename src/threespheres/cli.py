@@ -131,12 +131,14 @@ def cmd_report(args) -> int:
                           "objects")
     by_name: dict = {}
     worst: dict = {}
-    for row in rows:
+    for i, row in enumerate(rows):
         name = str(row.get("name", "?"))
         ok, bad = by_name.get(name, (0, 0))
-        passed = bool(row.get("pass"))
+        passed, ratio = row.get("pass"), row.get("ratio")
+        if not isinstance(passed, bool) or isinstance(ratio, bool):
+            raise ConfigError(f"{args.json}: row {i}: \"pass\" is not a "
+                              "boolean or \"ratio\" is one")
         by_name[name] = (ok + passed, bad + (not passed))
-        ratio = row.get("ratio")
         if isinstance(ratio, (int, float)) and not math.isnan(ratio):
             cur = worst.get(name)
             if cur is None or ratio > cur:

@@ -15,7 +15,7 @@ origin with radius r_t*.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -86,6 +86,8 @@ class InversionData:
     a: np.ndarray
     rho: float
     R: float = 1.0
+    a_norm: float = field(init=False, repr=False)
+    rho2: float = field(init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "a", _as_vector(self.a))
@@ -96,18 +98,12 @@ class InversionData:
         if abs(self.rho - expected) > _REL_TOL * max(1.0, expected):
             raise OutOfRange("rho^2 = |a|^2 - R^2 violated (inversion sphere "
                              "not orthogonal to S_R)")
+        object.__setattr__(self, "a_norm", a_norm)
+        object.__setattr__(self, "rho2", self.rho * self.rho)
 
     @property
     def dimension(self) -> int:
         return self.a.size
-
-    @property
-    def a_norm(self) -> float:
-        return float(np.linalg.norm(self.a))
-
-    @property
-    def rho2(self) -> float:
-        return self.rho * self.rho
 
 
 def correlation_constant(x_norm: float, r: float, R: float = 1.0) -> float:
@@ -182,6 +178,10 @@ class CorrelatedFamily:
     R: float
     inversion: InversionData
     e: np.ndarray
+    x_norm: float = field(init=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "x_norm", float(np.linalg.norm(self.x)))
 
     @classmethod
     def create(cls, x, r: float, R: float = 1.0) -> "CorrelatedFamily":
@@ -197,13 +197,9 @@ class CorrelatedFamily:
     def dimension(self) -> int:
         return self.x.size
 
-    @property
-    def x_norm(self) -> float:
-        return float(np.linalg.norm(self.x))
-
     def _check_t(self, t):
         t = np.asarray(t, dtype=float)
-        if np.any(t < -1e-15) or np.any(t > self.x_norm * (1 + 1e-12) + 1e-15):
+        if not np.all((t >= -1e-15) & (t <= self.x_norm * (1 + 1e-12) + 1e-15)):
             raise OutOfRange(f"t must lie in [0, |x|] = [0, {self.x_norm}]")
         return t
 
@@ -216,11 +212,8 @@ class CorrelatedFamily:
 
     def radius(self, t):
         """Family radius r_t; r_0 = R and r_{|x|} = r."""
-        t = self._check_t(t)
-        a = self.inversion.a_norm
-        R = self.R
-        sq = (R - t * R / a) * (R - a * t / R)
-        return np.sqrt(sq)
+        return np.sqrt(_radius_squared(self._check_t(t), self.inversion.a_norm,
+                                       self.R))
 
     def radius_derivative(self, t):
         """dr_t/dt from 2 r_t r_t' = 2t - (|a|^2 + R^2)/|a|."""
@@ -332,13 +325,19 @@ def correlation_check(b1: Ball, b2: Ball, R: float = 1.0) -> bool:
     return abs(c1 - c2) <= _REL_TOL * max(abs(c1), abs(c2))
 
 
+def _radius_squared(t, a_norm: float, R: float):
+    """r_t^2 = (R - tR/|a|)(R - |a|t/R): every correlated radius is r_t."""
+    return (R - t * R / a_norm) * (R - a_norm * t / R)
+
+
 def correlated_radius_general(x0_norm: float, r0: float, xbar_norm: float,
                               R: float = 1.0) -> float:
     """Radius rbar of the ball at |xbar| correlated with B_{x0,r0} over B_R.
 
-    Solves (R^2 + |x0|^2 - r0^2)|xbar| = |x0|(R^2 + |xbar|^2 - rbar^2) for
-    the positive root; satisfies B_{x0,r0} subset B_{xbar,rbar} subset B_R
-    and rbar >= r0.
+    This is the family radius r_t of :class:`CorrelatedFamily` at t = |xbar|,
+    with |a| from :func:`solve_inversion_center`, and exact at the ends:
+    rbar = r0 at |xbar| = |x0| and R at |xbar| = 0.  It satisfies
+    B_{x0,r0} subset B_{xbar,rbar} subset B_R and rbar >= r0.
     """
     if x0_norm < 0 or not 0 < r0 < R - x0_norm:
         raise OutOfRange("need |x0| >= 0 and 0 < r0 < R - |x0|")
@@ -346,10 +345,8 @@ def correlated_radius_general(x0_norm: float, r0: float, xbar_norm: float,
         raise OutOfRange("need 0 <= |xbar| <= |x0|")
     if x0_norm == 0.0 or xbar_norm == x0_norm:
         return float(r0)
-    if xbar_norm == 0.0:
-        return float(R)
-    c = correlation_constant(x0_norm, r0, R)
-    sq = R * R + xbar_norm * xbar_norm - c * xbar_norm
+    a_norm = solve_inversion_center(x0_norm, r0, R).a_norm
+    sq = _radius_squared(xbar_norm, a_norm, R)
     if sq <= 0:
         raise NoRealRoot("no real correlated radius (violated preconditions)")
     return math.sqrt(sq)

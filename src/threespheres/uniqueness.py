@@ -25,7 +25,7 @@ from .errors import (
     NonpositivePhi,
     OutOfRange,
 )
-from .geometry import correlated_radius_general, delta0
+from .geometry import CorrelatedFamily, delta0
 from .verify import InequalityReport, certificate37, upper_report
 
 __all__ = [
@@ -301,7 +301,7 @@ def propagation_bound(x0, r0: float, xbar_norm: float, lam: float, R: float,
         raise OutOfRange("lambda must lie in (0, 1)")
     if eps <= 0 or M <= 0:
         raise OutOfRange("eps and M must be positive")
-    rbar = correlated_radius_general(x0n, r0, xbar_norm, R)
+    rbar = float(CorrelatedFamily.create(x0, r0, R).radius(xbar_norm))
     d = delta0(x0n, r0, xbar_norm, R)
     return certificate37(n, lam, R, rbar, eps, M, d)
 

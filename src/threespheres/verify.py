@@ -47,7 +47,6 @@ from .errors import (
 )
 from .geometry import (
     CorrelatedFamily,
-    correlated_radius_general,
     delta0,
     inversion_map,
 )
@@ -451,8 +450,8 @@ def sphere_rows(ev, fam: CorrelatedFamily, ts, checks, beta="omega",
     """
     n, r, x_norm, inv = fam.dimension, fam.r, fam.x_norm, fam.inversion
     three, transfer = "three_spheres" in checks, "transfer_identity" in checks
-    rt = [float(fam.radius(t)) for t in ts]
-    rts = [float(fam.image_radius(t)) for t in ts] if transfer else []
+    rt = fam.radius(ts).tolist()
+    rts = fam.image_radius(ts).tolist() if transfer else []
     # the ds_a spheres (one per t, then the inner and the unit sphere) and
     # the Kelvin spheres S_{0, r_t*}: every weighted rule in one pass
     sa = list(zip(ts, rt)) + ([(x_norm, r), (0.0, 1.0)] if three else [])
@@ -574,7 +573,7 @@ def ball_rows(ev, fam: CorrelatedFamily, xbar_norm: float, checks,
     n, r0, R, x0n = fam.dimension, fam.r, fam.R, fam.x_norm
     if not 0 < xbar_norm <= x0n * (1 + 1e-12):
         raise OutOfRange("need 0 < |xbar| <= |x0|")
-    rbar = correlated_radius_general(x0n, r0, xbar_norm, R)
+    rbar = float(fam.radius(xbar_norm))
     d0 = delta0(x0n, r0, xbar_norm, R)
     delta = d0 if delta is None else float(delta)
     if not 0 < delta <= d0 * (1 + 1e-12):

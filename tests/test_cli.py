@@ -439,6 +439,19 @@ def test_wrong_json_shapes_exit_2(tmp_path, capsys):
     bad.write_text(json.dumps([{"name": None, "pass": True}]))
     assert main(["report", "--json", str(bad)]) == 0
     assert "None" in capsys.readouterr().out
+    # a pass flag that is not a JSON boolean, or a boolean ratio, is refused
+    # with its row index rather than counted
+    good = {"name": "x", "pass": True, "ratio": 2.0}
+    for row in ({"name": "x", "pass": "false", "ratio": 2.0},
+                {"name": "x", "pass": 0, "ratio": 2.0},
+                {"name": "x", "ratio": 2.0},
+                {"name": "x", "pass": False, "ratio": True}):
+        bad.write_text(json.dumps([good, row]))
+        rc = main(["report", "--json", str(bad)])
+        captured = capsys.readouterr()
+        assert rc == 2, row
+        assert captured.err.startswith("error: ") and "row 1" in captured.err
+        assert "passed" not in captured.out
 
 
 def test_report_command(tmp_path, capsys):

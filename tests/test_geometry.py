@@ -20,6 +20,7 @@ from threespheres.geometry import (
     solve_inversion_center,
     sphere_image_check,
 )
+from threespheres.sweep import sample_geometries
 
 
 def quadratic_root_oracle(x_norm, r, R=1.0):
@@ -73,6 +74,46 @@ def test_family_radius_endpoints_and_value():
         fam.radius(0.6)
     with pytest.raises(OutOfRange):
         fam.radius(-0.1)
+
+
+@pytest.mark.parametrize("method", ["radius", "image_radius", "center", "ball",
+                                    "radius_derivative",
+                                    "image_radius_derivative"])
+def test_family_refuses_nan_t(method):
+    fam = CorrelatedFamily.create([0.5, 0.0], 0.2)
+    with pytest.raises(OutOfRange):
+        getattr(fam, method)(math.nan)
+
+
+def test_family_reads_make_no_norm_call(monkeypatch):
+    # |x|, |a| and rho^2 are fixed when the family is made
+    fam = CorrelatedFamily.create([0.3, 0.2, -0.1], 0.2)
+    calls = []
+    norm = np.linalg.norm
+    monkeypatch.setattr(np.linalg, "norm",
+                        lambda *a, **k: calls.append(a) or norm(*a, **k))
+    t = 0.5 * fam.x_norm
+    fam.radius(t)
+    fam.image_radius(t)
+    fam.radius_derivative(t)
+    fam.center(t)
+    fam.exponents(t)
+    assert not calls
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_correlated_radius_general_is_the_family_radius(n):
+    # one expression for r_t: with |a| solved from the norms, the general
+    # form equals the family on the first axis bit for bit; at |xbar| = |x|
+    # it keeps its exact endpoint r (the family meets it to rounding)
+    for x, r in sample_geometries(n, 50, 11):
+        for R in (1.0, 2.5):
+            axis = [R * float(np.linalg.norm(x))] + [0.0] * (n - 1)
+            fam = CorrelatedFamily.create(axis, R * r, R)
+            for f in (0, 0.1, 0.5, 0.9, 1):
+                want = fam.r if f == 1 else float(fam.radius(f * fam.x_norm))
+                assert correlated_radius_general(
+                    fam.x_norm, fam.r, f * fam.x_norm, R) == want
 
 
 def test_image_radius_forms_agree_and_endpoint():

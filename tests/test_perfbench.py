@@ -1,3 +1,5 @@
+import ast
+import importlib
 import os
 
 from threespheres import (cli, geometry, harmonic, quadrature, sweep,  # noqa: F401
@@ -23,3 +25,38 @@ def test_traced_names_resolve_against_the_package(monkeypatch):
                 missing.append(f"{group}: {owner_path}.{attr} ({exc})")
     assert not missing
     assert sum(map(len, tracing.GROUPS.values())) >= 20
+
+
+def test_child_reads_resolve_against_the_package():
+    # every package attribute the benchmark's pass and oracle script reads,
+    # found in its source: a rename that would break a benchmark run or its
+    # oracle fails here.  The script is parsed, not run.
+    with open(os.path.join(PERFBENCH, "child.py"), encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    roots = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            roots.update((a.asname or a.name, a.name) for a in node.names
+                         if a.name == "threespheres")
+        elif isinstance(node, ast.ImportFrom) and node.module == "threespheres":
+            roots.update((a.asname or a.name, f"threespheres.{a.name}")
+                         for a in node.names)
+    reads = set()
+    for node in ast.walk(tree):
+        attrs = []
+        while isinstance(node, ast.Attribute):
+            attrs.insert(0, node.attr)
+            node = node.value
+        if attrs and isinstance(node, ast.Name) and node.id in roots:
+            reads.add((node.id, tuple(attrs)))
+    missing = []
+    for root, attrs in sorted(reads):
+        obj = importlib.import_module(roots[root])
+        for i, attr in enumerate(attrs):
+            if not hasattr(obj, attr):
+                missing.append(".".join((root,) + attrs[:i + 1]))
+                break
+            obj = getattr(obj, attr)
+    assert not missing
+    assert {("geometry", ("correlated_radius_general",)),
+            ("verify", ("EMBED_CONSTANT",))} <= reads
