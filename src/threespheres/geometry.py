@@ -153,7 +153,9 @@ def solve_inversion_center(x_norm: float, r: float, R: float = 1.0,
     else:
         e = _as_vector(direction)
         e = e / np.linalg.norm(e)
-    return InversionData(a=a_norm * e, rho=rho, R=R)
+    inv = InversionData(a=a_norm * e, rho=rho, R=R)
+    object.__setattr__(inv, "a_norm", a_norm)  # the solved |a|, not |a_norm e|
+    return inv
 
 
 @dataclass(frozen=True)
@@ -212,21 +214,23 @@ class CorrelatedFamily:
 
     def radius(self, t):
         """Family radius r_t; r_0 = R and r_{|x|} = r."""
-        return np.sqrt(_radius_squared(self._check_t(t), self.inversion.a_norm,
-                                       self.R))
+        return self._radius(self._check_t(t))
+
+    def _radius(self, t):  # r_t of a checked t
+        return np.sqrt(_radius_squared(t, self.inversion.a_norm, self.R))
 
     def radius_derivative(self, t):
         """dr_t/dt from 2 r_t r_t' = 2t - (|a|^2 + R^2)/|a|."""
         t = self._check_t(t)
         a = self.inversion.a_norm
-        return (2 * t - (a * a + self.R * self.R) / a) / (2 * self.radius(t))
+        return (2 * t - (a * a + self.R * self.R) / a) / (2 * self._radius(t))
 
     def image_radius(self, t):
         """Image radius r_t* under the inversion; both closed forms must agree."""
         t = self._check_t(t)
         a = self.inversion.a_norm
         R = self.R
-        rt = self.radius(t)
+        rt = self._radius(t)
         v1 = rt * a / (a - t)
         v2 = (R * R - a * t) / rt
         agreement = np.max(np.abs(v1 - v2) / np.maximum(np.abs(v1), 1e-300))
@@ -236,11 +240,9 @@ class CorrelatedFamily:
 
     def image_radius_derivative(self, t):
         """d r_t*/dt from 2 r_t (r_t*)' |a| = -rho^2 (r_t*/r_t)."""
-        t = self._check_t(t)
-        a = self.inversion.a_norm
-        rho2 = self.inversion.rho2
-        rt = self.radius(t)
-        return -rho2 * self.image_radius(t) / (2 * a * rt * rt)
+        image = self.image_radius(t)  # the one check of t
+        inv, rt = self.inversion, self._radius(np.asarray(t, dtype=float))
+        return -inv.rho2 * image / (2 * inv.a_norm * rt * rt)
 
     def exponents(self, t: float) -> ExponentRecord:
         """Sharp exponent alpha_t = log r_t*/log r_{|x|}* and the explicit

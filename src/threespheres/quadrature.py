@@ -18,8 +18,8 @@ degree across it (Stroud, 1971); a dmu_a ball takes one per radial shell.
 
 Integration works on columns: :func:`integrals` places a rule on a sphere or
 ball, with its first axis toward a when given the inversion data, calls a
-function mapping (N, n) points to (N, P) values once on all its nodes, and
-contracts the values with plain, ds_a, dmu_a or Kelvin weights, returning
+function mapping (N, n) points to (N, P) values block by block, and sums
+each block's values with plain, ds_a, dmu_a or Kelvin weights, returning
 one array of column integrals per weight.  The batched checks call it with
 P functions; the public integrals below are its one-column case and return
 one number: a numpy scalar for the raw integrals (real for real integrands,
@@ -290,6 +290,7 @@ def _weighted_cached(n: int, degree: int, transverse: int, spheres: tuple):
 
 SHELL_TARGET = 1e-12  # error model target of a dmu_a ball's radial count
 SHELL_CAP = 128
+BLOCK = 512  # nodes per integrand call and partial sum of :func:`integrals`
 
 
 def _shell_count(n: int, degree: int, kappa: float) -> int:
@@ -405,10 +406,10 @@ def _density(pts: np.ndarray, inv: InversionData, weight: str) -> np.ndarray:
 
 
 def _points(rule, center: np.ndarray, radius: float, inv=None):
-    """Points and plain weights of a rule on S_{center,radius} (SphereRule:
-    (N, n) and (N,)) or B_{center,radius} (BallRule: (S, N, n) and (S, N),
-    radial shells first).  With ``inv`` the first axis points at a (unless
-    the centre is a); a weighted rule is refused without that turn."""
+    """Points (N, n) and plain weights (N,) of a rule on S_{center,radius}
+    (SphereRule) or B_{center,radius} (BallRule, radial shells first).  With
+    ``inv`` the first axis points at a (unless the centre is a); a weighted
+    rule is refused without that turn."""
     angular = getattr(rule, "angular", rule)
     n = angular.n
     if center.size != n:
@@ -427,7 +428,7 @@ def _points(rule, center: np.ndarray, radius: float, inv=None):
     # one angular rule for every shell, or one per shell (stacked)
     pts = center + radii[:, None, None] * nodes
     shell_w = (wref * radius) * radii ** (n - 1)
-    return pts, shell_w[:, None] * angular.weights
+    return pts.reshape(-1, n), (shell_w[:, None] * angular.weights).ravel()
 
 
 def integrals(fn, rule, center, radius: float, inv=None,
@@ -435,24 +436,27 @@ def integrals(fn, rule, center, radius: float, inv=None,
     """Column integrals of ``fn`` over the sphere (SphereRule) or ball
     (BallRule) of ``radius`` at ``center``.
 
-    ``fn`` maps (N, n) points to (N, P) values and is called once, on every
-    node of the sphere or ball.  One length-P array of integrals is returned
-    per entry of ``weights``: None for the plain measure, "s_a", "mu_a" or
-    "kelvin" for the weights of ``inv`` (which turns the rule toward a; see
-    :func:`_density`), all from the same values.  Nodes are summed without
-    BLAS (whose threads would split the sum and change its bits), in node
-    order, so a column's integral does not depend on the others.
+    ``fn`` maps (N, n) points to (N, P) values; it is called on one block of
+    at most ``BLOCK`` nodes at a time, summed before the next.  One length-P
+    array of integrals is returned per entry of ``weights``: None for the
+    plain measure, "s_a", "mu_a" or "kelvin" for the weights of ``inv``
+    (which turns the rule toward a; see :func:`_density`), all from the same
+    values.  Nodes are summed without BLAS (whose threads would split the
+    sum and change its bits), in node order per block, and the blocks depend
+    on N alone, so a column's integral does not depend on the others.
     """
     pts, w = _points(rule, np.asarray(center, dtype=float), radius, inv)
-    pts, w = pts.reshape(-1, pts.shape[-1]), w.reshape(-1)
-    values = fn(pts).reshape(w.size, -1)
-    # einsum unrolls a lone real column's sum; a complex one is in node order
-    lone = values.shape[1] == 1 and values.dtype.kind != "c"
-    cols = values.astype(complex) if lone else values
-    sums = [np.einsum("i,ij->j", w if kind is None
-                      else w * _density(pts, inv, kind), cols)
-            for kind in weights]
-    return [s.real for s in sums] if lone else sums
+    sums = 0
+    for lo in range(0, w.size, BLOCK):
+        block, wb = pts[lo:lo + BLOCK], w[lo:lo + BLOCK]
+        values = fn(block).reshape(wb.size, -1)
+        # einsum unrolls a lone real column's sum; a complex one is in order
+        lone = values.shape[1] == 1 and values.dtype.kind != "c"
+        cols = values.astype(complex) if lone else values
+        sums = sums + np.array([np.einsum("i,ij->j", wb if kind is None
+                                          else wb * _density(block, inv, kind),
+                                          cols) for kind in weights])
+    return list(sums.real if lone else sums)
 
 
 def _integral(fn, rule, center, radius: float, inv=None, weight=None):

@@ -328,23 +328,23 @@ def run_sweep(cfg: SweepConfig):
 
 
 def write_csv(groups, path: str) -> None:
-    """CSV summary, one line per row: full 17-significant-digit floats,
-    '.' decimal separator, LF line endings (byte-stable for golden files).
-    lhs, rhs and ratio are floats, as every report builder makes them."""
+    """CSV summary, one line per row, written a group at a time: full
+    17-significant-digit floats (lhs, rhs and ratio are floats, as every
+    report builder makes them), '.' decimal separator, LF line endings."""
 
     def head(rep):
         shared = ["" if v is None else format(v, ".17g")
                   if isinstance(v, float) else str(v)
                   for v in (rep.n, rep.x_norm, rep.r, rep.t, rep.exponent_used)]
         return (",".join([rep.name, *shared, ""]).replace("%", "%%")
-                + "%.17g,%.17g,%.17g,%s")
+                + "%.17g,%.17g,%.17g,%s\n")
 
-    lines = ["name,n,x_norm,r,t_or_xbar,exponent,lhs,rhs,ratio,pass"]
-    lines += [tpl % (lhs, rhs, ratio, "true" if ok else "false")
-              for group in groups for tpl, lhs, rhs, ratio, ok
-              in group.cells(list(map(head, group.heads)))]
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("name,n,x_norm,r,t_or_xbar,exponent,lhs,rhs,ratio,pass\n")
+        for group in groups:
+            fh.write("".join(tpl % (lhs, rhs, ratio, "true" if ok else "false")
+                             for tpl, lhs, rhs, ratio, ok
+                             in group.cells(list(map(head, group.heads)))))
 
 
 def write_json(groups, path: str) -> None:
@@ -353,7 +353,7 @@ def write_json(groups, path: str) -> None:
     The bytes are those of ``json.dump(..., indent=1, sort_keys=True)`` of
     the rows' ``to_dict()``: each group's shared fields go through the C
     encoder once per name, and each row spells its three floats from the
-    group's arrays as the encoder does.
+    group's arrays as the encoder does; the groups are written in turn.
     """
     special = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
@@ -367,8 +367,12 @@ def write_json(groups, path: str) -> None:
         text = float.__repr__(v)
         return special.get(text, text)
 
-    rows = [tpl % (num(lhs), "true" if ok else "false", num(ratio), num(rhs))
-            for group in groups for tpl, lhs, rhs, ratio, ok
-            in group.cells(list(map(body, group.heads)))]
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("[\n" + ",\n".join(rows) + "\n]\n" if rows else "[]\n")
+        sep = "[\n"  # the array's opening, then the commas between groups
+        for group in (g for g in groups if g.lhs.size):  # no stray comma
+            fh.write(sep + ",\n".join(
+                tpl % (num(lhs), "true" if ok else "false", num(ratio),
+                       num(rhs)) for tpl, lhs, rhs, ratio, ok
+                in group.cells(list(map(body, group.heads)))))
+            sep = ",\n"
+        fh.write("[]\n" if sep == "[\n" else "\n]\n")

@@ -105,3 +105,24 @@ def sweep_rows(cfg):
 
     groups, skipped = run_sweep(cfg)
     return flat(groups), skipped
+
+
+def integral_blocks(monkeypatch):
+    """Nodes per integrand call, one list per call of ``verify.integrals``:
+    each integral's integrand is wrapped to record the block it is given."""
+    from threespheres import verify
+
+    integrals, blocks = verify.integrals, []
+
+    def recorded(fn, *args, **kwargs):
+        sizes = []
+        blocks.append(sizes)
+
+        def spy(pts):
+            sizes.append(len(pts))
+            return fn(pts)
+
+        return integrals(spy, *args, **kwargs)
+
+    monkeypatch.setattr(verify, "integrals", recorded)
+    return blocks

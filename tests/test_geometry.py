@@ -81,8 +81,33 @@ def test_family_radius_endpoints_and_value():
                                     "image_radius_derivative"])
 def test_family_refuses_nan_t(method):
     fam = CorrelatedFamily.create([0.5, 0.0], 0.2)
-    with pytest.raises(OutOfRange):
-        getattr(fam, method)(math.nan)
+    for t in (math.nan, -0.01, 0.51, [0.2, math.nan]):
+        with pytest.raises(OutOfRange):
+            getattr(fam, method)(t)
+
+
+@pytest.mark.parametrize("method", ["radius", "image_radius",
+                                    "radius_derivative",
+                                    "image_radius_derivative"])
+def test_family_checks_t_once(method, monkeypatch):
+    # one check of t per call; the radius inside reads the checked t, and
+    # the value is that of the methods composed
+    fam = CorrelatedFamily.create([0.3, 0.2, -0.1], 0.2)
+    ts = np.linspace(0.0, fam.x_norm, 7)
+    want = getattr(fam, method)(ts)
+    calls = []
+    check = CorrelatedFamily._check_t
+    monkeypatch.setattr(CorrelatedFamily, "_check_t",
+                        lambda self, t: calls.append(t) or check(self, t))
+    np.testing.assert_array_equal(getattr(fam, method)(ts), want)
+    assert len(calls) == 1
+    a, rt = fam.inversion.a_norm, fam.radius(ts)
+    composed = {"radius": np.sqrt((1 - ts / a) * (1 - a * ts)),
+                "image_radius": rt * a / (a - ts),
+                "radius_derivative": (2 * ts - (a * a + 1) / a) / (2 * rt),
+                "image_radius_derivative": -fam.inversion.rho2
+                * fam.image_radius(ts) / (2 * a * rt * rt)}[method]
+    np.testing.assert_array_equal(want, composed)
 
 
 def test_family_reads_make_no_norm_call(monkeypatch):
@@ -103,13 +128,15 @@ def test_family_reads_make_no_norm_call(monkeypatch):
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_correlated_radius_general_is_the_family_radius(n):
-    # one expression for r_t: with |a| solved from the norms, the general
-    # form equals the family on the first axis bit for bit; at |xbar| = |x|
-    # it keeps its exact endpoint r (the family meets it to rounding)
+    # one expression for r_t: the family stores the |a| it solves, so along
+    # any direction the general form equals the family radius bit for bit;
+    # at |xbar| = |x| it keeps its exact endpoint r (the family meets it to
+    # rounding)
     for x, r in sample_geometries(n, 50, 11):
         for R in (1.0, 2.5):
-            axis = [R * float(np.linalg.norm(x))] + [0.0] * (n - 1)
-            fam = CorrelatedFamily.create(axis, R * r, R)
+            fam = CorrelatedFamily.create(R * x, R * r, R)
+            assert fam.inversion.a_norm == solve_inversion_center(
+                fam.x_norm, fam.r, R).a_norm
             for f in (0, 0.1, 0.5, 0.9, 1):
                 want = fam.r if f == 1 else float(fam.radius(f * fam.x_norm))
                 assert correlated_radius_general(

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,9 +18,11 @@ from threespheres.errors import OutOfRange, RuleDimensionMismatch, UnderResolved
 from threespheres.geometry import Ball, CorrelatedFamily, solve_inversion_center
 from threespheres.harmonic import PolynomialEvaluator, random_harmonic_polynomial
 from threespheres.quadrature import (
+    BLOCK,
     BallRule,
     SphereRule,
     _gauss_jacobi,
+    _points,
     _shell_count,
     ball_integral,
     ball_volume,
@@ -360,7 +363,9 @@ def test_ball_monomials_including_shift(rng):
 
 
 def test_ball_integrand_called_once():
+    # a ball of fewer than BLOCK nodes is one block
     rule = BallRule(SphereRule.product(3, 6), radial_points=5)
+    assert 5 * len(rule.angular) <= BLOCK
     calls = []
 
     def fn(pts):
@@ -383,6 +388,68 @@ def test_ball_integrand_called_once():
     plain_alone, = integrals(fn, rule, center, 0.5, inv)
     np.testing.assert_array_equal(mu, mu_alone)
     np.testing.assert_array_equal(plain, plain_alone)
+
+
+def test_ball_integrand_blocks():
+    # a ball of 2 BLOCK + 1 nodes reaches the integrand in three blocks, the
+    # last of one node, which partition its nodes in order; each polynomial's
+    # column is its batch column bit for bit, and the (dmu_a, plain) pair
+    # equals the one-weight calls
+    rule = BallRule(SphereRule.product(2, 40), radial_points=25)
+    assert len(rule.angular) * rule.radial_points == 2 * BLOCK + 1
+    inv = solve_inversion_center(0.5, 0.2)
+    center = np.array([0.1, 0.2])
+    polys = [random_harmonic_polynomial(2, 6, seed) for seed in range(3)]
+    batch = PolynomialEvaluator(polys).squared_values
+    seen = []
+
+    def fn(pts):
+        seen.append(pts.copy())
+        return batch(pts)
+
+    mu, plain = integrals(fn, rule, center, 0.5, inv, ("mu_a", None))
+    assert [len(pts) for pts in seen] == [BLOCK, BLOCK, 1]
+    np.testing.assert_array_equal(np.concatenate(seen),
+                                  _points(rule, center, 0.5, inv)[0])
+    mu_alone, = integrals(batch, rule, center, 0.5, inv, ("mu_a",))
+    plain_alone, = integrals(batch, rule, center, 0.5, inv)
+    np.testing.assert_array_equal(mu, mu_alone)
+    np.testing.assert_array_equal(plain, plain_alone)
+    for p, poly in enumerate(polys):
+        one = PolynomialEvaluator([poly]).squared_values
+        col_mu, col_plain = integrals(one, rule, center, 0.5, inv,
+                                      ("mu_a", None))
+        assert col_mu.shape == col_plain.shape == (1,)
+        assert col_mu[0] == mu[p] and col_plain[0] == plain[p]
+    # the blocks' partial sums, added in turn, are the integrals
+    w = _points(rule, center, 0.5)[1]
+    parts = [np.einsum("i,ij->j", w[lo:lo + BLOCK], batch(pts).astype(complex))
+             for lo, pts in zip(range(0, w.size, BLOCK), seen)]
+    np.testing.assert_array_equal(plain, (parts[0] + parts[1] + parts[2]).real)
+
+
+def test_integrals_memory_is_that_of_a_block():
+    # on a ball of more than 20 BLOCK nodes, integrating P columns peaks at
+    # a few blocks' values, not at the (N, P) values of the whole ball
+    rule = BallRule(SphereRule.product(3, 30), radial_points=21)
+    nodes, P = len(rule.angular) * rule.radial_points, 64
+    assert nodes >= 20 * BLOCK
+
+    def fn(pts):  # P complex columns
+        return np.exp(1j * pts[:, :1] * np.arange(P))
+
+    integrals(fn, rule, np.zeros(3), 0.5)  # rules and caches built
+    tracemalloc.start()
+    try:
+        vals, = integrals(fn, rule, np.zeros(3), 0.5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    block_values = BLOCK * P * 16
+    points = nodes * 3 * 8
+    assert peak < 6 * block_values + 4 * points
+    assert peak < nodes * P * 16 / 4
+    assert vals.shape == (P,)
 
 
 def test_monte_carlo_consistency_with_deterministic(rng):

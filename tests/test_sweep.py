@@ -1,17 +1,19 @@
 import io
 import json
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from conftest import exact_sphere_monomial, sweep_rows, weighted_rule
+from conftest import (exact_sphere_monomial, integral_blocks, sweep_rows,
+                      weighted_rule)
 from threespheres.cli import main
 from threespheres.errors import ConfigError, OutOfRange, UnderResolved
 from threespheres.geometry import CorrelatedFamily
 from threespheres.harmonic import PolynomialEvaluator
-from threespheres.quadrature import BallRule, SphereRule, weighted_rules
+from threespheres.quadrature import BLOCK, BallRule, SphereRule, weighted_rules
 from threespheres.sweep import (
     ALL_CHECKS,
     SweepConfig,
@@ -72,36 +74,27 @@ def test_shell_count_monotonicity():
         BallRule.weighted(2, 16, 1.003, 1.0, 16)
 
 
-def _count_points(monkeypatch):
-    counts = []
-    squared = PolynomialEvaluator.squared_values
-
-    def spy(self, pts):
-        counts.append(len(pts))
-        return squared(self, pts)
-
-    monkeypatch.setattr(PolynomialEvaluator, "squared_values", spy)
-    return counts
-
-
 def test_weighted_rule_point_counts(monkeypatch):
     # the cost of a small sweep, pinned: every weighted sphere and every
     # shell of a dmu_a ball takes ceil((d + 1)/2) axial nodes times the
-    # S^{n-2} rule of degree d, with d = 8 the degree of |f|^2
+    # S^{n-2} rule of degree d, with d = 8 the degree of |f|^2; an integral's
+    # nodes reach the integrand in blocks of at most BLOCK
     cfg = {"dimensions": [3], "corpus": {"count": 2, "max_degree": 4,
                                          "seed": 1},
            "geometry": {"count": 1, "seed": 11, "t_count": 2}}
     per_rule = 5 * 9
-    counts = _count_points(monkeypatch)
+    blocks = integral_blocks(monkeypatch)
     reports, _ = sweep_rows(SweepConfig.from_dict(
         dict(cfg, checks=["three_spheres", "transfer_identity"])))
     # inner and outer ds_a spheres, then a ds_a and a Kelvin sphere per t
-    assert counts == [per_rule] * 6
+    assert [sum(sizes) for sizes in blocks] == [per_rule] * 6
     assert len(reports) == 2 * 2 * 2 and all(r.passed for r in reports)
-    counts.clear()
     run_sweep(SweepConfig.from_dict(dict(cfg, checks=["three_balls"])))
     # inner, outer and middle balls, 16 shells each
-    assert counts == [16 * per_rule] * 3
+    assert [sum(sizes) for sizes in blocks[6:]] == [16 * per_rule] * 3
+    assert all(0 < size <= BLOCK for sizes in blocks for size in sizes)
+    assert [len(sizes) for sizes in blocks[6:]] == [
+        math.ceil(16 * per_rule / BLOCK)] * 3
 
 
 def _ball_config_rows(n, margin, x_norm):
@@ -326,6 +319,62 @@ def test_writers_match_per_cell_oracle(tmp_path):
     assert [r.name for r in flat(hand[-2:-1])] == ["a", "b%d", 'c"ü'] * 2
     for case in (groups, hand, groups + hand, []):
         assert_writers_match(case, tmp_path / "r")
+
+
+def test_writers_stream_the_groups(tmp_path):
+    # a sweep whose JSON passes 1 MB: each writer allocates less than a
+    # quarter of its file, as it holds one group's text at a time
+    groups, _ = run_sweep(SweepConfig.from_dict({
+        "dimensions": [2],
+        "corpus": {"count": 100, "max_degree": 4, "seed": 1},
+        "geometry": {"count": 2, "seed": 1, "t_count": 10},
+        "checks": ["three_spheres", "transfer_identity"],
+    }))
+    for writer, name in ((write_json, "r.json"), (write_csv, "r.csv")):
+        path = str(tmp_path / name)
+        writer(groups, path)  # lazy set-up done
+        tracemalloc.start()
+        try:
+            writer(groups, path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        size = (tmp_path / name).stat().st_size
+        assert peak < size / 4, (name, peak, size)
+    assert (tmp_path / "r.json").stat().st_size >= 1 << 20
+    # a group without rows writes nothing
+    empty = RowGroup(groups[0].heads, *(np.empty((0, 1)) for _ in range(4)))
+    write_json([empty, *groups[:2], empty], str(tmp_path / "e.json"))
+    write_json(groups[:2], str(tmp_path / "r.json"))
+    assert (tmp_path / "e.json").read_bytes() == \
+        (tmp_path / "r.json").read_bytes()
+    write_json([empty], str(tmp_path / "e.json"))
+    assert (tmp_path / "e.json").read_bytes() == b"[]\n"
+
+
+def test_n5_rows_pass_and_do_not_depend_on_the_blocks(monkeypatch):
+    # dimension 5: sphere and ball rows of two degree-4 polynomials all
+    # pass, and with every rule in one block the rows agree to 1e-13
+    from threespheres import quadrature
+
+    cfg = SweepConfig.from_dict({
+        "dimensions": [5], "corpus": {"count": 2, "max_degree": 4, "seed": 1},
+        "geometry": {"count": 1, "seed": 11, "t_count": 2},
+        "checks": ["three_spheres", "transfer_identity", "three_balls",
+                   "embedded_bound"]})
+    rows, _ = sweep_rows(cfg)
+    assert len(rows) == 28 and all(r.passed for r in rows)
+    assert {r.name for r in rows} == {
+        "three_spheres_eq24", "transfer_identity_eq22", "three_balls_eq27",
+        "embedded_bound_eq29", "embedded_bound_eq36", "embedded_bound_eq37"}
+    monkeypatch.setattr(quadrature, "BLOCK", 1 << 40)
+    whole, _ = sweep_rows(cfg)
+    assert len(whole) == len(rows)
+    for got, want in zip(rows, whole):
+        assert (got.name, got.t, got.passed) == (want.name, want.t,
+                                                 want.passed)
+        for a, b in ((got.lhs, want.lhs), (got.rhs, want.rhs)):
+            assert abs(a - b) <= 1e-13 * abs(b), (got, want)
 
 
 def test_n4_rows_are_deterministic():

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from conftest import analytic_ball_rule, analytic_sphere_rule, weighted_rule
+from conftest import (analytic_ball_rule, analytic_sphere_rule,
+                      integral_blocks, weighted_rule)
 from threespheres.errors import (
     BetaOutOfRange,
     DeltaOutOfRange,
@@ -18,6 +19,7 @@ from threespheres.harmonic import (
     random_harmonic_polynomial,
 )
 from threespheres.quadrature import (
+    BLOCK,
     BallRule,
     Column,
     SphereRule,
@@ -444,24 +446,27 @@ def test_plain_rules_exact_at_the_integrand_degree(n):
     assert one.passed and rep.passed
 
 
-def test_rule_sizes_carry_no_margin():
-    # points handed to the integrand: the exact rules' counts, with no
-    # margin degrees or fixed radial counts on top
-    calls = []
+def test_rule_sizes_carry_no_margin(monkeypatch):
+    # points handed to the integrand, summed over each integral's blocks of
+    # at most BLOCK nodes: the exact rules' counts, with no margin degrees
+    # or fixed radial counts on top
+    blocks, points = integral_blocks(monkeypatch), {}
 
-    def one(p):
-        calls.append(len(p))
+    def one(p):  # points per integral, keyed by its index
+        points[len(blocks) - 1] = points.get(len(blocks) - 1, 0) + len(p)
         return np.ones(len(p))
 
     embedding_identity_check(one, (0.2, 0.0, 0.0), 0.8, g_degree=6)
     # (n+5)-ball: 4^6 polar nodes x 7 azimuths x 7 shells; then one outer
     # Gauss-Jacobi shell at a time, 6 // 2 + 2 of them: 28 directions x the
     # inner 5-ball's 448 x 6 nodes
-    assert calls[0] == 200_704
-    assert calls[1:] == [75_264] * 5
-    calls.clear()
+    assert list(points.values()) == [200_704] + [75_264] * 5
+    assert [sum(sizes) for sizes in blocks] == [200_704] + [448 * 6] * 5
+    assert all(0 < size <= BLOCK for sizes in blocks for size in sizes)
+    blocks.clear()
     _ball_integrals(lambda p: one(p)[:, None], np.zeros(3), 0.5, 8)
-    assert calls == [len(SphereRule.product(3, 8)) * 6] == [270]
+    assert [sum(sizes) for sizes in blocks] == [
+        len(SphereRule.product(3, 8)) * 6] == [270]
 
 
 def test_sweep_rows_match_single_checks():
