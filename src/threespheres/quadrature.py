@@ -504,7 +504,9 @@ def weighted_ball_integral_mua(f, ball: Ball, rule: BallRule,
 
 def _root(sq, vol: float = 1.0) -> float:
     """Square root of an integral of |f|^2 divided by ``vol``."""
-    return math.sqrt(max(sq.real, 0.0) / vol)
+    if not sq.real >= 0:  # a rule with negative weights, or a non-finite f
+        raise OutOfRange(f"integral of |f|^2 is {sq.real}, not >= 0")
+    return math.sqrt(sq.real / vol)
 
 
 def l2_sphere_norm(f, center, radius: float, rule: SphereRule) -> float:

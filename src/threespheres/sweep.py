@@ -352,10 +352,10 @@ def write_json(groups, path: str) -> None:
 
     The bytes are those of ``json.dump(..., indent=1, sort_keys=True)`` of
     the rows' ``to_dict()``: each group's shared fields go through the C
-    encoder once per name, and each row spells its three floats from the
-    group's arrays as the encoder does; the groups are written in turn.
+    encoder once per name, and its lhs, pass, ratio and rhs columns once
+    each, as one JSON list split into its items; the groups are written in
+    turn.
     """
-    special = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
     def body(rep):
         return " {\n  " + ",\n  ".join(
@@ -363,16 +363,15 @@ def write_json(groups, path: str) -> None:
                             else json.dumps(value).replace("%", "%%"))
             for key, value in sorted(rep.to_dict().items())) + "\n }"
 
-    def num(v):
-        text = float.__repr__(v)
-        return special.get(text, text)
+    def items(column):  # the encoder's spelling of each entry
+        return json.dumps(column.ravel().tolist())[1:-1].split(", ")
 
     with open(path, "w", encoding="utf-8", newline="") as fh:
         sep = "[\n"  # the array's opening, then the commas between groups
         for group in (g for g in groups if g.lhs.size):  # no stray comma
+            tpls = list(map(body, group.heads)) * len(group.lhs)
             fh.write(sep + ",\n".join(
-                tpl % (num(lhs), "true" if ok else "false", num(ratio),
-                       num(rhs)) for tpl, lhs, rhs, ratio, ok
-                in group.cells(list(map(body, group.heads)))))
+                tpl % cells for tpl, cells in zip(tpls, zip(*map(items, (
+                    group.lhs, group.passed, group.ratio, group.rhs))))))
             sep = ",\n"
         fh.write("[]\n" if sep == "[\n" else "\n]\n")

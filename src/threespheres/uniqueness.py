@@ -120,12 +120,21 @@ class GrowthEnvelope:
         return make(*args)
 
     def __call__(self, r: float) -> float:
-        return float(self._fn(float(r)))
+        """phi(r), which must be a finite double (else OutOfRange)."""
+        try:
+            value = float(self._fn(float(r)))
+        except OverflowError:
+            value = math.inf
+        if not math.isfinite(value):
+            raise OutOfRange(f"growth envelope at r = {r} is {value}, not a "
+                             "finite double")
+        return value
 
 
 @dataclass(frozen=True)
 class SmallnessSequence:
-    """Entries (x_m, r_m, eps_m) with 0 < 2 r_m <= |x_m| enforced per entry.
+    """Entries (x_m, r_m, eps_m) with x_m a vector of dimension >= 2 and
+    0 < 2 r_m <= |x_m| < inf enforced per entry.
 
     The criterion only ever consumes log eps_m, and the interesting decay
     rates (eps_m = exp(-m^3)) underflow double precision within a dozen
@@ -148,6 +157,9 @@ class SmallnessSequence:
         for i, (x, r, eps) in enumerate(self.entries):
             log_eps = None if self.log_eps is None else self.log_eps[i]
             x = np.asarray(x, dtype=float)
+            if x.ndim != 1 or x.size < 2:  # a non-finite x fails on |x|
+                raise ConstraintViolated(f"entry {i}: x must be a vector of "
+                                         f"dimension >= 2, got {x.tolist()!r}")
             x_norm = float(np.linalg.norm(x))
             if not 0 < 2 * float(r) <= x_norm < math.inf:
                 raise ConstraintViolated(f"entry {i}: need 0 < 2 r <= |x| < "
@@ -254,28 +266,21 @@ def criterion_trace(seq: SmallnessSequence, phi: GrowthEnvelope,
         raise OutOfRange("window must be >= 2")
     if not 0 <= threshold < math.inf:
         raise OutOfRange(f"threshold must be finite and >= 0, got {threshold}")
-    x_norms, radii, rhos, terms_a, terms_b = [], [], [], [], []
-    for (_x, r, _eps), x_norm, log_eps in zip(seq.entries, seq.x_norms,
-                                              seq.log_eps):
-        rho_m = rho(x_norm, r)
-        phi_val = phi(4 * x_norm)
-        if phi_val <= 0:
-            raise NonpositivePhi(
-                f"variant B needs log phi; phi(4|x|) = {phi_val} <= 0")
-        base = rho_m / 100.0 * log_eps
-        x_norms.append(x_norm)
-        radii.append(r)
-        rhos.append(rho_m)
-        terms_a.append(base + phi_val)
-        terms_b.append(base + math.log(phi_val))
-    terms_a = np.asarray(terms_a)
-    terms_b = np.asarray(terms_b)
+    # the sequence holds 0 < 2 r <= |x| < inf, so every rho is positive
+    x_norms = np.array(seq.x_norms, dtype=float)
+    radii = np.array([r for _x, r, _eps in seq.entries], dtype=float)
+    rhos = 1.0 / np.log(2 * x_norms / radii)
+    phis = np.array([phi(4 * x_norm) for x_norm in seq.x_norms], dtype=float)
+    if np.any(phis <= 0):
+        raise NonpositivePhi("variant B needs log phi; phi(4|x|) = "
+                             f"{phis[phis <= 0][0]} <= 0")
+    base = rhos / 100.0 * np.array(seq.log_eps, dtype=float)
+    terms_a, terms_b = base + phis, base + np.log(phis)
     running_a = _running_verdicts(terms_a, window, threshold)
     running_b = _running_verdicts(terms_b, window, threshold)
     return CriterionTrace(
-        x_norms=np.asarray(x_norms), radii=np.asarray(radii),
-        rhos=np.asarray(rhos), terms_a=terms_a, terms_b=terms_b,
-        running_a=running_a, running_b=running_b,
+        x_norms=x_norms, radii=radii, rhos=rhos, terms_a=terms_a,
+        terms_b=terms_b, running_a=running_a, running_b=running_b,
         verdict_a=running_a[-1] if running_a else VERDICT_INCONCLUSIVE,
         verdict_b=running_b[-1] if running_b else VERDICT_INCONCLUSIVE,
         window=window, threshold=threshold)

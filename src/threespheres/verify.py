@@ -482,12 +482,10 @@ def sphere_rows(ev, fam: CorrelatedFamily, ts, checks, beta="omega",
                 groups.append(error_row("three_spheres_eq24", exc,
                                         INEQUALITY_TOL, mv.size, beta, **meta))
             else:
-                # Python-float powers: numpy's array power moves last bits
                 groups.append(upper_rows(
                     "three_spheres_eq24", rt[j] * mv,
-                    [(r * i) ** b * o ** (1 - b)
-                     for i, o in zip(iv.tolist(), ov.tolist())],
-                    INEQUALITY_TOL, exponent=b, **meta))
+                    (r * iv) ** b * ov ** (1 - b), INEQUALITY_TOL,
+                    exponent=b, **meta))
         if transfer:
             kv, = integrals(kelvin_squared, rules[len(sa) + j], np.zeros(n),
                             rts[j], inv, ("kelvin",))
@@ -512,9 +510,7 @@ def three_spheres_check(f, x, r: float, t: float, beta="omega",
     """
     col = _column(f, degree)
     fam = CorrelatedFamily.create(x, r, R=1.0)
-    if not 0 < t <= fam.x_norm * (1 + 1e-12):
-        raise OutOfRange("t must lie in (0, |x|]")
-    _resolve_beta(fam.exponents(t), beta, unchecked_beta)
+    _resolve_beta(fam.exponents(t), beta, unchecked_beta)  # checks t too
     return sphere_rows(col, fam, [float(t)], ("three_spheres",), beta,
                        unchecked_beta)[0].rows()[0]
 
@@ -547,9 +543,10 @@ def holomorphic_variant_check(coeffs, x, r: float, t: float, beta="omega",
         shifted[k] += c * za * za
         shifted[k + 1] += -2 * za * c
         shifted[k + 2] += c
-    g = holomorphic_polynomial(shifted)
-    report = three_spheres_check(g, x, r, t, beta=beta,
-                                 unchecked_beta=unchecked_beta)
+    g = _column(holomorphic_polynomial(shifted))
+    _resolve_beta(fam.exponents(t), beta, unchecked_beta)
+    report = sphere_rows(g, fam, [float(t)], ("three_spheres",), beta,
+                         unchecked_beta)[0].rows()[0]
     return replace(report, name="holomorphic_variant_remark3")
 
 
@@ -586,28 +583,23 @@ def ball_rows(ev, fam: CorrelatedFamily, xbar_norm: float, checks,
     meta = {"n": n, "x_norm": x0n, "r": r0}
     groups, vol = [], ball_volume(n)
 
-    def blend(inner, outer):  # Python-float powers, as in sphere_rows
-        return np.array([i ** delta * o ** (1 - delta)
-                         for i, o in zip(inner.tolist(), outer.tolist())])
-
     def average(vals, radius):  # A_2 = sqrt(int |u|^2 / |B|)
-        return [math.sqrt(max(v, 0.0) / (vol * radius ** n))
-                for v in vals.tolist()]
+        return np.sqrt(vals / (vol * radius ** n))
 
     if inv is not None:
         mv, _ = _ball_integrals(sq, xbar_norm * fam.e, rbar, degree, inv, False)
-        groups.append(upper_rows("three_balls_eq27", mv,
-                                 blend(in_mu, out_mu), INEQUALITY_TOL,
-                                 exponent=delta, t=xbar_norm, **meta))
+        groups.append(upper_rows(
+            "three_balls_eq27", mv, in_mu ** delta * out_mu ** (1 - delta),
+            INEQUALITY_TOL, exponent=delta, t=xbar_norm, **meta))
     if embedded:
-        core, a2_in, a2_out = blend(iv, ov), average(iv, r0), average(ov, R)
+        core = iv ** delta * ov ** (1 - delta)
+        a2_in, a2_out = average(iv, r0), average(ov, R)
     for lam in lambdas if embedded else ():
         _, lv = _ball_integrals(sq, xbar_norm * fam.e, lam * rbar, degree)
         c36 = EMBED_CONSTANT / (1 - lam * lam) ** 2.5 * (R / rbar) ** 5
         sides = [("embedded_bound_eq36", lv, c36 * core),
                  ("embedded_bound_eq37", average(lv, lam * rbar),
-                  [certificate37(n, lam, R, rbar, i, o, delta)
-                   for i, o in zip(a2_in, a2_out)])]
+                  certificate37(n, lam, R, rbar, a2_in, a2_out, delta))]
         if abs(R - 1.0) < 1e-14:
             sides.insert(0, ("embedded_bound_eq29", lv, EMBED_CONSTANT
                              / (rbar * (1 - lam * lam) ** 2.5) * core))
@@ -618,10 +610,10 @@ def ball_rows(ev, fam: CorrelatedFamily, xbar_norm: float, checks,
     return groups
 
 
-def certificate37(n: int, lam: float, R: float, rbar: float, inner: float,
-                  outer: float, delta: float) -> float:
+def certificate37(n: int, lam: float, R: float, rbar: float, inner,
+                  outer, delta: float):
     """The (37) bound sqrt(405)/(1-lam^2)^{5/4} (R/rbar)^{(n+5)/2}
-    inner^delta outer^{1-delta} on A_2(xbar, lam rbar)."""
+    inner^delta outer^{1-delta} on A_2(xbar, lam rbar), elementwise."""
     return (math.sqrt(EMBED_CONSTANT) / (1 - lam * lam) ** 1.25
             * (R / rbar) ** ((n + 5) / 2) * inner ** delta
             * outer ** (1 - delta))

@@ -405,6 +405,27 @@ def test_uniqueness_non_finite_input_exits_2(tmp_path, capsys):
         assert "trend:" not in captured.out
 
 
+def test_uniqueness_overflow_and_non_vector_x_exit_2(tmp_path, capsys):
+    # an envelope that overflows at 4 |x| = 120, and a matrix x with
+    # |x| = 30, are input errors, not failed checks or tracebacks
+    seq = tmp_path / "seq.json"
+    env = tmp_path / "env.json"
+    for x, envelope, message in [
+            ([30.0, 0.0], {"kind": "exp_power", "p": 2}, "r = 120.0 is inf"),
+            ([30.0, 0.0], {"kind": "power", "p": 200}, "r = 120.0 is inf"),
+            ([[30.0, 0.0], [0.0, 0.0]], {"kind": "power", "p": 2},
+             "entry 0: x must be a vector")]:
+        seq.write_text(json.dumps([{"x": x, "r": 1.0, "eps": 0.5}]))
+        env.write_text(json.dumps(envelope))
+        rc = main(["uniqueness", "--sequence", str(seq),
+                   "--envelope", str(env)])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.err.startswith("error: ") and message in captured.err
+        assert "Traceback" not in captured.err
+        assert "trend:" not in captured.out
+
+
 def test_wrong_json_shapes_exit_2(tmp_path, capsys):
     good_seq = tmp_path / "seq.json"
     good_seq.write_text(json.dumps([{"x": [2.0, 0.0], "r": 1.0, "eps": 0.5}]))

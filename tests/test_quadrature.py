@@ -1,6 +1,7 @@
 import itertools
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -548,6 +549,25 @@ def test_unnormalized_ball_norm():
     v = l2_ball_norm(lambda p: np.full(len(p), 2.0), ball, rule)
     expected = 2.0 * math.sqrt(ball_volume(2) * 0.25)
     assert abs(v - expected) < 1e-13
+
+
+def test_norms_refuse_a_negative_or_nan_integral():
+    # a rule with negated weights makes int |f|^2 negative, and a NaN value
+    # makes it NaN; neither is reported as a norm
+    from threespheres.quadrature import l2_ball_norm
+
+    sphere = SphereRule.product(2, 8)
+    negated = replace(sphere, weights=-sphere.weights)
+    ball = Ball(np.zeros(2), 0.5)
+    two = lambda p: np.full(len(p), 2.0)
+    nan = lambda p: np.full(len(p), math.nan)
+    for f, rule in ((two, negated), (nan, sphere)):
+        with pytest.raises(OutOfRange, match="not >= 0"):
+            l2_sphere_norm(f, np.zeros(2), 0.5, rule)
+        for norm in (l2_ball_norm, normalized_average_A2):
+            with pytest.raises(OutOfRange, match="not >= 0"):
+                norm(f, ball, BallRule(rule, 16))
+    assert l2_sphere_norm(two, np.zeros(2), 0.5, sphere) > 0
 
 
 def test_l2_sphere_norm_parseval_structure(rng):

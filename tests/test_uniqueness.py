@@ -228,6 +228,33 @@ def test_sequence_needs_one_log_eps_per_entry():
     assert SmallnessSequence(entry, (-1.0,)).log_eps == (-1.0,)
 
 
+@pytest.mark.parametrize("phi", [
+    GrowthEnvelope.exp_power(2.0),  # math.exp overflows
+    GrowthEnvelope.power(200.0),  # r ** p overflows
+    GrowthEnvelope.power(2.0, 1e305),  # c * r ** p is infinite
+], ids=["exp_power", "power", "power_c"])
+def test_overflowing_envelope_is_out_of_range(phi):
+    # phi(4 |x|) is finite at |x| = 2 and not at |x| = 30
+    seq = SmallnessSequence((([2.0, 0.0], 1.0, 0.5), ([30.0, 0.0], 1.0, 0.5)))
+    assert math.isfinite(phi(8.0))
+    with pytest.raises(OutOfRange, match=r"r = 120\.0 is inf, not a finite"):
+        criterion_trace(seq, phi)
+
+
+@pytest.mark.parametrize("x", [[[30.0, 0.0], [0.0, 0.0]], 30.0, [30.0]],
+                         ids=["matrix", "scalar", "length_1"])
+def test_sequence_point_must_be_a_vector(x):
+    # each has |x| = 30, which the constraint 2 r <= |x| alone would accept
+    good = ([2.0, 0.0], 1.0, 0.5)
+    with pytest.raises(ConstraintViolated,
+                       match="entry 1: x must be a vector of dimension >= 2"):
+        SmallnessSequence((good, (x, 1.0, 0.5)))
+    with pytest.raises(ConstraintViolated,
+                       match="entry 0: x must be a vector of dimension >= 2"):
+        SmallnessSequence.from_json(json.dumps([{"x": x, "r": 1.0,
+                                                 "eps": 0.5}]))
+
+
 def test_nonpositive_phi_raises():
     tab = GrowthEnvelope.table([0.0, 100.0], [-5.0, 10.0])
     seq = SmallnessSequence((([2.0, 0.0], 1.0, 0.5),))

@@ -5,6 +5,7 @@ import pytest
 
 from conftest import (analytic_ball_rule, analytic_sphere_rule,
                       integral_blocks, weighted_rule)
+from threespheres import geometry
 from threespheres.errors import (
     BetaOutOfRange,
     DeltaOutOfRange,
@@ -261,6 +262,29 @@ def test_holomorphic_variant():
     rep = holomorphic_variant_check([1.0, 0.3], [0.5, 0.0], 0.2, x_norm,
                                     beta=1.05, unchecked_beta=True)
     assert not rep.passed
+
+
+def test_three_spheres_checks_solve_the_inversion_once(monkeypatch):
+    # the holomorphic check runs the (24) rows on its own family, and t is
+    # checked by the family's exponents
+    calls = []
+    solve = geometry.solve_inversion_center
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(geometry, "solve_inversion_center", counted)
+    assert holomorphic_variant_check([1.0, 1.0j, -0.5], [0.4, 0.2], 0.25,
+                                     0.2).passed
+    assert len(calls) == 1
+    assert three_spheres_check(ONE2, [0.5, 0.0], 0.2, t=0.25).passed
+    assert len(calls) == 2
+    for t in (0.0, -0.1, 0.51, math.nan):
+        with pytest.raises(OutOfRange, match=r"t must lie in \(0, \|x\|\]"):
+            three_spheres_check(ONE2, [0.5, 0.0], 0.2, t=t)
+        with pytest.raises(OutOfRange, match=r"t must lie in \(0, \|x\|\]"):
+            holomorphic_variant_check([1.0], [0.5, 0.0], 0.2, t)
 
 
 def test_three_balls_constant_and_corpus(rng):
