@@ -496,7 +496,7 @@ def weighted_ball_integral_mua(f, ball: Ball, rule: BallRule,
                                inv: InversionData):
     """Integral of f against dmu_a = |y - a|^{-4} dy, a numpy scalar as for
     :func:`surface_integral`."""
-    if inv.a_norm <= inv.R - 1e-12:
+    if not np.linalg.norm(inv.a - ball.center) > ball.radius:
         raise OutOfRange("inversion center must lie outside the closed ball")
     return _integral(Column([f]).values, rule, ball.center, ball.radius, inv,
                      "mu_a")

@@ -2,14 +2,14 @@
 
 A sweep draws a corpus of random harmonic polynomials and a grid of random
 inner-ball configurations per dimension, then runs the selected checks on
-every combination, one configuration after another, and returns the
-``verify`` builders' row groups, which the writers format.  The row order is
-(dimension, config index, check, polynomial index, t index), and every
-integral is deterministic and summed in node order, so identical configs
-produce byte-identical CSV output.  The package runs OpenBLAS on one thread,
-so the bytes do not depend on ``OPENBLAS_NUM_THREADS`` either.
-``mc_samples`` is accepted in configs (and validated) but ignored: no check
-uses Monte Carlo.
+every combination, one configuration (one ``CorrelatedFamily``, shared by
+the sphere, ball, derivative and planar holomorphic builders) in turn,
+and returns the ``verify`` builders' row groups, which the writers format.
+It sets the degree of its test functions and embedding integrands.  The row
+order is (dimension, config index, check, polynomial index, t index); every
+integral is summed in node order and OpenBLAS runs on one thread, so equal
+configs give byte-identical CSV output whatever ``OPENBLAS_NUM_THREADS``.
+``mc_samples`` is validated but ignored: no check uses Monte Carlo.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from .verify import (
     embedding_identity_check,
     error_row,
     gradient_rows,
-    holomorphic_variant_check,
+    holomorphic_rows,
     sphere_rows,
 )
 
@@ -259,11 +259,8 @@ def _config_rows(n, cfg: SweepConfig, ci, x_vec, r, polys, evaluator):
 
     if "holomorphic_variant" in cfg.checks and n == 2:
         rng = np.random.default_rng([cfg.corpus_seed, ci, 77])
-        coeff_sets = [[1.0], [0.0, 0.0, 0.0, 1.0],
-                      list(rng.standard_normal(7) + 1j * rng.standard_normal(7))]
-        for coeffs in coeff_sets:
-            groups.append(_one_row(holomorphic_variant_check(
-                coeffs, x_vec, r, 0.5 * x_norm, beta="omega")))
+        c = rng.standard_normal(7) + 1j * rng.standard_normal(7)
+        groups += holomorphic_rows([[1.0], [0, 0, 0, 1], c], fam, 0.5 * x_norm)
     return groups
 
 

@@ -86,8 +86,9 @@ class GrowthEnvelope:
     def table(cls, radii, values) -> "GrowthEnvelope":
         radii = np.asarray(radii, dtype=float)
         values = np.asarray(values, dtype=float)
-        if radii.size != values.size or radii.size < 2:
-            raise OutOfRange("table envelope needs matching arrays, length >= 2")
+        if radii.ndim != 1 or radii.shape != values.shape or radii.size < 2:
+            raise OutOfRange("table envelope needs matching one-dimensional "
+                             "arrays, length >= 2")
         if not (np.all(np.isfinite(radii)) and np.all(np.isfinite(values))):
             raise OutOfRange("table radii and values must be finite")
         if np.any(np.diff(radii) <= 0):
@@ -120,7 +121,9 @@ class GrowthEnvelope:
         return make(*args)
 
     def __call__(self, r: float) -> float:
-        """phi(r), which must be a finite double (else OutOfRange)."""
+        """phi(r) at r >= 0, which must be a finite double (else OutOfRange)."""
+        if not r >= 0:  # NaN too
+            raise OutOfRange(f"growth envelope needs r >= 0, got r = {r}")
         try:
             value = float(self._fn(float(r)))
         except OverflowError:

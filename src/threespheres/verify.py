@@ -17,16 +17,16 @@ plain rules are exact at the integrand's degree (twice it for |f|^2) and no
 higher, and the weighted rules are the Gauss rules of their weight, exact
 for a polynomial of that degree times the weight (see ``quadrature``).
 
-The inequalities and the identities are written once, over columns: an
-evaluator maps (N, n) points to the (N, P) values or squared moduli of P
-functions, which the row builders (``gradient_rows``, ``derivative_rows``,
-``convexity_rows``, ``sphere_rows``, ``ball_rows``) integrate into row
+The checks are written once, over columns: an evaluator maps (N, n)
+points to the (N, P) values or squared moduli of P functions, which the row
+builders (``gradient_rows``, ``derivative_rows``, ``convexity_rows``,
+``sphere_rows``, ``holomorphic_rows``, ``ball_rows``) integrate into row
 groups (:class:`RowGroup`; :func:`upper_rows`, :func:`identity_rows`,
 :func:`error_row`): shared fields once per name, sides and pass as arrays.
-The sweep passes a ``PolynomialEvaluator`` over its corpus, or a
-:class:`Column` of its test functions; each public ``*_check`` passes a
-one-column :class:`Column` and returns its groups' rows (:func:`flat`), so
-both use the same rules and arithmetic.
+The sweep passes its corpus, coefficient sets or test functions; each
+public ``*_check`` is its builder's batch of one (:func:`flat`).  Only the
+embedding identity takes one function: the sweep's three integrands ran
+slower batched at degree 4 than as three calls.
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ from .geometry import (
     delta0,
     inversion_map,
 )
-from .harmonic import holomorphic_polynomial
+from .harmonic import PolynomialEvaluator, holomorphic_polynomial
 from .quadrature import (
     BallRule,
     Column,
@@ -524,30 +524,33 @@ def transfer_identity_check(f, fam: CorrelatedFamily, t: float,
     return flat(sphere_rows(col, fam, [float(t)], ("transfer_identity",)))[0]
 
 
+def holomorphic_rows(coeff_sets, fam: CorrelatedFamily, t: float,
+                     beta="omega", unchecked_beta: bool = False) -> list:
+    """The :func:`holomorphic_variant_check` rows at ``t`` of each
+    coefficient list of ``coeff_sets``, on the planar family ``fam``."""
+    if fam.dimension != 2:
+        raise OutOfRange("holomorphic variant is planar (n = 2)")
+    za = complex(*fam.inversion.a)  # each (z - z_a)^2 f; [] is f = 0
+    ev = PolynomialEvaluator([holomorphic_polynomial(np.convolve(
+        list(c) or [0.0], [za * za, -2 * za, 1])) for c in coeff_sets])
+    (head,), *sides = sphere_rows(ev, fam, [float(t)], ("three_spheres",),
+                                  beta, unchecked_beta)[0]
+    return [RowGroup((replace(head, name=head.name.replace(
+        "three_spheres_eq24", "holomorphic_variant_remark3")),), *sides)]
+
+
 def holomorphic_variant_check(coeffs, x, r: float, t: float, beta="omega",
                               unchecked_beta: bool = False) -> InequalityReport:
     """Planar holomorphic variant: ds_a replaced by (|y-a|^2+1-|y|^2) ds.
 
-    Implemented by applying the three-spheres check to (z - z_a)^2 f(z),
-    which multiplies the |f|^2 integrand by |y-a|^4 and cancels the
-    denominator of the s_a density.
+    The three-spheres row of (z - z_a)^2 f(z) (:func:`holomorphic_rows`):
+    its factor |y-a|^4 in |f|^2 cancels the denominator of the s_a density.
     """
-    x = np.asarray(x, dtype=float)
-    if x.size != 2:
+    if np.asarray(x).size != 2:
         raise OutOfRange("holomorphic variant is planar (n = 2)")
     fam = CorrelatedFamily.create(x, r, R=1.0)
-    za = complex(fam.inversion.a[0], fam.inversion.a[1])
-    coeffs = [complex(c) for c in coeffs]
-    shifted = [0.0j] * (len(coeffs) + 2)
-    for k, c in enumerate(coeffs):
-        shifted[k] += c * za * za
-        shifted[k + 1] += -2 * za * c
-        shifted[k + 2] += c
-    g = _column(holomorphic_polynomial(shifted))
     _resolve_beta(fam.exponents(t), beta, unchecked_beta)
-    report = sphere_rows(g, fam, [float(t)], ("three_spheres",), beta,
-                         unchecked_beta)[0].rows()[0]
-    return replace(report, name="holomorphic_variant_remark3")
+    return flat(holomorphic_rows([coeffs], fam, t, beta, unchecked_beta))[0]
 
 
 # ---------------------------------------------------------------------------

@@ -426,6 +426,20 @@ def test_uniqueness_overflow_and_non_vector_x_exit_2(tmp_path, capsys):
         assert "trend:" not in captured.out
 
 
+def test_uniqueness_nested_table_envelope_exits_2(tmp_path, capsys):
+    seq = tmp_path / "seq.json"
+    seq.write_text(json.dumps([{"x": [2.0, 0.0], "r": 1.0, "eps": 0.5}]))
+    env = tmp_path / "env.json"
+    env.write_text(json.dumps({"kind": "table", "r": [[0, 1], [2, 3]],
+                               "phi": [[1, 2], [3, 4]]}))
+    rc = main(["uniqueness", "--sequence", str(seq), "--envelope", str(env)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.err.startswith("error: ")
+    assert "one-dimensional" in captured.err
+    assert "Traceback" not in captured.err
+
+
 def test_wrong_json_shapes_exit_2(tmp_path, capsys):
     good_seq = tmp_path / "seq.json"
     good_seq.write_text(json.dumps([{"x": [2.0, 0.0], "r": 1.0, "eps": 0.5}]))

@@ -292,13 +292,31 @@ def test_weighted_rules_are_placed_only_toward_a():
 
 
 def test_ball_centred_at_a_is_not_turned():
-    # no direction from a ball's centre to a: the rule is placed as built
+    # no direction from a ball's centre to a: the rule is placed as built,
+    # so an integrand no rotation leaves alone sums to the same bits
     inv = solve_inversion_center(0.5, 0.2, dimension=3)
     rule = BallRule.exact(3, 4)
-    got = weighted_ball_integral_mua(_one, Ball(inv.a, 0.1), rule, inv)
-    want, = integrals(lambda p: np.einsum("ij,ij->i", p - inv.a, p - inv.a)
-                      [:, None] ** -2.0, rule, inv.a, 0.1)
-    assert np.isfinite(got) and got == want[0]
+
+    def f(p):
+        return np.exp(p @ [1.0, 2.0, 3.0])[:, None]
+
+    got, = integrals(f, rule, inv.a, 0.1, inv, (None,))
+    want, = integrals(f, rule, inv.a, 0.1)
+    assert np.isfinite(got[0]) and got[0] == want[0]
+
+
+def test_mua_refuses_a_ball_that_holds_or_touches_a():
+    # dmu_a = |y - a|^-4 dy is not integrable over a ball holding or
+    # touching a
+    inv = solve_inversion_center(0.5, 0.2, dimension=2)
+    rule = BallRule.exact(2, 4)
+    touching = np.array([1.0, 0.0])
+    for ball in (Ball([1.79, 0.0], 0.5), Ball(inv.a, 0.1),
+                 Ball(touching, float(np.linalg.norm(inv.a - touching)))):
+        with pytest.raises(OutOfRange, match="outside the closed ball"):
+            weighted_ball_integral_mua(_one, ball, rule, inv)
+    assert np.isfinite(weighted_ball_integral_mua(
+        _one, Ball(touching, 0.8), rule, inv))
 
 
 def test_weighted_rule_checks_its_fine_rules(monkeypatch):

@@ -9,6 +9,7 @@ import pytest
 
 from conftest import (exact_sphere_monomial, integral_blocks, sweep_rows,
                       weighted_rule)
+from threespheres import geometry, verify
 from threespheres.cli import main
 from threespheres.errors import ConfigError, OutOfRange, UnderResolved
 from threespheres.geometry import CorrelatedFamily
@@ -435,6 +436,45 @@ def test_sweep_runs_every_check(tmp_path, capsys):
                  if line.startswith("embedding_identity_eq30[")]
     assert len(embedding) == 3
     assert all(line.endswith(",true") for line in embedding)
+
+
+def test_holomorphic_sweep_solves_once_per_geometry(monkeypatch):
+    # one family per planar geometry: one inversion solve and one sphere
+    # pass for its three coefficient sets
+    calls = {"solve": 0, "sphere": 0}
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(geometry, "solve_inversion_center", counted(
+        "solve", geometry.solve_inversion_center))
+    monkeypatch.setattr(verify, "sphere_rows", counted(
+        "sphere", verify.sphere_rows))
+    cfg = SweepConfig.from_dict({"dimensions": [2], "corpus": {"count": 1},
+                                 "geometry": {"count": 3},
+                                 "checks": ["holomorphic_variant"]})
+    groups, skipped = run_sweep(cfg)
+    assert calls == {"solve": 3, "sphere": 3} and skipped == []
+    monkeypatch.undo()
+    # the rows of the public check per coefficient set, in the sweep's order
+    rows = flat(groups)
+    assert len(rows) == 9
+    for ci, (x, r) in enumerate(sample_geometries(2, 3, cfg.geometry_seed)):
+        rng = np.random.default_rng([cfg.corpus_seed, ci, 77])
+        sets = [[1.0], [0.0, 0.0, 0.0, 1.0],
+                rng.standard_normal(7) + 1j * rng.standard_normal(7)]
+        for coeffs, rep in zip(sets, rows[3 * ci:3 * ci + 3]):
+            want = verify.holomorphic_variant_check(
+                coeffs, x, r, 0.5 * float(np.linalg.norm(x)))
+            assert rep.name == want.name == "holomorphic_variant_remark3"
+            assert rep.passed == want.passed
+            assert rep.exponent_used == want.exponent_used
+            for side in ("lhs", "rhs"):
+                assert getattr(rep, side) == pytest.approx(
+                    getattr(want, side), rel=1e-14, abs=0)
 
 
 @pytest.mark.parametrize("n", [4, 5])

@@ -241,6 +241,27 @@ def test_overflowing_envelope_is_out_of_range(phi):
         criterion_trace(seq, phi)
 
 
+@pytest.mark.parametrize("phi", [
+    GrowthEnvelope.power(0.5),  # (-1.0) ** 0.5 is complex
+    GrowthEnvelope.exp_power(2.0),
+    GrowthEnvelope.table([0.0, 1.0], [1.0, 2.0]),
+], ids=["power", "exp_power", "table"])
+def test_envelope_refuses_negative_and_nan_r(phi):
+    assert phi(0.0) >= 0
+    for r in (-1.0, -1e-300, math.nan):
+        with pytest.raises(OutOfRange, match="needs r >= 0"):
+            phi(r)
+
+
+def test_table_envelope_must_be_one_dimensional():
+    # sizes match and radii and values increase when flattened
+    nested = {"kind": "table", "r": [[0, 1], [2, 3]], "phi": [[1, 2], [3, 4]]}
+    with pytest.raises(OutOfRange, match="one-dimensional"):
+        GrowthEnvelope.from_spec(nested)
+    with pytest.raises(OutOfRange, match="one-dimensional"):
+        GrowthEnvelope.table([0.0, 1.0, 2.0, 3.0], [[1.0, 2.0], [3.0, 4.0]])
+
+
 @pytest.mark.parametrize("x", [[[30.0, 0.0], [0.0, 0.0]], 30.0, [30.0]],
                          ids=["matrix", "scalar", "length_1"])
 def test_sequence_point_must_be_a_vector(x):

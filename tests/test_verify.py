@@ -17,6 +17,7 @@ from threespheres.geometry import CorrelatedFamily, correlated_radius_general
 from threespheres.harmonic import (
     HarmonicPolynomial,
     PolynomialEvaluator,
+    holomorphic_polynomial,
     random_harmonic_polynomial,
 )
 from threespheres.quadrature import (
@@ -39,6 +40,7 @@ from threespheres.verify import (
     flat,
     gradient_identity_check,
     gradient_rows,
+    holomorphic_rows,
     holomorphic_variant_check,
     identity_report,
     identity_rows,
@@ -262,6 +264,46 @@ def test_holomorphic_variant():
     rep = holomorphic_variant_check([1.0, 0.3], [0.5, 0.0], 0.2, x_norm,
                                     beta=1.05, unchecked_beta=True)
     assert not rep.passed
+
+
+def test_holomorphic_rows_batch_planar_sets():
+    with pytest.raises(OutOfRange, match="planar"):
+        holomorphic_rows([[1.0]], CorrelatedFamily.create([0.5, 0.0, 0.0],
+                                                          0.2), 0.25)
+    fam = CorrelatedFamily.create([0.5, 0.0], 0.2)
+    sets = [[1.0], [1.0, 1.0j, -0.5], [0.0, 0.0, 0.0, 1.0]]
+    group, = holomorphic_rows(sets, fam, 0.25)
+    assert group.lhs.shape == (3, 1) and group.passed.all()
+    assert [rep.name for rep in flat([group])] == [
+        "holomorphic_variant_remark3"] * 3
+    # a beta above alpha_t: failed error rows under the variant's name
+    bad, = holomorphic_rows(sets, fam, 0.25, beta=1.05)
+    assert [rep.name for rep in flat([bad])] == [
+        "holomorphic_variant_remark3:error:BetaOutOfRange"] * 3
+    assert not bad.passed.any()
+
+
+def test_holomorphic_rows_match_the_shift_loop(rng):
+    # reference: (z - z_a)^2 f by a loop over the coefficients, one
+    # polynomial per sphere pass at its own degree; np.convolve and the
+    # batch's larger rules sum in another order
+    fam = CorrelatedFamily.create([0.3, -0.4], 0.15)
+    za = complex(*fam.inversion.a)
+    sets = [list(rng.standard_normal(k) + 1j * rng.standard_normal(k))
+            for k in (1, 3, 7, 7)]
+    group, = holomorphic_rows(sets, fam, 0.2)
+    for coeffs, rep in zip(sets, flat([group])):
+        shifted = [0j] * (len(coeffs) + 2)
+        for k, c in enumerate(coeffs):
+            shifted[k] += c * za * za
+            shifted[k + 1] -= 2 * za * c
+            shifted[k + 2] += c
+        f = holomorphic_polynomial(shifted)
+        want, = flat(sphere_rows(Column([f], f.degree), fam, [0.2],
+                                 ("three_spheres",)))
+        assert rep.passed == want.passed
+        assert rep.lhs == pytest.approx(want.lhs, rel=1e-14, abs=0)
+        assert rep.rhs == pytest.approx(want.rhs, rel=1e-14, abs=0)
 
 
 def test_three_spheres_checks_solve_the_inversion_once(monkeypatch):
