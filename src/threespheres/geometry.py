@@ -37,6 +37,7 @@ __all__ = [
     "correlation_check",
     "correlation_constant",
     "delta0",
+    "half_plane_inversion",
     "inversion_map",
     "solve_inversion_center",
     "sphere_image_check",
@@ -277,6 +278,42 @@ def inversion_map(inv: InversionData, y):
         raise SingularPoint("inversion undefined at y = a")
     out = inv.a + (inv.rho2 / dist2)[:, None] * d
     return out[0] if single else out
+
+
+def half_plane_inversion(inv: InversionData, alpha: float, x, rho):
+    """The inversion on the half-planes bounded by a line through a, at
+    coordinate ``alpha`` along it: the point at coordinate x along the line
+    and distance rho from it goes to (alpha + k (x - alpha), k rho),
+    k = rho_a^2 / ((x - alpha)^2 + rho^2), in the same half-plane."""
+    dx = np.asarray(x, dtype=float) - alpha
+    dist2 = dx * dx + rho * rho
+    if np.any(dist2 == 0.0):
+        raise SingularPoint("inversion undefined at y = a")
+    k = inv.rho2 / dist2
+    return alpha + k * dx, k * rho
+
+
+def _reflection(axis: np.ndarray) -> np.ndarray | None:
+    """The Householder reflection taking e_1 to the unit vector ``axis``,
+    None when ``axis`` is e_1."""
+    e1 = np.zeros(axis.size)
+    e1[0] = 1.0
+    w = e1 - axis
+    nw2 = float(w @ w)
+    if nw2 < 1e-30:
+        return None
+    return np.eye(axis.size) - 2.0 * np.outer(w, w) / nw2
+
+
+# relative distance from a line below which a point counts as on it: a few
+# rounding errors of the unit vectors that span it
+LINE_TOL = 4e-15
+
+
+def _on_line(p: np.ndarray, axis: np.ndarray) -> bool:
+    """Whether ``p`` lies on the line spanned by the unit vector ``axis``."""
+    off = p - float(p @ axis) * axis
+    return bool(np.linalg.norm(off) <= LINE_TOL * np.linalg.norm(p))
 
 
 def sphere_image_check(fam: CorrelatedFamily, t: float, samples: int,

@@ -8,6 +8,15 @@ fixed (n, degree) that projection is one linear map, built once from dense
 matrices of the Laplacian L and the |y|^2 product T and applied to a whole
 corpus in one solve, and the harmonicity gate is the matrix product max |L h|;
 polynomials given by their terms are gated by the symbolic Laplacian.
+
+A batch is evaluated two ways.  At points, :class:`PolynomialEvaluator`
+takes one basis-matrix product over every monomial of degree <= D.  On the
+factored rules of ``quadrature`` (an axial rule times a rule on S^{n-2}),
+its :meth:`PolynomialEvaluator.squares` integrand evaluates slices: in the
+:class:`Frame` of the rule's axis a node is (x, rho omega), and on each
+direction's half-plane f is a polynomial in (x, rho) of (D + 1)(D + 2)/2
+coefficients (45 at D = 8, against C(D + n, n) monomials), tabled once per
+direction, so a block of slices is one product with the table.
 """
 
 from __future__ import annotations
@@ -19,7 +28,8 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import NonHarmonic, OutOfRange, SingularPoint, StencilOutOfDomain
-from .geometry import InversionData, inversion_map
+from .geometry import (InversionData, _on_line, _reflection,
+                       half_plane_inversion, inversion_map)
 
 __all__ = [
     "HarmonicPolynomial",
@@ -95,6 +105,50 @@ def _graded(n: int, max_degree: int):
     exps.setflags(write=False)
     index = {e: i for i, e in enumerate(map(tuple, exps.tolist()))}
     return exps, tuple(steps), index
+
+
+def _monomials(steps, size: int, pts: np.ndarray) -> np.ndarray:
+    """(size, N) values at the (N, m) points of the graded monomials that
+    the slice products ``steps`` of ``_graded`` build, one row each."""
+    basis = np.empty((size, pts.shape[0]))
+    basis[0] = 1.0
+    cols = np.ascontiguousarray(pts.T)
+    for lo, parent, k, axis in steps:
+        np.multiply(basis[parent:parent + k], cols[axis],
+                    out=basis[lo:lo + k])
+    return basis
+
+
+@lru_cache(maxsize=None)
+def _shifts(n: int, degree: int):
+    """Per degree d = 1 .. ``degree`` and axis i, the row in degree d's
+    block of ``_graded`` of x_i times each monomial of degree d - 1."""
+    exps, _, index = _graded(n, degree)
+    out = []
+    for d in range(1, degree + 1):
+        lo = math.comb(d - 1 + n, n)
+        below = exps[math.comb(d - 2 + n, n):lo]
+        out.append(tuple(
+            np.array([index[e] for e in map(tuple, (below + unit).tolist())])
+            - lo for unit in np.eye(n, dtype=np.int64)))
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def _half_planes(n: int, degree: int):
+    """The monomials x_1^a y'^g of ``_graded(n, degree)`` by the degree q
+    of g: per q, their rows as a (C(q + n - 2, n - 2), degree - q + 1)
+    array [g, a], g in the order of ``_graded(n - 1, degree)``; and the
+    (a, q) pairs, q-major, of a half-plane polynomial sum c_aq x^a rho^q."""
+    index = _graded(n, degree)[2]
+    across = _graded(n - 1, degree)[0].tolist()
+    rows, pairs = [], []
+    for q in range(degree + 1):
+        block = across[math.comb(q + n - 2, n - 1):math.comb(q + n - 1, n - 1)]
+        rows.append(np.array([[index[(a, *g)] for a in range(degree - q + 1)]
+                              for g in block]))
+        pairs += [(a, q) for a in range(degree - q + 1)]
+    return tuple(rows), tuple(np.array(pairs).T)
 
 
 def _check_residual(resid: float, scale: float) -> None:
@@ -215,16 +269,11 @@ class PolynomialEvaluator:
         self.coeffs = coeffs
         # (M, 2P) real view, re and im interleaved: products read as complex
         self._reim = coeffs.view(float)
+        self._frame = None
 
     def _basis(self, pts: np.ndarray) -> np.ndarray:
         """(M, N) monomial values at the (N, n) points, one row per monomial."""
-        basis = np.empty((len(self.exponents), pts.shape[0]))
-        basis[0] = 1.0
-        cols = np.ascontiguousarray(pts.T)
-        for lo, parent, k, axis in self._steps:
-            np.multiply(basis[parent:parent + k], cols[axis],
-                        out=basis[lo:lo + k])
-        return basis
+        return _monomials(self._steps, len(self.exponents), pts)
 
     def _evaluate(self, points) -> np.ndarray:
         """(N, 2P) real array: re and im of every polynomial, interleaved."""
@@ -250,6 +299,132 @@ class PolynomialEvaluator:
         sq = self._evaluate(points)
         sq *= sq
         return sq[:, 0::2] + sq[:, 1::2]
+
+    def squares(self, inv: InversionData | None = None) -> "Squares":
+        """|f|^2 of each polynomial (|f o phi|^2 with ``inv``) as an
+        integrand of ``quadrature.integrals``, with a slice form."""
+        return Squares(self, inv)
+
+    def frame(self, axis: np.ndarray) -> "Frame":
+        """The batch's :class:`Frame` for the unit vector ``axis``; the
+        evaluator keeps the one of its last axis."""
+        if self._frame is None or not np.array_equal(self._frame.axis, axis):
+            self._frame = Frame(self, axis)
+        return self._frame
+
+
+class Frame:
+    """A batch in the frame y = H z of the reflection H taking e_1 to a unit
+    ``axis`` (``geometry._reflection``): the coefficients of f(Hz), and per
+    rule on S^{n-2} a table of its half-plane polynomials.
+
+    On the half-plane of a direction omega across the axis, z = (x, rho
+    omega) and f(Hz) = sum_{a + q <= D} D_aq(omega) x^a rho^q, whatever n:
+    45 coefficients at degree D = 8.  :meth:`table` holds D_aq(omega_j) of
+    every direction of a rule, so the K T nodes (x_k, rho_k omega_j) of K
+    slices cost one (K, 45) x (45, T 2P) product.
+    """
+
+    def __init__(self, ev: PolynomialEvaluator, axis: np.ndarray):
+        self.axis = axis
+        self.dimension, self.degree = ev.dimension, ev.degree
+        H = _reflection(axis)
+        self.coeffs = ev._reim if H is None else _reflected(ev, H)
+        self._tables = []
+
+    def table(self, omega: np.ndarray) -> np.ndarray:
+        """(pairs, T 2P) real table of the half-plane coefficients D_aq at
+        the directions omega (T, n - 1), re and im interleaved per
+        direction: one product per degree q across the axis of the
+        monomials omega^g, |g| = q, with the coefficients of x^a y'^g."""
+        for known, table in self._tables:
+            if known is omega or np.array_equal(known, omega):
+                return table
+        n, degree, P2 = self.dimension, self.degree, self.coeffs.shape[1]
+        sub = _graded(n - 1, degree)
+        powers = _monomials(sub[1], len(sub[0]), omega)
+        rows, (a, _) = _half_planes(n, degree)
+        table = np.empty((a.size, len(omega), P2))
+        lo = 0
+        for q, index in enumerate(rows):
+            m, width = index.shape
+            part = powers[math.comb(q + n - 2, n - 1):][:m].T @ \
+                self.coeffs[index].reshape(m, width * P2)
+            table[lo:lo + width] = part.reshape(-1, width, P2).transpose(
+                1, 0, 2)
+            lo += width
+        table = table.reshape(a.size, -1)
+        self._tables.append((omega, table))
+        return table
+
+    def squares(self, x, rho, omega, lo: int, hi: int) -> np.ndarray:
+        """(K, hi - lo, P) |f|^2 at the nodes (x_k, rho_k omega_j) of the
+        frame, j in [lo, hi) (clipped to the rule)."""
+        table = self.table(omega)
+        P2 = self.coeffs.shape[1]
+        hi = min(hi, len(omega))
+        a, q = _half_planes(self.dimension, self.degree)[1]
+        steps = _graded(1, self.degree)[1]  # the powers 1, x, .., x^D
+        xp, rp = (_monomials(steps, self.degree + 1, v[:, None])
+                  for v in (x, rho))
+        sq = (xp[a] * rp[q]).T @ table[:, lo * P2:hi * P2]
+        sq *= sq
+        return (sq[:, 0::2] + sq[:, 1::2]).reshape(len(x), hi - lo, P2 // 2)
+
+
+def _reflected(ev: PolynomialEvaluator, H: np.ndarray) -> np.ndarray:
+    """(M, 2P) coefficients of f(Hz), one degree block at a time: row alpha
+    of the block's map A, the coefficients of (Hz)^alpha, is (Hz)_j times
+    its parent's row (the slice products of ``_graded``), and the block of
+    f(Hz) is A^T times that of f."""
+    n, reim = ev.dimension, ev._reim
+    out = np.empty_like(reim)
+    out[0] = reim[0]
+    prev = np.ones((1, 1))
+    for d, shifts in enumerate(_shifts(n, ev.degree), start=1):
+        lo_d, lo_p = math.comb(d - 1 + n, n), math.comb(d - 2 + n, n)
+        block = np.zeros((math.comb(d + n - 1, n - 1),) * 2)
+        for lo, parent, k, j in ev._steps[(d - 1) * n:d * n]:
+            rows = block[lo - lo_d:lo - lo_d + k]
+            src = prev[parent - lo_p:parent - lo_p + k]
+            for i in range(n):
+                rows[:, shifts[i]] += H[j, i] * src
+        out[lo_d:lo_d + len(block)] = block.T @ reim[lo_d:lo_d + len(block)]
+        prev = block
+    return out
+
+
+class Squares:
+    """|f|^2 of each polynomial of an evaluator, or |f o phi|^2 given the
+    inversion data: a point integrand, (N, n) points to (N, P) values, with
+    a slice form for the factored rules of ``quadrature``."""
+
+    def __init__(self, ev: PolynomialEvaluator,
+                 inv: InversionData | None = None):
+        self.ev, self.inv = ev, inv
+
+    def __call__(self, pts):
+        if self.inv is not None:
+            pts = inversion_map(self.inv, pts)
+        return self.ev.squared_values(pts)
+
+    def on_slices(self, axis: np.ndarray):
+        """``form(x, rho, omega, lo, hi)``, the values at the nodes (x_k,
+        rho_k omega_j) of the frame of ``axis`` (:meth:`Frame.squares`), or
+        None when a is off the axis: the inversion keeps each half-plane
+        through the axis only when a lies on it."""
+        inv = self.inv
+        if inv is not None and not _on_line(inv.a, axis):
+            return None
+        frame = self.ev.frame(axis)
+        if inv is None:
+            return frame.squares
+        alpha = float(inv.a @ axis)
+
+        def form(x, rho, omega, lo, hi):
+            return frame.squares(*half_plane_inversion(inv, alpha, x, rho),
+                                 omega, lo, hi)
+        return form
 
 
 def random_harmonic_polynomials(n: int, max_degree: int, seeds) -> list:

@@ -24,18 +24,30 @@ one array of column integrals per weight.  The batched checks call it with
 P functions; the public integrals below are its one-column case and return
 one number: a numpy scalar for the raw integrals (real for real integrands,
 complex otherwise) and a float for the norms.
+
+Every rule built here for n >= 3, and every weighted rule, keeps its
+factors (:class:`Slices`): K axial nodes, each a slice of nodes at one
+axial coordinate x and distance rho from the axis, times T directions
+across it.  An integrand with a slice form (the ``squares`` of a
+``harmonic.PolynomialEvaluator``) is evaluated slice by slice when the
+centre, and a with the inversion data, lie on the axis: the points are
+never made, and the densities are taken once per slice.  Point callables,
+the n = 2 trapezoid, rules given by their nodes and centres off the axis
+take the points.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import OutOfRange, RuleDimensionMismatch, UnderResolved
-from .geometry import Ball, InversionData
+from .geometry import (Ball, InversionData, _on_line, _reflection,
+                       inversion_map)
 
 __all__ = [
     "BallRule",
@@ -63,6 +75,18 @@ def ball_volume(n: int) -> float:
     return math.pi ** (n / 2) / math.gamma(n / 2 + 1)
 
 
+class Slices(NamedTuple):
+    """The factors of a product rule on S^{n-1}, n >= 2: axial nodes ``t``
+    and weights ``w``, (K,) or one row per shell (S, K), times the rule
+    (``omega`` (T, n - 1), ``v`` (T,)) on S^{n-2}; its nodes are
+    (t_k, sqrt(1 - t_k^2) omega_j), in (k, j) order, with weights w_k v_j."""
+
+    t: np.ndarray
+    w: np.ndarray
+    omega: np.ndarray
+    v: np.ndarray
+
+
 @dataclass(frozen=True)
 class SphereRule:
     """Quadrature nodes (unit vectors) and weights on S^{n-1}.
@@ -73,7 +97,9 @@ class SphereRule:
     shell on a ball: nodes (S, N, n)), placed only given the inversion data,
     or "monte-carlo" (with ``samples`` and ``seed`` recorded).  ``transverse``
     is the degree across the first axis.  Product and Monte Carlo weights sum
-    to the area.
+    to the area.  ``slices`` holds the factors (:class:`Slices`) of the
+    rules this module builds as products, None for the n = 2 trapezoid and
+    for nodes given as they are.
     """
 
     n: int
@@ -84,9 +110,15 @@ class SphereRule:
     samples: int | None = None
     seed: int | None = None
     transverse: int | None = None
+    slices: Slices | None = field(default=None, init=False, repr=False,
+                                  compare=False)
 
     def __len__(self):
         return self.weights.size
+
+    def _factored(self, slices: Slices | None) -> "SphereRule":
+        object.__setattr__(self, "slices", slices)
+        return self
 
     @classmethod
     def product(cls, n: int, degree: int) -> "SphereRule":
@@ -103,7 +135,8 @@ class SphereRule:
             raise OutOfRange(f"rule degrees must be >= 0, got {degree}")
         nodes, weights = _product_rule_cached(n, degree)
         return cls(n=n, nodes=nodes, weights=weights, kind="exact",
-                   degree=degree, transverse=degree)
+                   degree=degree, transverse=degree)._factored(
+                       None if n == 2 else _product_slices(n, degree))
 
     @classmethod
     def monte_carlo(cls, n: int, samples: int = 200_000, seed: int = 0) -> "SphereRule":
@@ -135,9 +168,11 @@ def weighted_rules(n: int, degree: int, spheres) -> list:
     spheres = tuple((kind, *map(float, rest)) for kind, *rest in spheres)
     if not spheres:
         return []
-    nodes, weights = _weighted_cached(n, degree, degree, spheres)
+    nodes, weights, (t, w, *across) = _weighted_cached(n, degree, degree,
+                                                       spheres)
     return [SphereRule(n, nd, wt, sphere[0], degree, transverse=degree)
-            for nd, wt, sphere in zip(nodes, weights, spheres)]
+            ._factored(Slices(ts, ws, *across))
+            for nd, wt, ts, ws, sphere in zip(nodes, weights, t, w, spheres)]
 
 
 def _gauss_jacobi(q: int, alpha: float, beta: float | None = None):
@@ -183,8 +218,14 @@ def _product_rule_cached(n: int, degree: int):
         theta = 2 * math.pi * np.arange(degree + 1) / (degree + 1)
         return _frozen(np.stack([np.cos(theta), np.sin(theta)], axis=1),
                        np.full(degree + 1, 2 * math.pi / (degree + 1)))
-    return _across(*_gauss_jacobi(degree // 2 + 1, (n - 3) / 2),
-                   *_product_rule_cached(n - 1, degree))
+    return _across(*_product_slices(n, degree))
+
+
+@lru_cache(maxsize=256)
+def _product_slices(n: int, degree: int) -> Slices:
+    """The factors of the product rule on S^{n-1}, n >= 3."""
+    return Slices(*_frozen(*_gauss_jacobi(degree // 2 + 1, (n - 3) / 2)),
+                  *_product_rule_cached(n - 1, degree))
 
 
 @lru_cache(maxsize=64)
@@ -194,6 +235,8 @@ def _radial_rule_cached(m: int):
 
 
 WEIGHTED = ("s_a", "kelvin", "mu_a")  # the kinds of the weighted rules
+# the two directions (+-1) across the axis of a weighted rule at n = 2
+_DIAMETER = _frozen(np.array([[1.0], [-1.0]]), np.ones(2))
 # the fine rules of the weighted rules: panels of k Gauss nodes, k in
 # FINE_NODES, shrinking by GRADING toward the pole; moments to MOMENT_TOL
 GRADING = 0.25
@@ -245,7 +288,8 @@ def _gauss_rules(x: np.ndarray, lam: np.ndarray, m: int):
 @lru_cache(maxsize=64)
 def _weighted_cached(n: int, degree: int, transverse: int, spheres: tuple):
     """Stacked nodes (S, N, n) and weights (S, N) of :func:`weighted_rules`
-    and :meth:`BallRule.weighted`, exact across the axis to ``transverse``.
+    and :meth:`BallRule.weighted`, exact across the axis to ``transverse``,
+    and their :class:`Slices` (t and w (S, K)).
 
     In u = 1 - t a sphere of radius s at D = a_norm - center_norm from a has
     |y-a|^2 = 2 s D (eps + u), eps = (D - s)^2 / (2 s D), and the ds_a
@@ -283,14 +327,15 @@ def _weighted_cached(n: int, degree: int, transverse: int, spheres: tuple):
         raise UnderResolved(f"weighted Gauss rule: moments differ by "
                             f"{worst:.3g} of the mass between fine rules of "
                             f"{FINE_NODES} nodes per panel")
-    across = ((np.array([[1.0], [-1.0]]), np.ones(2)) if n == 2
-              else _product_rule_cached(n - 1, transverse))
-    return _across(1 - u, w / factor(u), *across)
+    across = _DIAMETER if n == 2 else _product_rule_cached(n - 1, transverse)
+    axial = _frozen(1 - u, w / factor(u))
+    return (*_across(*axial, *across), Slices(*axial, *across))
 
 
 SHELL_TARGET = 1e-12  # error model target of a dmu_a ball's radial count
 SHELL_CAP = 128
 BLOCK = 512  # nodes per integrand call and partial sum of :func:`integrals`
+SLICES = 16  # least slices per block of a factored rule (:func:`integrals`)
 
 
 def _shell_count(n: int, degree: int, kappa: float) -> int:
@@ -347,11 +392,11 @@ class BallRule:
         shells, each with its "mu_a" rule; exact for the polynomial alone
         too at ``degree`` = ``transverse`` + 2 (|y-a|^4 is quadratic in t)."""
         shells = _shell_count(n, transverse, distance / radius)
-        nodes, weights = _weighted_cached(n, degree, transverse, tuple(
+        nodes, weights, slices = _weighted_cached(n, degree, transverse, tuple(
             ("mu_a", float(distance), 0.0, s, 1.0)
             for s in (_radial_rule_cached(shells)[0] * radius).tolist()))
         return cls(SphereRule(n, nodes, weights, "mu_a", degree,
-                              transverse=transverse), shells)
+                              transverse=transverse)._factored(slices), shells)
 
 
 class Column:
@@ -369,6 +414,13 @@ class Column:
         v = self.values(pts)
         return v.real ** 2 + v.imag ** 2 if np.iscomplexobj(v) else v * v
 
+    def squares(self, inv: InversionData | None = None):
+        """|f|^2 of each column as a point integrand, or |f o phi|^2 with
+        the inversion data ``inv``."""
+        if inv is None:
+            return self.squared_values
+        return lambda pts: self.squared_values(inversion_map(inv, pts))
+
 
 def _unit(v: np.ndarray) -> np.ndarray | None:
     """v / |v|, or None for a zero vector."""
@@ -377,32 +429,39 @@ def _unit(v: np.ndarray) -> np.ndarray | None:
 
 
 def _orient(nodes: np.ndarray, axis: np.ndarray) -> np.ndarray:
-    """Nodes under the Householder reflection taking e_1 to the unit
-    vector ``axis``."""
-    e1 = np.zeros(axis.size)
-    e1[0] = 1.0
-    w = e1 - axis
-    nw2 = float(w @ w)
-    if nw2 < 1e-30:
-        return nodes
-    H = np.eye(axis.size) - 2.0 * np.outer(w, w) / nw2
-    return nodes @ H.T
+    """Nodes under the reflection taking e_1 to the unit vector ``axis``."""
+    H = _reflection(axis)
+    return nodes if H is None else nodes @ H.T
 
 
-def _density(pts: np.ndarray, inv: InversionData, weight: str) -> np.ndarray:
+def _density(d2: np.ndarray, y2: np.ndarray, inv: InversionData,
+             weight: str, n: int) -> np.ndarray:
     """The ds_a ("s_a") or dmu_a ("mu_a") density or the Kelvin factor
-    (rho^2/|y-a|^2)^(n-2) ("kelvin") at each of (N, n) points."""
-    d = pts - inv.a
-    d2 = np.einsum("ij,ij->i", d, d)
+    (rho^2/|y-a|^2)^(n-2) ("kelvin") at nodes y of R^n with |y-a|^2 = ``d2``
+    and |y|^2 = ``y2`` (read by ds_a only)."""
     if weight == "mu_a":
         return 1.0 / d2 ** 2
     if weight == "kelvin":
-        return (inv.rho2 / d2) ** (pts.shape[1] - 2)
-    dens = (d2 + inv.R ** 2 - np.einsum("ij,ij->i", pts, pts)) / d2 ** 2
+        return (inv.rho2 / d2) ** (n - 2)
+    dens = (d2 + inv.R ** 2 - y2) / d2 ** 2
     if np.any(dens <= 0.0):
         raise OutOfRange("s_a density must be positive on the closed ball; "
                          "got a nonpositive node value (sphere outside B_R?)")
     return dens
+
+
+def _placed(rule, center: np.ndarray, radius: float, inv):
+    """The angular rule of ``rule``, checked against its placement: a
+    weighted rule needs ``inv``."""
+    angular = getattr(rule, "angular", rule)
+    if center.size != angular.n:
+        raise RuleDimensionMismatch(
+            f"rule dimension {angular.n} != center dimension {center.size}")
+    if radius <= 0:
+        raise OutOfRange("radius must be positive")
+    if inv is None and angular.kind in WEIGHTED:
+        raise OutOfRange(f"a {angular.kind!r} rule needs inv to point it at a")
+    return angular
 
 
 def _points(rule, center: np.ndarray, radius: float, inv=None):
@@ -410,13 +469,8 @@ def _points(rule, center: np.ndarray, radius: float, inv=None):
     (SphereRule) or B_{center,radius} (BallRule, radial shells first).  With
     ``inv`` the first axis points at a (unless the centre is a); a weighted
     rule is refused without that turn."""
-    angular = getattr(rule, "angular", rule)
+    angular = _placed(rule, center, radius, inv)
     n = angular.n
-    if center.size != n:
-        raise RuleDimensionMismatch(
-            f"rule dimension {n} != center dimension {center.size}")
-    if radius <= 0:
-        raise OutOfRange("radius must be positive")
     axis = None if inv is None else _unit(inv.a - center)
     if axis is None and angular.kind in WEIGHTED:
         raise OutOfRange(f"a {angular.kind!r} rule needs inv to point it at a")
@@ -429,6 +483,67 @@ def _points(rule, center: np.ndarray, radius: float, inv=None):
     pts = center + radii[:, None, None] * nodes
     shell_w = (wref * radius) * radii ** (n - 1)
     return pts.reshape(-1, n), (shell_w[:, None] * angular.weights).ravel()
+
+
+def _slice_form(on_slices, rule, center: np.ndarray, radius: float, inv):
+    """The slice form ``on_slices(axis)`` of an integrand on ``rule``, the
+    centre's coordinate along the axis and the rule's :class:`Slices`, or
+    None for the point path: a rule without factors, a centre off the axis,
+    or a form refused there.
+
+    The axis is a's direction given ``inv`` (the centre must lie on it,
+    short of a), else the centre's (e_1 for the origin): every integral of
+    a correlated family shares one frame, and an unweighted rule is exact
+    however it is turned."""
+    slices = _placed(rule, center, radius, inv).slices
+    if slices is None:
+        return None
+    axis = _unit(center if inv is None else inv.a)
+    if axis is None:
+        axis = np.eye(center.size)[0]
+    along = float(center @ axis)
+    if not _on_line(center, axis) or (inv is not None
+                                      and not along < float(inv.a @ axis)):
+        return None
+    form = on_slices(axis)
+    return None if form is None else (form, along, axis, slices)
+
+
+def _slice_integrals(form, along: float, axis: np.ndarray, slices: Slices,
+                     rule, radius: float, inv, weights) -> list:
+    """:func:`integrals` on the slices of a factored rule: the nodes with
+    axial coordinate x and distance rho from the axis, one slice per
+    (shell,) axial node, take ``form(x, rho, omega, lo, hi)``, the (K, T, P)
+    values at directions omega[lo:hi] across the axis; the weights and
+    densities are those of the slice."""
+    n = axis.size
+    t, w, omega, v = slices
+    sin = np.sqrt((1 - t) * (1 + t))
+    if not hasattr(rule, "angular"):
+        x, rho, ws = along + radius * t, radius * sin, w * radius ** (n - 1)
+    else:
+        tref, wref = _radial_rule_cached(rule.radial_points)
+        radii = (tref * radius)[:, None]
+        x, rho = along + radii * t, radii * sin
+        ws = (wref * radius)[:, None] * radii ** (n - 1) * w
+    x, rho, ws = x.ravel(), rho.ravel(), ws.ravel()
+    if any(weights):
+        d2, y2 = (x - float(inv.a @ axis)) ** 2 + rho * rho, x * x + rho * rho
+    dens = [ws if kind is None else ws * _density(d2, y2, inv, kind, n)
+            for kind in weights]
+    # blocks of at most BLOCK nodes: the directions in parts of at most
+    # BLOCK / min(K, SLICES), each part with BLOCK // part slices, so a
+    # part's coefficients are read once per SLICES slices at least
+    dirs = min(len(v), max(1, BLOCK // min(x.size, SLICES)))
+    per, sums = max(1, BLOCK // dirs), 0
+    for j in range(0, len(v), dirs):
+        for lo in range(0, x.size, per):
+            part = slice(lo, lo + per)
+            cols = np.einsum("kjp,j->kp", form(x[part], rho[part], omega, j,
+                                               j + dirs), v[j:j + dirs])
+            sums = sums + np.array([np.einsum("k,kp->p", d[part], cols)
+                                    for d in dens])
+    return list(sums)
 
 
 def integrals(fn, rule, center, radius: float, inv=None,
@@ -444,8 +559,20 @@ def integrals(fn, rule, center, radius: float, inv=None,
     values.  Nodes are summed without BLAS (whose threads would split the
     sum and change its bits), in node order per block, and the blocks depend
     on N alone, so a column's integral does not depend on the others.
+
+    An integrand with a slice form (``fn.on_slices``, as the
+    ``PolynomialEvaluator.squares`` of ``harmonic`` has) on a rule with
+    :class:`Slices` is evaluated on the rule's slices instead when its
+    centre lies on the slices' axis (:func:`_slice_form`), at most
+    ``BLOCK`` nodes' values at a time; points are made only for the others.
     """
-    pts, w = _points(rule, np.asarray(center, dtype=float), radius, inv)
+    center = np.asarray(center, dtype=float)
+    on_slices = getattr(fn, "on_slices", None)
+    placed = None if on_slices is None else _slice_form(on_slices, rule,
+                                                         center, radius, inv)
+    if placed is not None:
+        return _slice_integrals(*placed, rule, radius, inv, weights)
+    pts, w = _points(rule, center, radius, inv)
     sums = 0
     for lo in range(0, w.size, BLOCK):
         block, wb = pts[lo:lo + BLOCK], w[lo:lo + BLOCK]
@@ -453,8 +580,14 @@ def integrals(fn, rule, center, radius: float, inv=None,
         # einsum unrolls a lone real column's sum; a complex one is in order
         lone = values.shape[1] == 1 and values.dtype.kind != "c"
         cols = values.astype(complex) if lone else values
+        if any(weights):  # a named weight: its density at the block's nodes
+            d = block - inv.a
+            d2 = np.einsum("ij,ij->i", d, d)
+            y2 = np.einsum("ij,ij->i", block, block) if "s_a" in weights \
+                else None
         sums = sums + np.array([np.einsum("i,ij->j", wb if kind is None
-                                          else wb * _density(block, inv, kind),
+                                          else wb * _density(d2, y2, inv, kind,
+                                                             center.size),
                                           cols) for kind in weights])
     return list(sums.real if lone else sums)
 

@@ -260,7 +260,8 @@ def _config_rows(n, cfg: SweepConfig, ci, x_vec, r, polys, evaluator):
     if "holomorphic_variant" in cfg.checks and n == 2:
         rng = np.random.default_rng([cfg.corpus_seed, ci, 77])
         c = rng.standard_normal(7) + 1j * rng.standard_normal(7)
-        groups += holomorphic_rows([[1.0], [0, 0, 0, 1], c], fam, 0.5 * x_norm)
+        groups += holomorphic_rows([[1.0], [0, 0, 0, 1], c], fam, 0.5 * x_norm,
+                                   cfg.beta)
     return groups
 
 

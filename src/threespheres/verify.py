@@ -18,8 +18,9 @@ higher, and the weighted rules are the Gauss rules of their weight, exact
 for a polynomial of that degree times the weight (see ``quadrature``).
 
 The checks are written once, over columns: an evaluator maps (N, n)
-points to the (N, P) values or squared moduli of P functions, which the row
-builders (``gradient_rows``, ``derivative_rows``, ``convexity_rows``,
+points to the (N, P) values or squared moduli of P functions (its
+``squares`` is the |f|^2 integrand, which a ``PolynomialEvaluator`` also
+evaluates on the slices of a factored rule), which the row builders (``gradient_rows``, ``derivative_rows``, ``convexity_rows``,
 ``sphere_rows``, ``holomorphic_rows``, ``ball_rows``) integrate into row
 groups (:class:`RowGroup`; :func:`upper_rows`, :func:`identity_rows`,
 :func:`error_row`): shared fields once per name, sides and pass as arrays.
@@ -45,11 +46,7 @@ from .errors import (
     OutOfRange,
     PreconditionViolated,
 )
-from .geometry import (
-    CorrelatedFamily,
-    delta0,
-    inversion_map,
-)
+from .geometry import CorrelatedFamily, delta0
 from .harmonic import PolynomialEvaluator, holomorphic_polynomial
 from .quadrature import (
     BallRule,
@@ -404,7 +401,7 @@ def convexity_rows(ev, n: int, grid) -> list:
     ``t``: lhs is minus the column's worst margin (:func:`convexity_margins`)
     and passes within the budget ``CONVEXITY_SLACK``."""
     rule = SphereRule.product(n, 2 * ev.degree)
-    logs = _logs([integrals(ev.squared_values, rule, np.zeros(n), rad)[0]
+    logs = _logs([integrals(ev.squares(), rule, np.zeros(n), rad)[0]
                   for rad in grid])
     margin, _ = convexity_margins(np.log(grid), logs)
     return [upper_rows("log_convexity_eq18", -margin, np.zeros(margin.size),
@@ -460,13 +457,12 @@ def sphere_rows(ev, fam: CorrelatedFamily, ts, checks, beta="omega",
         + [("kelvin", inv.a_norm, 0.0, s, inv.R) for s in rts])
 
     def sa_sphere(rule, center_norm, radius):  # a is on the +e ray
-        return integrals(ev.squared_values, rule, center_norm * fam.e, radius,
+        return integrals(ev.squares(), rule, center_norm * fam.e, radius,
                          inv, ("s_a",))[0]
 
-    def kelvin_squared(pts):
-        # |f*|^2 = |f(phi(y))|^2 (rho^2/|y-a|^2)^(n-2): a polynomial of the
-        # degree of |f|^2 times the "kelvin" weight, which carries the factor
-        return ev.squared_values(inversion_map(inv, pts))
+    # |f*|^2 = |f(phi(y))|^2 (rho^2/|y-a|^2)^(n-2): a polynomial of the
+    # degree of |f|^2 times the "kelvin" weight, which carries the factor
+    kelvin_squared = ev.squares(inv)
 
     if three:
         iv = sa_sphere(rules[len(ts)], x_norm, r)
@@ -580,7 +576,7 @@ def ball_rows(ev, fam: CorrelatedFamily, xbar_norm: float, checks,
         raise DeltaOutOfRange(f"delta = {delta} outside (0, {d0}]")
     inv = fam.inversion if "three_balls" in checks else None
     embedded = "embedded_bound" in checks
-    sq, degree = ev.squared_values, 2 * ev.degree
+    sq, degree = ev.squares(), 2 * ev.degree
     in_mu, iv = _ball_integrals(sq, x0n * fam.e, r0, degree, inv, embedded)
     out_mu, ov = _ball_integrals(sq, np.zeros(n), R, degree, inv, embedded)
     meta = {"n": n, "x_norm": x0n, "r": r0}

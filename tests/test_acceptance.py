@@ -208,6 +208,16 @@ def test_criterion_07_three_spheres_theorem():
     assert len(reports4) == 20 * 5 * 5
     bad4 = [r for r in reports4 if not r.passed]
     assert not bad4, f"{len(bad4)} n=4 three-spheres violations"
+    # n = 5: 20 polynomials on 2 geometries
+    reports5 = flat(run_sweep(SweepConfig.from_dict({
+        "dimensions": [5],
+        "corpus": {"count": 20, "max_degree": 8, "seed": 7},
+        "geometry": {"count": 2, "seed": 11, "t_count": 5},
+        "checks": ["three_spheres"],
+    }))[0])
+    assert len(reports5) == 20 * 2 * 5
+    bad5 = [r for r in reports5 if not r.passed]
+    assert not bad5, f"{len(bad5)} n=5 three-spheres violations"
     worst = max(r.ratio for r in reports)
     print(f"  worst deterministic lhs/rhs ratio = {worst:.6f}")
     _report(7, "three-spheres inequality", started, 300.0)
@@ -239,6 +249,16 @@ def test_criterion_08_three_balls_and_embedded_bounds():
     reports4 = flat(run_sweep(cfg4)[0])
     bad4 = [r for r in reports4 if not r.passed]
     assert not bad4, f"{len(bad4)} n=4 violations"
+    # n = 5: 20 polynomials on 2 geometries, the default lambdas
+    reports5 = flat(run_sweep(SweepConfig.from_dict({
+        "dimensions": [5],
+        "corpus": {"count": 20, "max_degree": 8, "seed": 7},
+        "geometry": {"count": 2, "seed": 11, "t_count": 5},
+        "checks": ["three_balls", "embedded_bound"],
+    }))[0])
+    assert len(reports5) == 20 * 2 * (1 + 3 * 3)
+    bad5 = [r for r in reports5 if not r.passed]
+    assert not bad5, f"{len(bad5)} n=5 violations"
     _report(8, "three-balls and embedded bounds", started, 300.0)
 
 

@@ -13,9 +13,11 @@ from threespheres.errors import (
 from threespheres.geometry import (
     Ball,
     CorrelatedFamily,
+    _reflection,
     correlated_radius_general,
     correlation_check,
     delta0,
+    half_plane_inversion,
     inversion_map,
     solve_inversion_center,
     sphere_image_check,
@@ -325,3 +327,27 @@ def test_exponents_out_of_range():
         fam.exponents(0.0)
     with pytest.raises(OutOfRange):
         fam.exponents(0.7)
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_half_plane_inversion_matches_inversion_map(n):
+    # on the half-planes bounded by a's line, (x, rho) -> (alpha + k (x -
+    # alpha), k rho) is the inversion of the points (x, rho omega)
+    rng = np.random.default_rng(n)
+    inv = solve_inversion_center(0.4, 0.2, direction=rng.standard_normal(n),
+                                 dimension=n)
+    axis = inv.a / inv.a_norm
+    H = _reflection(axis)
+    x, rho = rng.uniform(-1, 1, 30), rng.uniform(0, 1, 30)
+    omega = rng.standard_normal((30, n - 1))
+    omega /= np.linalg.norm(omega, axis=1)[:, None]
+
+    def points(xs, rhos):
+        return np.column_stack([xs, rhos[:, None] * omega]) @ H.T
+
+    xi, ri = half_plane_inversion(inv, float(inv.a @ axis), x, rho)
+    np.testing.assert_allclose(points(xi, ri),
+                               inversion_map(inv, points(x, rho)),
+                               rtol=0, atol=1e-14)
+    with pytest.raises(SingularPoint):
+        half_plane_inversion(inv, 1.5, np.array([1.5]), np.array([0.0]))

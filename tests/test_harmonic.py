@@ -323,3 +323,36 @@ def test_holomorphic_polynomial_expansion(rng):
     expected = sum(c * z ** k for k, c in enumerate(coeffs))
     np.testing.assert_allclose(f(pts), expected, rtol=1e-13, atol=1e-13)
     assert lap_coeff_ratio(f) < 1e-13
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_frame_reproduces_the_reflected_polynomials(n, rng):
+    # the frame's coefficients are those of f(Hz), H the reflection taking
+    # e_1 to the axis, and its half-plane table gives |f|^2 at (x, rho
+    # omega), both within 1e-13 of the points' values; the evaluator keeps
+    # the frame of its last axis
+    from threespheres.geometry import _reflection
+
+    ev = PolynomialEvaluator(random_harmonic_polynomials(n, 6, range(3)))
+    axis = rng.standard_normal(n)
+    axis /= np.linalg.norm(axis)
+    frame = ev.frame(axis)
+    assert ev.frame(axis.copy()) is frame
+    H = _reflection(axis)
+    z = rng.uniform(-1, 1, (40, n))
+    want = ev.values(z @ H.T)
+    got = (ev._basis(z).T @ frame.coeffs).view(complex)
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+    x, rho = rng.uniform(-1, 1, 5), rng.uniform(0, 1, 5)
+    omega = rng.standard_normal((7, n - 1))
+    omega /= np.linalg.norm(omega, axis=1)[:, None]
+    pts = np.concatenate([np.repeat(x, 7)[:, None],
+                          (rho[:, None, None] * omega).reshape(-1, n - 1)],
+                         axis=1) @ H.T
+    want = ev.squared_values(pts).reshape(5, 7, 3)
+    assert np.abs(frame.squares(x, rho, omega, 0, 7) - want).max() <= \
+        1e-13 * want.max()
+    np.testing.assert_array_equal(frame.squares(x, rho, omega, 2, 4),
+                                  frame.squares(x, rho, omega, 0, 7)[:, 2:4])
+    e1 = np.eye(n)[0]
+    assert ev.frame(e1) is not frame and ev.frame(e1).coeffs is ev._reim

@@ -16,8 +16,17 @@ from conftest import (
     weighted_rule,
 )
 from threespheres.errors import OutOfRange, RuleDimensionMismatch, UnderResolved
-from threespheres.geometry import Ball, CorrelatedFamily, solve_inversion_center
-from threespheres.harmonic import PolynomialEvaluator, random_harmonic_polynomial
+from threespheres.geometry import (
+    Ball,
+    CorrelatedFamily,
+    inversion_map,
+    solve_inversion_center,
+)
+from threespheres.harmonic import (
+    PolynomialEvaluator,
+    random_harmonic_polynomial,
+    random_harmonic_polynomials,
+)
 from threespheres.quadrature import (
     BLOCK,
     BallRule,
@@ -25,6 +34,7 @@ from threespheres.quadrature import (
     _gauss_jacobi,
     _points,
     _shell_count,
+    _slice_form,
     ball_integral,
     ball_volume,
     integrals,
@@ -33,6 +43,7 @@ from threespheres.quadrature import (
     sphere_area,
     surface_integral,
     weighted_ball_integral_mua,
+    weighted_rules,
     weighted_surface_integral_sa,
 )
 
@@ -652,3 +663,96 @@ def test_corpus_sphere_integrals_match_exact_moments():
         coeffs = np.array([[p.terms.get(e, 0) for e in exps] for p in polys])
         exact = np.einsum("pi,ik,pk->p", coeffs, gram, coeffs.conj()).real
         np.testing.assert_allclose(vals, exact, rtol=1e-12, atol=0)
+
+
+def _line_cases(n):
+    """An evaluator of three degree-4 polynomials, its |f|^2 and
+    |f o phi|^2 as point integrands, and (rule, centre, radius, inv,
+    weights, integrand) cases on a correlated family whose line is off the
+    coordinate axes."""
+    ev = PolynomialEvaluator(random_harmonic_polynomials(n, 4, range(3)))
+    fam = CorrelatedFamily.create(np.array([0.3, -0.2, 0.1, 0.15][:n - 1]
+                                           + [0.1]), 0.2)
+    inv, e, t = fam.inversion, fam.e, 0.6 * fam.x_norm
+    rt, rts = float(fam.radius(t)), float(fam.image_radius(t))
+    xbar = 0.5 * fam.x_norm
+    sa, kelvin = weighted_rules(n, 8, [("s_a", inv.a_norm, t, rt, 1.0),
+                                       ("kelvin", inv.a_norm, 0.0, rts, 1.0)])
+    mu = BallRule.weighted(n, 10, inv.a_norm - xbar, fam.radius(xbar), 8)
+
+    def composed(pts):
+        return ev.squared_values(inversion_map(inv, pts))
+
+    return ev, composed, [
+        (sa, t * e, rt, inv, ("s_a", None), "squares"),
+        (kelvin, np.zeros(n), rts, inv, ("kelvin", None), "kelvin"),
+        (mu, xbar * e, float(fam.radius(xbar)), inv, ("mu_a", None),
+         "squares"),
+        (BallRule.exact(n, 8), fam.x, fam.r, inv, (None, "mu_a"), "squares"),
+        (BallRule.exact(n, 8), fam.x, fam.r, None, (None,), "squares"),
+        (SphereRule.product(n, 8), np.zeros(n), 0.7, None, (None,),
+         "squares"),
+        (SphereRule.product(n, 8), t * e, rt, inv, ("s_a", None), "squares"),
+    ]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_slice_form_matches_the_point_path(n):
+    # an evaluator's squares take the slices of every factored rule whose
+    # centre lies on the axis, and agree with the same rule's points (the
+    # bound method squared_values, which has no slice form) to 1e-13:
+    # ds_a, Kelvin and plain spheres, dmu_a and plain balls, turned toward
+    # a or not; at n = 2 the trapezoid has no factors and takes the points
+    ev, composed, cases = _line_cases(n)
+    for rule, center, radius, inv, weights, kind in cases:
+        sliced = ev.squares(inv if kind == "kelvin" else None)
+        point = composed if kind == "kelvin" else ev.squared_values
+        angular = getattr(rule, "angular", rule)
+        assert (_slice_form(sliced.on_slices, rule, center, radius, inv)
+                is None) == (n == 2 and angular.kind == "exact")
+        assert not hasattr(point, "on_slices")
+        got = integrals(sliced, rule, center, radius, inv, weights)
+        want = integrals(point, rule, center, radius, inv, weights)
+        for g, w in zip(got, want):
+            assert g.shape == w.shape == (3,) and g.dtype == float
+            np.testing.assert_allclose(g, w, rtol=1e-13, atol=0)
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_slice_blocks_hold_at_most_block_nodes(n, monkeypatch):
+    # the slice form gets at most BLOCK nodes' values per call, splitting
+    # the directions across the axis when they outnumber BLOCK, and the
+    # integrals do not depend on the blocks beyond rounding
+    from threespheres import quadrature
+
+    class Spy:
+        def __init__(self, fn):
+            self.fn, self.sizes = fn, []
+
+        def on_slices(self, axis):
+            form = self.fn.on_slices(axis)
+
+            def counted(x, rho, omega, lo, hi):
+                out = form(x, rho, omega, lo, hi)
+                self.sizes.append(out.shape[0] * out.shape[1])
+                return out
+            return counted
+
+    ev, _, cases = _line_cases(n)
+    for rule, center, radius, inv, weights, kind in cases:
+        sliced = ev.squares(inv if kind == "kelvin" else None)
+        angular = getattr(rule, "angular", rule)
+        # a ball's shells share one angular rule, or stack one each
+        nodes = len(angular) * (rule.radial_points if angular is not rule
+                                and angular.nodes.ndim == 2 else 1)
+        across = len(angular.slices.v)
+        want = integrals(sliced, rule, center, radius, inv, weights)
+        for block in (7, across - 1, 1 << 40):
+            monkeypatch.setattr(quadrature, "BLOCK", block)
+            spy = Spy(sliced)
+            got = integrals(spy, rule, center, radius, inv, weights)
+            assert sum(spy.sizes) == nodes
+            assert max(spy.sizes) <= block
+            for g, w in zip(got, want):
+                np.testing.assert_allclose(g, w, rtol=1e-13, atol=0)
+        monkeypatch.undo()

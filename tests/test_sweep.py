@@ -477,6 +477,78 @@ def test_holomorphic_sweep_solves_once_per_geometry(monkeypatch):
                     getattr(want, side), rel=1e-14, abs=0)
 
 
+def test_holomorphic_rows_take_the_config_beta():
+    # with "beta": "alpha" the remark-3 rows at t = |x|/2 use alpha_t, as the
+    # three-spheres rows at that t do
+    cfg = SweepConfig.from_dict({
+        "dimensions": [2], "corpus": {"count": 1},
+        "geometry": {"count": 2, "t_count": 2}, "beta": "alpha",
+        "checks": ["holomorphic_variant", "three_spheres"]})
+    rows = sweep_rows(cfg)[0]
+    for x, r in sample_geometries(2, 2, cfg.geometry_seed):
+        fam = CorrelatedFamily.create(x, r)
+        t = 0.5 * fam.x_norm
+        alpha = fam.exponents(t).alpha
+        assert alpha > 1.5 * fam.exponents(t).omega
+        mine = [row for row in rows if row.x_norm == fam.x_norm]
+        holo = [row for row in mine
+                if row.name == "holomorphic_variant_remark3"]
+        three = [row for row in mine if row.name == "three_spheres_eq24"
+                 and row.t == t]
+        assert len(holo) == 3 and len(three) == 1
+        assert all(row.exponent_used == alpha == three[0].exponent_used
+                   and row.t == t for row in holo)
+
+
+def test_corpus_integrals_of_a_sweep_take_the_slice_form(monkeypatch):
+    # an n >= 3 sweep evaluates its corpus on the slices of its rules: no
+    # corpus point reaches the point path, every node of every corpus
+    # integral reaches the slice form, and no block holds more than BLOCK
+    # nodes' values
+    from threespheres import harmonic, quadrature
+
+    points, slices, blocks = [], [], []
+    evaluate, squares = (harmonic.PolynomialEvaluator._evaluate,
+                         harmonic.Frame.squares)
+    slice_integrals = quadrature._slice_integrals
+
+    def counted_evaluate(self, pts):
+        points.append(len(pts))
+        return evaluate(self, pts)
+
+    def counted_squares(self, x, rho, omega, lo, hi):
+        out = squares(self, x, rho, omega, lo, hi)
+        blocks.append(out.shape[0] * out.shape[1])
+        return out
+
+    def counted_integrals(form, along, axis, sl, rule, *args):
+        # the rule's nodes: one axial rule for every shell, or one per shell
+        shells = getattr(rule, "radial_points", 1) if sl.w.ndim == 1 else 1
+        slices.append(shells * sl.w.size * len(sl.v))
+        return slice_integrals(form, along, axis, sl, rule, *args)
+
+    monkeypatch.setattr(harmonic.PolynomialEvaluator, "_evaluate",
+                        counted_evaluate)
+    monkeypatch.setattr(harmonic.Frame, "squares", counted_squares)
+    monkeypatch.setattr(quadrature, "_slice_integrals", counted_integrals)
+    for n in (3, 4):
+        cfg = SweepConfig.from_dict({
+            "dimensions": [n],
+            "corpus": {"count": 3, "max_degree": 4, "seed": 1},
+            "geometry": {"count": 2, "seed": 11, "t_count": 2,
+                         "lambdas": [0.6]},
+            "checks": ["three_spheres", "transfer_identity", "three_balls",
+                       "embedded_bound", "log_convexity"]})
+        rows, _ = sweep_rows(cfg)
+        assert rows and all(r.passed for r in rows)
+    assert points == []
+    # per dimension and geometry: 2 + 2 ds_a and 2 Kelvin spheres, 3 dmu_a
+    # balls and 1 plain one; per dimension, 20 convexity spheres
+    assert len(slices) == 2 * (2 * 10 + 20)
+    assert sum(blocks) == sum(slices)
+    assert max(blocks) <= BLOCK
+
+
 @pytest.mark.parametrize("n", [4, 5])
 def test_n4_identity_and_convexity_rows_match_exact_moments(n):
     # the n >= 4 finite-difference identity and log-convexity rows against
