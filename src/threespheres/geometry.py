@@ -64,8 +64,9 @@ class Ball:
 
     def __post_init__(self):
         object.__setattr__(self, "center", _as_vector(self.center))
-        if not self.radius > 0:
-            raise OutOfRange(f"radius must be positive, got {self.radius}")
+        if not 0 < self.radius < math.inf:
+            raise OutOfRange(f"radius must be finite and positive, got "
+                             f"{self.radius}")
 
     @property
     def dimension(self) -> int:
@@ -135,12 +136,15 @@ def solve_inversion_center(x_norm: float, r: float, R: float = 1.0,
     if x_norm == 0:
         raise ConcentricInput("x = 0: concentric case has no inversion; use "
                               "plain log-convexity of L2")
+    for name, value in (("|x|", x_norm), ("R", R)):
+        if not math.isfinite(value):
+            raise OutOfRange(f"{name} must be finite, got {value}")
     if not 0 < r < R - x_norm:
         if r >= R - x_norm and math.isclose(r, R - x_norm, rel_tol=1e-12):
             raise TouchingBalls(f"r = R - |x| = {r}: touching case excluded")
         if r >= R - x_norm:
             raise OutOfRange(f"need 0 < r < R - |x|, got r={r}, R-|x|={R - x_norm}")
-        raise OutOfRange(f"radius must be positive, got {r}")
+        raise OutOfRange(f"radius r must be positive, got {r}")
     c = correlation_constant(x_norm, r, R)
     disc = c * c - 4 * R * R
     if disc <= 0:
@@ -404,12 +408,13 @@ def delta0(x0_norm: float, r0: float, xbar_norm: float, R: float = 1.0,
     inconsistent and collapses for R != 1; it is retained for side-by-side
     comparison only.
     """
-    if xbar_norm <= 0:
-        raise OutOfRange("delta0 requires |xbar| > 0")
+    if not xbar_norm > 0:
+        raise OutOfRange(f"delta0 requires |xbar| > 0, got {xbar_norm}")
     if not 0 < r0 < R - x0_norm:
-        raise OutOfRange("need 0 < r0 < R - |x0|")
-    if xbar_norm > x0_norm:
-        raise OutOfRange("need |xbar| <= |x0|")
+        raise OutOfRange(f"need 0 < r0 < R - |x0|, got r0 = {r0}, |x0| = "
+                         f"{x0_norm}, R = {R}")
+    if not xbar_norm <= x0_norm:
+        raise OutOfRange(f"need |xbar| <= |x0|, got |xbar| = {xbar_norm}")
     if variant == "scaled":
         xs, rs, bs = x0_norm / R, r0 / R, xbar_norm / R
         arg = (1 - xs * xs) / (rs / 2)

@@ -17,23 +17,24 @@ discretised Stieltjes procedure, times the S^{n-2} rule of the integrand's
 degree across it (Stroud, 1971); a dmu_a ball takes one per radial shell.
 
 Integration works on columns: :func:`integrals` places a rule on a sphere or
-ball, with its first axis toward a when given the inversion data, calls a
-function mapping (N, n) points to (N, P) values block by block, and sums
-each block's values with plain, ds_a, dmu_a or Kelvin weights, returning
-one array of column integrals per weight.  The batched checks call it with
-P functions; the public integrals below are its one-column case and return
-one number: a numpy scalar for the raw integrals (real for real integrands,
-complex otherwise) and a float for the norms.
+ball, with its first axis toward a when given the inversion data, and sums
+an integrand's P columns block by block with plain, ds_a, dmu_a or Kelvin
+weights, returning one array of column integrals per weight.  The batched
+checks call it with P functions; the public integrals below are its
+one-column case and return one number: a numpy scalar for the raw
+integrals (real for real integrands, complex otherwise) and a float for
+the norms.
 
-Every rule built here for n >= 3, and every weighted rule, keeps its
-factors (:class:`Slices`): K axial nodes, each a slice of nodes at one
-axial coordinate x and distance rho from the axis, times T directions
-across it.  An integrand with a slice form (the ``squares`` of a
-``harmonic.PolynomialEvaluator``) is evaluated slice by slice when the
-centre, and a with the inversion data, lie on the axis: the points are
-never made, and the densities are taken once per slice.  Point callables,
-the n = 2 trapezoid, rules given by their nodes and centres off the axis
-take the points.
+It is one loop with two forms.  Every rule built here for n >= 3, and
+every weighted rule, keeps its factors (:class:`Slices`): K axial nodes,
+each a slice of nodes at one axial coordinate x and distance rho from the
+axis, times T directions across it.  An integrand with a slice form (the
+``squares`` of a ``harmonic.PolynomialEvaluator``) gets the values of
+blocks of slices when the centre, and a with the inversion data, lie on
+the axis: the points are never made.  Every other integrand (point
+callables, the n = 2 trapezoid, rules given by their nodes, centres off
+the axis) gets the rule's points, one node per slice.  Either way the
+weights and densities are taken once per slice.
 """
 
 from __future__ import annotations
@@ -299,6 +300,8 @@ def _weighted_cached(n: int, degree: int, transverse: int, spheres: tuple):
     """
     kinds = np.array([sphere[0] for sphere in spheres])
     a, c, s, R = np.array([sphere[1:] for sphere in spheres]).T[:, :, None]
+    if not np.isfinite([a, c, s, R]).all():
+        raise OutOfRange(f"weighted rules need finite spheres, got {spheres}")
     nu0 = np.where(kinds[:, None] == "s_a", a * a + R * R - 2 * a * (c + s), 1.0)
     if (n < 2 or min(degree, transverse) < 0 or np.any((s <= 0) | (s >= a - c))
             or np.any(nu0 <= 0) or not set(kinds) <= set(WEIGHTED)):
@@ -423,15 +426,10 @@ class Column:
 
 
 def _unit(v: np.ndarray) -> np.ndarray | None:
-    """v / |v|, or None for a zero vector."""
-    norm = float(np.linalg.norm(v))
+    """v / |v|, or None for a zero vector (|v| as ``np.linalg.norm`` takes
+    it, without its dispatch)."""
+    norm = math.sqrt(v.dot(v))
     return None if norm == 0.0 else v / norm
-
-
-def _orient(nodes: np.ndarray, axis: np.ndarray) -> np.ndarray:
-    """Nodes under the reflection taking e_1 to the unit vector ``axis``."""
-    H = _reflection(axis)
-    return nodes if H is None else nodes @ H.T
 
 
 def _density(d2: np.ndarray, y2: np.ndarray, inv: InversionData,
@@ -450,100 +448,50 @@ def _density(d2: np.ndarray, y2: np.ndarray, inv: InversionData,
     return dens
 
 
-def _placed(rule, center: np.ndarray, radius: float, inv):
-    """The angular rule of ``rule``, checked against its placement: a
-    weighted rule needs ``inv``."""
+def _placed(rule, center: np.ndarray, radius: float, inv, weights):
+    """The angular rule of ``rule``, checked against its placement: a finite
+    centre of the rule's dimension, a finite radius > 0, and ``inv`` for a
+    named weight or a weighted rule, which must not be centred at a."""
     angular = getattr(rule, "angular", rule)
     if center.size != angular.n:
         raise RuleDimensionMismatch(
             f"rule dimension {angular.n} != center dimension {center.size}")
-    if radius <= 0:
-        raise OutOfRange("radius must be positive")
+    if not 0 < radius < math.inf:
+        raise OutOfRange(f"radius must be finite and positive, got {radius}")
+    coords = center.tolist()
+    if not all(map(math.isfinite, coords)):
+        raise OutOfRange(f"center must be finite, got {coords}")
     if inv is None and angular.kind in WEIGHTED:
         raise OutOfRange(f"a {angular.kind!r} rule needs inv to point it at a")
+    if inv is None and any(weights):
+        raise OutOfRange(f"the weights {weights} need inv")
+    if angular.kind in WEIGHTED and inv.a.tolist() == coords:
+        raise OutOfRange(f"a {angular.kind!r} rule centred at a has no "
+                         "direction to point at a")
     return angular
 
 
-def _points(rule, center: np.ndarray, radius: float, inv=None):
-    """Points (N, n) and plain weights (N,) of a rule on S_{center,radius}
-    (SphereRule) or B_{center,radius} (BallRule, radial shells first).  With
-    ``inv`` the first axis points at a (unless the centre is a); a weighted
-    rule is refused without that turn."""
-    angular = _placed(rule, center, radius, inv)
-    n = angular.n
-    axis = None if inv is None else _unit(inv.a - center)
-    if axis is None and angular.kind in WEIGHTED:
-        raise OutOfRange(f"a {angular.kind!r} rule needs inv to point it at a")
-    nodes = angular.nodes if axis is None else _orient(angular.nodes, axis)
-    if angular is rule:
-        return center + radius * nodes, angular.weights * radius ** (n - 1)
-    tref, wref = _radial_rule_cached(rule.radial_points)
-    radii = tref * radius
-    # one angular rule for every shell, or one per shell (stacked)
-    pts = center + radii[:, None, None] * nodes
-    shell_w = (wref * radius) * radii ** (n - 1)
-    return pts.reshape(-1, n), (shell_w[:, None] * angular.weights).ravel()
+def _slice_form(fn, angular: SphereRule, center: np.ndarray, inv):
+    """The slice form ``fn.on_slices(axis)`` of an integrand on ``angular``
+    and the centre's and a's coordinates along the axis, or None for the
+    point form: an integrand or a rule without one, a centre off the axis
+    or not short of a, or a form refused there.
 
-
-def _slice_form(on_slices, rule, center: np.ndarray, radius: float, inv):
-    """The slice form ``on_slices(axis)`` of an integrand on ``rule``, the
-    centre's coordinate along the axis and the rule's :class:`Slices`, or
-    None for the point path: a rule without factors, a centre off the axis,
-    or a form refused there.
-
-    The axis is a's direction given ``inv`` (the centre must lie on it,
-    short of a), else the centre's (e_1 for the origin): every integral of
-    a correlated family shares one frame, and an unweighted rule is exact
-    however it is turned."""
-    slices = _placed(rule, center, radius, inv).slices
-    if slices is None:
+    The axis is a's direction given ``inv``, else the centre's (e_1 for the
+    origin): every integral of a correlated family shares one frame, and an
+    unweighted rule is exact however it is turned."""
+    on_slices = getattr(fn, "on_slices", None)
+    if on_slices is None or angular.slices is None:
         return None
     axis = _unit(center if inv is None else inv.a)
     if axis is None:
         axis = np.eye(center.size)[0]
     along = float(center @ axis)
-    if not _on_line(center, axis) or (inv is not None
-                                      and not along < float(inv.a @ axis)):
+    alpha = None if inv is None else float(inv.a @ axis)
+    if not _on_line(center, axis) or (inv is not None and not along < alpha):
         return None
     form = on_slices(axis)
-    return None if form is None else (form, along, axis, slices)
-
-
-def _slice_integrals(form, along: float, axis: np.ndarray, slices: Slices,
-                     rule, radius: float, inv, weights) -> list:
-    """:func:`integrals` on the slices of a factored rule: the nodes with
-    axial coordinate x and distance rho from the axis, one slice per
-    (shell,) axial node, take ``form(x, rho, omega, lo, hi)``, the (K, T, P)
-    values at directions omega[lo:hi] across the axis; the weights and
-    densities are those of the slice."""
-    n = axis.size
-    t, w, omega, v = slices
-    sin = np.sqrt((1 - t) * (1 + t))
-    if not hasattr(rule, "angular"):
-        x, rho, ws = along + radius * t, radius * sin, w * radius ** (n - 1)
-    else:
-        tref, wref = _radial_rule_cached(rule.radial_points)
-        radii = (tref * radius)[:, None]
-        x, rho = along + radii * t, radii * sin
-        ws = (wref * radius)[:, None] * radii ** (n - 1) * w
-    x, rho, ws = x.ravel(), rho.ravel(), ws.ravel()
-    if any(weights):
-        d2, y2 = (x - float(inv.a @ axis)) ** 2 + rho * rho, x * x + rho * rho
-    dens = [ws if kind is None else ws * _density(d2, y2, inv, kind, n)
-            for kind in weights]
-    # blocks of at most BLOCK nodes: the directions in parts of at most
-    # BLOCK / min(K, SLICES), each part with BLOCK // part slices, so a
-    # part's coefficients are read once per SLICES slices at least
-    dirs = min(len(v), max(1, BLOCK // min(x.size, SLICES)))
-    per, sums = max(1, BLOCK // dirs), 0
-    for j in range(0, len(v), dirs):
-        for lo in range(0, x.size, per):
-            part = slice(lo, lo + per)
-            cols = np.einsum("kjp,j->kp", form(x[part], rho[part], omega, j,
-                                               j + dirs), v[j:j + dirs])
-            sums = sums + np.array([np.einsum("k,kp->p", d[part], cols)
-                                    for d in dens])
-    return list(sums)
+    return None if form is None else (form, along, alpha)
 
 
 def integrals(fn, rule, center, radius: float, inv=None,
@@ -560,35 +508,66 @@ def integrals(fn, rule, center, radius: float, inv=None,
     sum and change its bits), in node order per block, and the blocks depend
     on N alone, so a column's integral does not depend on the others.
 
-    An integrand with a slice form (``fn.on_slices``, as the
-    ``PolynomialEvaluator.squares`` of ``harmonic`` has) on a rule with
-    :class:`Slices` is evaluated on the rule's slices instead when its
-    centre lies on the slices' axis (:func:`_slice_form`), at most
-    ``BLOCK`` nodes' values at a time; points are made only for the others.
+    The nodes are placed as slices: K (per shell,) axial coordinates x and
+    distances rho from the axis, each with the weight and densities of its
+    slice, times T directions across the axis.  An integrand with a slice
+    form (``fn.on_slices``, as the ``PolynomialEvaluator.squares`` of
+    ``harmonic`` has) on a rule with :class:`Slices` whose centre lies on
+    their axis (:func:`_slice_form`) gets the (K, T, P) values of at most
+    ``BLOCK`` nodes at a time and no point is made; every other integrand
+    gets the rule's points, one node per slice (T = 1).
     """
     center = np.asarray(center, dtype=float)
-    on_slices = getattr(fn, "on_slices", None)
-    placed = None if on_slices is None else _slice_form(on_slices, rule,
-                                                         center, radius, inv)
-    if placed is not None:
-        return _slice_integrals(*placed, rule, radius, inv, weights)
-    pts, w = _points(rule, center, radius, inv)
-    sums = 0
-    for lo in range(0, w.size, BLOCK):
-        block, wb = pts[lo:lo + BLOCK], w[lo:lo + BLOCK]
-        values = fn(block).reshape(wb.size, -1)
-        # einsum unrolls a lone real column's sum; a complex one is in order
-        lone = values.shape[1] == 1 and values.dtype.kind != "c"
-        cols = values.astype(complex) if lone else values
-        if any(weights):  # a named weight: its density at the block's nodes
-            d = block - inv.a
-            d2 = np.einsum("ij,ij->i", d, d)
-            y2 = np.einsum("ij,ij->i", block, block) if "s_a" in weights \
-                else None
-        sums = sums + np.array([np.einsum("i,ij->j", wb if kind is None
-                                          else wb * _density(d2, y2, inv, kind,
-                                                             center.size),
-                                          cols) for kind in weights])
+    angular = _placed(rule, center, radius, inv, weights)
+    n = angular.n
+    if angular is rule:
+        radii, scale = radius, radius ** (n - 1)
+    else:  # radial shells first: one angular rule for every shell, or one each
+        tref, wref = _radial_rule_cached(rule.radial_points)
+        radii = (tref * radius)[:, None]
+        scale = (wref * radius)[:, None] * radii ** (n - 1)
+    sliced = _slice_form(fn, angular, center, inv)
+    if sliced is None:  # one node per slice: blocks of BLOCK in node order
+        axis = None if inv is None else _unit(inv.a - center)
+        H = None if axis is None else _reflection(axis)
+        nodes = angular.nodes if H is None else angular.nodes @ H.T
+        y = (center + (radii if angular is rule else radii[..., None])
+             * nodes).reshape(-1, n)
+        ws, across, dirs, per = (scale * angular.weights).ravel(), 1, 1, BLOCK
+        if any(weights):
+            # |y - a|^2, without keeping the (N, n) array y - a
+            d2 = np.einsum("ij,ij->i", *[y - inv.a] * 2)
+            y2 = np.einsum("ij,ij->i", y, y) if "s_a" in weights else None
+    else:
+        (form, along, alpha), (t, w, omega, v) = sliced, angular.slices
+        sin = np.sqrt((1 - t) * (1 + t))
+        x, rho = (along + radii * t).ravel(), (radii * sin).ravel()
+        ws, across = (scale * w).ravel(), len(v)
+        # blocks of at most BLOCK nodes: the directions in parts of at most
+        # BLOCK / min(K, SLICES), each part with BLOCK // part slices, so a
+        # part's coefficients are read once per SLICES slices at least
+        dirs = min(across, max(1, BLOCK // min(ws.size, SLICES)))
+        per = max(1, BLOCK // dirs)
+        if any(weights):
+            d2, y2 = (x - alpha) ** 2 + rho * rho, x * x + rho * rho
+    dens = np.array([ws * _density(d2, y2, inv, kind, n) if kind else ws
+                     for kind in weights])
+    sums, lone = None, False
+    for j in range(0, across, dirs):
+        for lo in range(0, ws.size, per):
+            part = slice(lo, lo + per)
+            if sliced is None:
+                block = y[part]
+                cols = fn(block).reshape(len(block), -1)
+                # einsum unrolls a lone real column's sum; a complex one is
+                # in order
+                lone = cols.shape[1] == 1 and cols.dtype.kind != "c"
+                cols = cols.astype(complex) if lone else cols
+            else:
+                cols = np.einsum("kjp,j->kp", form(x[part], rho[part], omega,
+                                                   j, j + dirs), v[j:j + dirs])
+            block_sums = np.einsum("wk,kp->wp", dens[:, part], cols)
+            sums = block_sums if sums is None else sums + block_sums
     return list(sums.real if lone else sums)
 
 

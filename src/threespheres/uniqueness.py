@@ -307,8 +307,9 @@ def propagation_bound(x0, r0: float, xbar_norm: float, lam: float, R: float,
         raise OutOfRange(f"|x0| = {x0n} < R/2: outside the bound's hypotheses")
     if not 0 < lam < 1:
         raise OutOfRange("lambda must lie in (0, 1)")
-    if eps <= 0 or M <= 0:
-        raise OutOfRange("eps and M must be positive")
+    for name, value in (("eps", eps), ("M", M)):
+        if not 0 < value < math.inf:
+            raise OutOfRange(f"{name} must be finite and positive, got {value}")
     rbar = float(CorrelatedFamily.create(x0, r0, R).radius(xbar_norm))
     d = delta0(x0n, r0, xbar_norm, R)
     return certificate37(n, lam, R, rbar, eps, M, d)

@@ -384,8 +384,10 @@ def log_convexity_check(L, grid) -> ConvexityGridReport:
     radii = np.asarray(grid, dtype=float)
     if radii.ndim != 1 or radii.size < 3:
         raise OutOfRange("grid needs at least three radii")
-    if np.any(np.diff(radii) <= 0) or radii[0] <= 0:
-        raise OutOfRange("grid must be positive and strictly increasing")
+    if not (np.isfinite(radii).all() and radii[0] > 0
+            and np.all(np.diff(radii) > 0)):
+        raise OutOfRange(f"grid must be finite, positive and strictly "
+                         f"increasing, got {radii.tolist()}")
     values = np.asarray([float(L(r)) for r in radii])
     margin, worst = convexity_margins(np.log(radii), _logs(values)[:, None])
     return ConvexityGridReport(radii=radii, values=values,

@@ -321,6 +321,20 @@ def test_delta0_degenerate_log():
         delta0(20.0, 1.0, 20.0 / 3, R=40.0, variant="printed")
 
 
+def test_non_finite_inputs_raise_errors_naming_the_field():
+    # NaN and infinity pass comparisons like "x <= 0" untouched: delta0 read
+    # nan, Ball took an infinite radius, and a NaN |x| was reported as a
+    # bad radius
+    with pytest.raises(OutOfRange, match=r"\|xbar\| > 0, got nan"):
+        delta0(0.5, 0.2, math.nan)
+    with pytest.raises(OutOfRange, match="radius must be finite"):
+        Ball([0.0, 0.0], math.inf)
+    with pytest.raises(OutOfRange, match=r"\|x\| must be finite, got nan"):
+        solve_inversion_center(math.nan, 0.2)
+    with pytest.raises(OutOfRange, match="R must be finite, got nan"):
+        solve_inversion_center(0.5, 0.2, math.nan)
+
+
 def test_exponents_out_of_range():
     fam = CorrelatedFamily.create([0.5, 0.0], 0.2)
     with pytest.raises(OutOfRange):

@@ -32,9 +32,7 @@ from threespheres.quadrature import (
     BallRule,
     SphereRule,
     _gauss_jacobi,
-    _points,
     _shell_count,
-    _slice_form,
     ball_integral,
     ball_volume,
     integrals,
@@ -273,6 +271,11 @@ def test_weighted_rule_domain():
         weighted_rule(3, 8, "mu", 2.0, 0.5, 0.6)
     with pytest.raises(OutOfRange):  # the sphere leaves B_R
         weighted_rule(3, 8, "s_a", 1.2, 0.5, 0.6)
+    # NaN passed the domain guard to a ValueError of math.ceil
+    for sphere in [("s_a", 1.2, 0.3, math.nan, 1.0),
+                   ("mu_a", math.inf, 0.3, 0.2, 1.0)]:
+        with pytest.raises(OutOfRange, match="finite spheres"):
+            weighted_rules(3, 8, [sphere])
 
 
 def _one(pts):
@@ -300,6 +303,37 @@ def test_weighted_rules_are_placed_only_toward_a():
     want = weighted_surface_integral_sa(_one, center, radius, inv,
                                         SphereRule.product(3, 400))
     assert abs(got - want) <= 1e-13 * want
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda f, rule: surface_integral(f, np.zeros(3), math.nan, rule),
+     "radius must be finite"),
+    (lambda f, rule: l2_sphere_norm(f, [0, 0, 0], math.inf, rule),
+     "radius must be finite"),
+    (lambda f, rule: surface_integral(f, [math.inf, 0, 0], 0.5, rule),
+     "center must be finite"),
+], ids=["nan-radius", "inf-radius", "inf-center"])
+def test_placement_refuses_non_finite_spheres(call, message):
+    # a NaN radius or an infinite centre read as nan, an infinite radius
+    # as inf
+    with pytest.raises(OutOfRange, match=message):
+        call(_one, SphereRule.product(3, 8))
+
+
+def test_named_weights_and_weighted_rules_need_their_placement():
+    # a named weight without inv died on an AttributeError, in the point
+    # form and the slice form alike; a weighted rule centred at a has no
+    # direction to turn toward a
+    ev = PolynomialEvaluator(random_harmonic_polynomials(3, 2, range(2)))
+    rule = SphereRule.product(3, 8)
+    for fn in (ev.squared_values, ev.squares()):
+        with pytest.raises(OutOfRange, match="need inv"):
+            integrals(fn, rule, np.zeros(3), 0.5, None, ("s_a",))
+    inv = solve_inversion_center(0.5, 0.2, dimension=3)
+    kelvin = weighted_rule(3, 4, "kelvin", inv.a_norm, 0.0, 0.5)
+    for fn in (ev.squared_values, ev.squares()):
+        with pytest.raises(OutOfRange, match="centred at a"):
+            integrals(fn, kelvin, inv.a, 0.1, inv, ("kelvin",))
 
 
 def test_ball_centred_at_a_is_not_turned():
@@ -439,8 +473,18 @@ def test_ball_integrand_blocks():
 
     mu, plain = integrals(fn, rule, center, 0.5, inv, ("mu_a", None))
     assert [len(pts) for pts in seen] == [BLOCK, BLOCK, 1]
-    np.testing.assert_array_equal(np.concatenate(seen),
-                                  _points(rule, center, 0.5, inv)[0])
+    # in node order: the Gauss-Legendre shells first, each with the
+    # trapezoid's directions turned by the reflection taking e_1 toward a
+    rel = np.concatenate(seen).reshape(rule.radial_points, -1, 2) - center
+    radii = np.linalg.norm(rel, axis=2)
+    shells = 0.5 * (roots_legendre(rule.radial_points)[0] + 1) / 2
+    np.testing.assert_allclose(radii, np.broadcast_to(shells[:, None],
+                                                      radii.shape), rtol=1e-13)
+    u = np.eye(2)[0] - (inv.a - center) / np.linalg.norm(inv.a - center)
+    H = np.eye(2) - 2 * np.outer(u, u) / (u @ u)
+    np.testing.assert_allclose(rel / radii[..., None],
+                               np.broadcast_to(rule.angular.nodes @ H.T,
+                                               rel.shape), atol=1e-14)
     mu_alone, = integrals(batch, rule, center, 0.5, inv, ("mu_a",))
     plain_alone, = integrals(batch, rule, center, 0.5, inv)
     np.testing.assert_array_equal(mu, mu_alone)
@@ -451,8 +495,11 @@ def test_ball_integrand_blocks():
                                       ("mu_a", None))
         assert col_mu.shape == col_plain.shape == (1,)
         assert col_mu[0] == mu[p] and col_plain[0] == plain[p]
-    # the blocks' partial sums, added in turn, are the integrals
-    w = _points(rule, center, 0.5)[1]
+    # the blocks' partial sums, added in turn, are the integrals; a node's
+    # plain weight is the integral of its indicator
+    nodes = iter(np.eye(2 * BLOCK + 1))
+    w, = integrals(lambda pts: np.stack([next(nodes) for _ in pts]), rule,
+                   center, 0.5)
     parts = [np.einsum("i,ij->j", w[lo:lo + BLOCK], batch(pts).astype(complex))
              for lo, pts in zip(range(0, w.size, BLOCK), seen)]
     np.testing.assert_array_equal(plain, (parts[0] + parts[1] + parts[2]).real)
@@ -696,6 +743,30 @@ def _line_cases(n):
     ]
 
 
+class Forms:
+    """An integrand with a slice form that records the nodes it gets: the
+    sizes of its point blocks and of its slice blocks (slices x
+    directions)."""
+
+    def __init__(self, fn):
+        self.fn, self.points, self.sizes = fn, [], []
+
+    def __call__(self, pts):
+        self.points.append(len(pts))
+        return self.fn(pts)
+
+    def on_slices(self, axis):
+        form = self.fn.on_slices(axis)
+        if form is None:
+            return None
+
+        def counted(x, rho, omega, lo, hi):
+            out = form(x, rho, omega, lo, hi)
+            self.sizes.append(out.shape[0] * out.shape[1])
+            return out
+        return counted
+
+
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_slice_form_matches_the_point_path(n):
     # an evaluator's squares take the slices of every factored rule whose
@@ -708,13 +779,37 @@ def test_slice_form_matches_the_point_path(n):
         sliced = ev.squares(inv if kind == "kelvin" else None)
         point = composed if kind == "kelvin" else ev.squared_values
         angular = getattr(rule, "angular", rule)
-        assert (_slice_form(sliced.on_slices, rule, center, radius, inv)
-                is None) == (n == 2 and angular.kind == "exact")
+        spy = Forms(sliced)
+        got = integrals(spy, rule, center, radius, inv, weights)
+        assert bool(spy.points) != bool(spy.sizes)
+        assert (not spy.sizes) == (n == 2 and angular.kind == "exact")
         assert not hasattr(point, "on_slices")
-        got = integrals(sliced, rule, center, radius, inv, weights)
         want = integrals(point, rule, center, radius, inv, weights)
         for g, w in zip(got, want):
             assert g.shape == w.shape == (3,) and g.dtype == float
+            np.testing.assert_allclose(g, w, rtol=1e-13, atol=0)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_off_axis_placements_take_the_point_form(n):
+    # the slice form is refused for a centre off a's line, for one beyond
+    # a, and by |f o phi|^2 when a is off the centre's line: each integral
+    # takes the points and agrees with the point integrand on the rule
+    ev, composed, cases = _line_cases(n)
+    inv, off = cases[0][3], np.eye(n)[0] * 0.2
+    e = inv.a / inv.a_norm
+    assert np.linalg.norm(off - (off @ e) * e) > 0.1
+    rule = SphereRule.product(n, 8)
+    for fn, point, center, radius, placed in [
+            (ev.squares(), ev.squared_values, off, 0.3, inv),
+            (ev.squares(), ev.squared_values, 2 * inv.a, 0.3, inv),
+            (ev.squares(inv), composed, off, 0.3, None)]:
+        spy = Forms(fn)
+        weights = (None, "mu_a") if placed is not None else (None,)
+        got = integrals(spy, rule, center, radius, placed, weights)
+        want = integrals(point, rule, center, radius, placed, weights)
+        assert spy.sizes == [] and sum(spy.points) == len(rule)
+        for g, w in zip(got, want):
             np.testing.assert_allclose(g, w, rtol=1e-13, atol=0)
 
 
@@ -724,19 +819,6 @@ def test_slice_blocks_hold_at_most_block_nodes(n, monkeypatch):
     # the directions across the axis when they outnumber BLOCK, and the
     # integrals do not depend on the blocks beyond rounding
     from threespheres import quadrature
-
-    class Spy:
-        def __init__(self, fn):
-            self.fn, self.sizes = fn, []
-
-        def on_slices(self, axis):
-            form = self.fn.on_slices(axis)
-
-            def counted(x, rho, omega, lo, hi):
-                out = form(x, rho, omega, lo, hi)
-                self.sizes.append(out.shape[0] * out.shape[1])
-                return out
-            return counted
 
     ev, _, cases = _line_cases(n)
     for rule, center, radius, inv, weights, kind in cases:
@@ -749,9 +831,9 @@ def test_slice_blocks_hold_at_most_block_nodes(n, monkeypatch):
         want = integrals(sliced, rule, center, radius, inv, weights)
         for block in (7, across - 1, 1 << 40):
             monkeypatch.setattr(quadrature, "BLOCK", block)
-            spy = Spy(sliced)
+            spy = Forms(sliced)
             got = integrals(spy, rule, center, radius, inv, weights)
-            assert sum(spy.sizes) == nodes
+            assert spy.points == [] and sum(spy.sizes) == nodes
             assert max(spy.sizes) <= block
             for g, w in zip(got, want):
                 np.testing.assert_allclose(g, w, rtol=1e-13, atol=0)

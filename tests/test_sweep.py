@@ -502,15 +502,15 @@ def test_holomorphic_rows_take_the_config_beta():
 
 def test_corpus_integrals_of_a_sweep_take_the_slice_form(monkeypatch):
     # an n >= 3 sweep evaluates its corpus on the slices of its rules: no
-    # corpus point reaches the point path, every node of every corpus
+    # corpus point reaches the point form, every node of every corpus
     # integral reaches the slice form, and no block holds more than BLOCK
     # nodes' values
-    from threespheres import harmonic, quadrature
+    from threespheres import harmonic, verify
 
-    points, slices, blocks = [], [], []
+    points, calls = [], []
     evaluate, squares = (harmonic.PolynomialEvaluator._evaluate,
                          harmonic.Frame.squares)
-    slice_integrals = quadrature._slice_integrals
+    integrals = verify.integrals
 
     def counted_evaluate(self, pts):
         points.append(len(pts))
@@ -518,19 +518,17 @@ def test_corpus_integrals_of_a_sweep_take_the_slice_form(monkeypatch):
 
     def counted_squares(self, x, rho, omega, lo, hi):
         out = squares(self, x, rho, omega, lo, hi)
-        blocks.append(out.shape[0] * out.shape[1])
+        calls[-1][1].append(out.shape[0] * out.shape[1])
         return out
 
-    def counted_integrals(form, along, axis, sl, rule, *args):
-        # the rule's nodes: one axial rule for every shell, or one per shell
-        shells = getattr(rule, "radial_points", 1) if sl.w.ndim == 1 else 1
-        slices.append(shells * sl.w.size * len(sl.v))
-        return slice_integrals(form, along, axis, sl, rule, *args)
+    def counted_integrals(fn, rule, *args):
+        calls.append((rule, []))
+        return integrals(fn, rule, *args)
 
     monkeypatch.setattr(harmonic.PolynomialEvaluator, "_evaluate",
                         counted_evaluate)
     monkeypatch.setattr(harmonic.Frame, "squares", counted_squares)
-    monkeypatch.setattr(quadrature, "_slice_integrals", counted_integrals)
+    monkeypatch.setattr(verify, "integrals", counted_integrals)
     for n in (3, 4):
         cfg = SweepConfig.from_dict({
             "dimensions": [n],
@@ -544,9 +542,15 @@ def test_corpus_integrals_of_a_sweep_take_the_slice_form(monkeypatch):
     assert points == []
     # per dimension and geometry: 2 + 2 ds_a and 2 Kelvin spheres, 3 dmu_a
     # balls and 1 plain one; per dimension, 20 convexity spheres
-    assert len(slices) == 2 * (2 * 10 + 20)
-    assert sum(blocks) == sum(slices)
-    assert max(blocks) <= BLOCK
+    sliced = [(rule, blocks) for rule, blocks in calls if blocks]
+    assert len(sliced) == 2 * (2 * 10 + 20)
+    for rule, blocks in sliced:
+        # the rule's nodes: one angular rule for every shell, or one each
+        angular = getattr(rule, "angular", rule)
+        shells = rule.radial_points if angular is not rule \
+            and angular.nodes.ndim == 2 else 1
+        assert sum(blocks) == shells * len(angular)
+        assert max(blocks) <= BLOCK
 
 
 @pytest.mark.parametrize("n", [4, 5])

@@ -330,6 +330,10 @@ def test_propagation_bound_values():
     assert abs(b - pref * (1e-6) ** d0) < 1e-12 * b
     with pytest.raises(OutOfRange):
         propagation_bound([0.2, 0.0], 0.1, 0.1, 0.6, 1.0, 1e-6, 1.0)
+    # a NaN eps read as a nan certificate
+    for eps, M, field in [(math.nan, 1.0, "eps"), (1e-6, math.inf, "M")]:
+        with pytest.raises(OutOfRange, match=f"{field} must be finite"):
+            propagation_bound([0.6, 0.0], 0.2, 0.3, 0.5, 1.0, eps, M)
 
 
 def test_propagation_bound_soundness_over_corpus():

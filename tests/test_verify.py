@@ -89,6 +89,12 @@ def test_gradient_identity_rejects_bad_direction():
             gradient_identity_check(Y1_2, [0.2, -0.3], 0.3, e=e)
 
 
+def test_gradient_identity_refuses_a_non_finite_radius():
+    # a NaN radius gave NaN rows; the quadrature placement refuses it
+    with pytest.raises(OutOfRange, match="radius must be finite"):
+        gradient_identity_check(Y1_2, [0.2, -0.3], math.nan)
+
+
 def test_gradient_identity_random_and_nonharmonic(rng):
     for n in (2, 3):
         f = random_harmonic_polynomial(n, 6, seed=3)
@@ -198,6 +204,9 @@ def test_log_convexity_power_equality_and_counterexample():
         log_convexity_check(lambda r: r - 0.5, grid)
     with pytest.raises(OutOfRange):
         log_convexity_check(lambda r: r, [0.3, 0.2, 0.5])
+    # a NaN radius passed the increasing-grid guard into a NaN margin
+    with pytest.raises(OutOfRange, match="grid must be finite"):
+        log_convexity_check(lambda r: r, [0.1, math.nan, 0.5])
 
 
 def test_log_convexity_of_harmonic_l2(rng):
