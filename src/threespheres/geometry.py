@@ -115,6 +115,13 @@ def correlation_constant(x_norm: float, r: float, R: float = 1.0) -> float:
     return (R * R + x_norm * x_norm - r * r) / x_norm
 
 
+def _require_finite(*named) -> None:
+    """:class:`OutOfRange` naming the first non-finite (name, value) pair."""
+    for name, value in named:
+        if not math.isfinite(value):
+            raise OutOfRange(f"{name} must be finite, got {value}")
+
+
 def solve_inversion_center(x_norm: float, r: float, R: float = 1.0,
                            direction=None, dimension: int = 2) -> InversionData:
     """Solve for the inversion center that makes the family images concentric.
@@ -136,9 +143,9 @@ def solve_inversion_center(x_norm: float, r: float, R: float = 1.0,
     if x_norm == 0:
         raise ConcentricInput("x = 0: concentric case has no inversion; use "
                               "plain log-convexity of L2")
-    for name, value in (("|x|", x_norm), ("R", R)):
-        if not math.isfinite(value):
-            raise OutOfRange(f"{name} must be finite, got {value}")
+    _require_finite(("|x|", x_norm), ("R", R))
+    if x_norm < 0:
+        raise OutOfRange(f"|x| must be positive, got {x_norm}")
     if not 0 < r < R - x_norm:
         if r >= R - x_norm and math.isclose(r, R - x_norm, rel_tol=1e-12):
             raise TouchingBalls(f"r = R - |x| = {r}: touching case excluded")
@@ -408,6 +415,7 @@ def delta0(x0_norm: float, r0: float, xbar_norm: float, R: float = 1.0,
     inconsistent and collapses for R != 1; it is retained for side-by-side
     comparison only.
     """
+    _require_finite(("|x0|", x0_norm), ("R", R))
     if not xbar_norm > 0:
         raise OutOfRange(f"delta0 requires |xbar| > 0, got {xbar_norm}")
     if not 0 < r0 < R - x0_norm:

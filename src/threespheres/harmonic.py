@@ -12,8 +12,8 @@ polynomials given by their terms are gated by the symbolic Laplacian.
 A batch is evaluated two ways.  At points, :class:`PolynomialEvaluator`
 takes one basis-matrix product over every monomial of degree <= D.  On the
 factored rules of ``quadrature`` (an axial rule times a rule on S^{n-2}),
-its :meth:`PolynomialEvaluator.squares` integrand evaluates slices: in the
-:class:`Frame` of the rule's axis a node is (x, rho omega), and on each
+``quadrature.Squares`` reads slices from the :class:`Frame` an evaluator
+keeps for the rule's axis: a node is (x, rho omega), and on each
 direction's half-plane f is a polynomial in (x, rho) of (D + 1)(D + 2)/2
 coefficients (45 at D = 8, against C(D + n, n) monomials), tabled once per
 direction, so a block of slices is one product with the table.
@@ -28,8 +28,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import NonHarmonic, OutOfRange, SingularPoint, StencilOutOfDomain
-from .geometry import (InversionData, _on_line, _reflection,
-                       half_plane_inversion, inversion_map)
+from .geometry import InversionData, _reflection, inversion_map
 
 __all__ = [
     "HarmonicPolynomial",
@@ -300,11 +299,6 @@ class PolynomialEvaluator:
         sq *= sq
         return sq[:, 0::2] + sq[:, 1::2]
 
-    def squares(self, inv: InversionData | None = None) -> "Squares":
-        """|f|^2 of each polynomial (|f o phi|^2 with ``inv``) as an
-        integrand of ``quadrature.integrals``, with a slice form."""
-        return Squares(self, inv)
-
     def frame(self, axis: np.ndarray) -> "Frame":
         """The batch's :class:`Frame` for the unit vector ``axis``; the
         evaluator keeps the one of its last axis."""
@@ -392,39 +386,6 @@ def _reflected(ev: PolynomialEvaluator, H: np.ndarray) -> np.ndarray:
         out[lo_d:lo_d + len(block)] = block.T @ reim[lo_d:lo_d + len(block)]
         prev = block
     return out
-
-
-class Squares:
-    """|f|^2 of each polynomial of an evaluator, or |f o phi|^2 given the
-    inversion data: a point integrand, (N, n) points to (N, P) values, with
-    a slice form for the factored rules of ``quadrature``."""
-
-    def __init__(self, ev: PolynomialEvaluator,
-                 inv: InversionData | None = None):
-        self.ev, self.inv = ev, inv
-
-    def __call__(self, pts):
-        if self.inv is not None:
-            pts = inversion_map(self.inv, pts)
-        return self.ev.squared_values(pts)
-
-    def on_slices(self, axis: np.ndarray):
-        """``form(x, rho, omega, lo, hi)``, the values at the nodes (x_k,
-        rho_k omega_j) of the frame of ``axis`` (:meth:`Frame.squares`), or
-        None when a is off the axis: the inversion keeps each half-plane
-        through the axis only when a lies on it."""
-        inv = self.inv
-        if inv is not None and not _on_line(inv.a, axis):
-            return None
-        frame = self.ev.frame(axis)
-        if inv is None:
-            return frame.squares
-        alpha = float(inv.a @ axis)
-
-        def form(x, rho, omega, lo, hi):
-            return frame.squares(*half_plane_inversion(inv, alpha, x, rho),
-                                 omega, lo, hi)
-        return form
 
 
 def random_harmonic_polynomials(n: int, max_degree: int, seeds) -> list:

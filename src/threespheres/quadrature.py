@@ -28,10 +28,10 @@ the norms.
 It is one loop with two forms.  Every rule built here for n >= 3, and
 every weighted rule, keeps its factors (:class:`Slices`): K axial nodes,
 each a slice of nodes at one axial coordinate x and distance rho from the
-axis, times T directions across it.  An integrand with a slice form (the
-``squares`` of a ``harmonic.PolynomialEvaluator``) gets the values of
-blocks of slices when the centre, and a with the inversion data, lie on
-the axis: the points are never made.  Every other integrand (point
+axis, times T directions across it.  The :class:`Squares` of a
+``harmonic.PolynomialEvaluator`` get the values of blocks of slices when
+the centre, and a with the inversion data, lie on the axis: the points are
+never made.  Every other integrand (a :class:`Column`'s squares, point
 callables, the n = 2 trapezoid, rules given by their nodes, centres off
 the axis) gets the rule's points, one node per slice.  Either way the
 weights and densities are taken once per slice.
@@ -41,14 +41,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import OutOfRange, RuleDimensionMismatch, UnderResolved
 from .geometry import (Ball, InversionData, _on_line, _reflection,
-                       inversion_map)
+                       half_plane_inversion, inversion_map)
 
 __all__ = [
     "BallRule",
@@ -215,6 +215,8 @@ def _across(t, w, omega, v):
 
 @lru_cache(maxsize=256)
 def _product_rule_cached(n: int, degree: int):
+    if n == 1:  # S^0: the two points +-1
+        return _frozen(np.array([[1.0], [-1.0]]), np.ones(2))
     if n == 2:
         theta = 2 * math.pi * np.arange(degree + 1) / (degree + 1)
         return _frozen(np.stack([np.cos(theta), np.sin(theta)], axis=1),
@@ -236,8 +238,6 @@ def _radial_rule_cached(m: int):
 
 
 WEIGHTED = ("s_a", "kelvin", "mu_a")  # the kinds of the weighted rules
-# the two directions (+-1) across the axis of a weighted rule at n = 2
-_DIAMETER = _frozen(np.array([[1.0], [-1.0]]), np.ones(2))
 # the fine rules of the weighted rules: panels of k Gauss nodes, k in
 # FINE_NODES, shrinking by GRADING toward the pole; moments to MOMENT_TOL
 GRADING = 0.25
@@ -330,8 +330,8 @@ def _weighted_cached(n: int, degree: int, transverse: int, spheres: tuple):
         raise UnderResolved(f"weighted Gauss rule: moments differ by "
                             f"{worst:.3g} of the mass between fine rules of "
                             f"{FINE_NODES} nodes per panel")
-    across = _DIAMETER if n == 2 else _product_rule_cached(n - 1, transverse)
     axial = _frozen(1 - u, w / factor(u))
+    across = _product_rule_cached(n - 1, transverse)
     return (*_across(*axial, *across), Slices(*axial, *across))
 
 
@@ -417,12 +417,35 @@ class Column:
         v = self.values(pts)
         return v.real ** 2 + v.imag ** 2 if np.iscomplexobj(v) else v * v
 
-    def squares(self, inv: InversionData | None = None):
-        """|f|^2 of each column as a point integrand, or |f o phi|^2 with
-        the inversion data ``inv``."""
+
+class Squares:
+    """|f|^2 of each column of an evaluator (:class:`Column` or
+    ``harmonic.PolynomialEvaluator``), or |f o phi|^2 given ``inv``: a point
+    integrand, with a slice form (``on_slices``) when the evaluator keeps
+    frames (``PolynomialEvaluator.frame``)."""
+
+    def __init__(self, ev, inv: InversionData | None = None):
+        self.ev, self.inv = ev, inv
+        if hasattr(ev, "frame"):  # not bound to self: no reference cycle
+            self.on_slices = partial(self._sliced, ev, inv)
+
+    def __call__(self, pts):
+        return self.ev.squared_values(
+            pts if self.inv is None else inversion_map(self.inv, pts))
+
+    @staticmethod
+    def _sliced(ev, inv, axis: np.ndarray):
+        """``form(x, rho, omega, lo, hi)`` of the frame of ``axis``
+        (``Frame.squares``), or None when a is off the axis: the inversion
+        keeps each half-plane through the axis only when a lies on it."""
+        if inv is not None and not _on_line(inv.a, axis):
+            return None
+        frame = ev.frame(axis)
         if inv is None:
-            return self.squared_values
-        return lambda pts: self.squared_values(inversion_map(inv, pts))
+            return frame.squares
+        alpha = float(inv.a @ axis)
+        return lambda x, rho, omega, lo, hi: frame.squares(
+            *half_plane_inversion(inv, alpha, x, rho), omega, lo, hi)
 
 
 def _unit(v: np.ndarray) -> np.ndarray | None:
@@ -506,16 +529,20 @@ def integrals(fn, rule, center, radius: float, inv=None,
     (which turns the rule toward a; see :func:`_density`), all from the same
     values.  Nodes are summed without BLAS (whose threads would split the
     sum and change its bits), in node order per block, and the blocks depend
-    on N alone, so a column's integral does not depend on the others.
+    on N alone: a point-form integral depends on the other columns only
+    through ``fn``'s values (a :class:`Column`'s not at all).  The slice
+    form's values are real BLAS products over all 2P columns: a polynomial's
+    integrals alone and in a batch of 8 agree to 9e-16 relative at n = 2-5
+    (tested to 2e-15), not bit for bit.
 
     The nodes are placed as slices: K (per shell,) axial coordinates x and
     distances rho from the axis, each with the weight and densities of its
     slice, times T directions across the axis.  An integrand with a slice
-    form (``fn.on_slices``, as the ``PolynomialEvaluator.squares`` of
-    ``harmonic`` has) on a rule with :class:`Slices` whose centre lies on
-    their axis (:func:`_slice_form`) gets the (K, T, P) values of at most
-    ``BLOCK`` nodes at a time and no point is made; every other integrand
-    gets the rule's points, one node per slice (T = 1).
+    form (``fn.on_slices``, as the :class:`Squares` of a
+    ``PolynomialEvaluator`` have) on a rule with :class:`Slices` whose
+    centre lies on their axis (:func:`_slice_form`) gets the (K, T, P)
+    values of at most ``BLOCK`` nodes at a time and no point is made; every
+    other integrand gets the rule's points, one node per slice (T = 1).
     """
     center = np.asarray(center, dtype=float)
     angular = _placed(rule, center, radius, inv, weights)

@@ -18,9 +18,10 @@ higher, and the weighted rules are the Gauss rules of their weight, exact
 for a polynomial of that degree times the weight (see ``quadrature``).
 
 The checks are written once, over columns: an evaluator maps (N, n)
-points to the (N, P) values or squared moduli of P functions (its
-``squares`` is the |f|^2 integrand, which a ``PolynomialEvaluator`` also
-evaluates on the slices of a factored rule), which the row builders (``gradient_rows``, ``derivative_rows``, ``convexity_rows``,
+points to the (N, P) values or squared moduli of P functions
+(``quadrature.Squares`` is its |f|^2 integrand, on the slices of a
+factored rule for a ``PolynomialEvaluator``), which the row builders
+(``gradient_rows``, ``derivative_rows``, ``convexity_rows``,
 ``sphere_rows``, ``holomorphic_rows``, ``ball_rows``) integrate into row
 groups (:class:`RowGroup`; :func:`upper_rows`, :func:`identity_rows`,
 :func:`error_row`): shared fields once per name, sides and pass as arrays.
@@ -52,6 +53,7 @@ from .quadrature import (
     BallRule,
     Column,
     SphereRule,
+    Squares,
     _gauss_jacobi,
     ball_volume,
     integrals,
@@ -403,7 +405,7 @@ def convexity_rows(ev, n: int, grid) -> list:
     ``t``: lhs is minus the column's worst margin (:func:`convexity_margins`)
     and passes within the budget ``CONVEXITY_SLACK``."""
     rule = SphereRule.product(n, 2 * ev.degree)
-    logs = _logs([integrals(ev.squares(), rule, np.zeros(n), rad)[0]
+    logs = _logs([integrals(Squares(ev), rule, np.zeros(n), rad)[0]
                   for rad in grid])
     margin, _ = convexity_margins(np.log(grid), logs)
     return [upper_rows("log_convexity_eq18", -margin, np.zeros(margin.size),
@@ -458,13 +460,13 @@ def sphere_rows(ev, fam: CorrelatedFamily, ts, checks, beta="omega",
         n, 2 * ev.degree, [("s_a", inv.a_norm, c, s, inv.R) for c, s in sa]
         + [("kelvin", inv.a_norm, 0.0, s, inv.R) for s in rts])
 
-    def sa_sphere(rule, center_norm, radius):  # a is on the +e ray
-        return integrals(ev.squares(), rule, center_norm * fam.e, radius,
-                         inv, ("s_a",))[0]
-
     # |f*|^2 = |f(phi(y))|^2 (rho^2/|y-a|^2)^(n-2): a polynomial of the
     # degree of |f|^2 times the "kelvin" weight, which carries the factor
-    kelvin_squared = ev.squares(inv)
+    squared, kelvin_squared = Squares(ev), Squares(ev, inv)
+
+    def sa_sphere(rule, center_norm, radius):  # a is on the +e ray
+        return integrals(squared, rule, center_norm * fam.e, radius, inv,
+                         ("s_a",))[0]
 
     if three:
         iv = sa_sphere(rules[len(ts)], x_norm, r)
@@ -578,7 +580,7 @@ def ball_rows(ev, fam: CorrelatedFamily, xbar_norm: float, checks,
         raise DeltaOutOfRange(f"delta = {delta} outside (0, {d0}]")
     inv = fam.inversion if "three_balls" in checks else None
     embedded = "embedded_bound" in checks
-    sq, degree = ev.squares(), 2 * ev.degree
+    sq, degree = Squares(ev), 2 * ev.degree
     in_mu, iv = _ball_integrals(sq, x0n * fam.e, r0, degree, inv, embedded)
     out_mu, ov = _ball_integrals(sq, np.zeros(n), R, degree, inv, embedded)
     meta = {"n": n, "x_norm": x0n, "r": r0}

@@ -335,6 +335,19 @@ def test_non_finite_inputs_raise_errors_naming_the_field():
         solve_inversion_center(0.5, 0.2, math.nan)
 
 
+def test_negative_x_norm_raises_an_error_naming_the_field():
+    # solve_inversion_center died in math.sqrt on a bare ValueError
+    with pytest.raises(OutOfRange, match=r"\|x\| must be positive, got -0.5"):
+        solve_inversion_center(-0.5, 0.2)
+
+
+@pytest.mark.parametrize("variant", ["scaled", "printed"])
+def test_delta0_refuses_an_infinite_radius_by_name(variant):
+    # delta0 divided by R = inf to zero and died on a ZeroDivisionError
+    with pytest.raises(OutOfRange, match="R must be finite, got inf"):
+        delta0(0.5, 0.2, 0.25, R=math.inf, variant=variant)
+
+
 def test_exponents_out_of_range():
     fam = CorrelatedFamily.create([0.5, 0.0], 0.2)
     with pytest.raises(OutOfRange):

@@ -1,5 +1,6 @@
 """Import hygiene: no module of the package or of the tests imports a name
-it never reads.
+it never reads, and the package's modules import each other only downward
+through its layers (``LAYERS``).
 
 ``__init__.py`` is exempt: it imports names to re-export them.  So is an
 import statement whose first line carries ``# noqa: F401``: a test module
@@ -59,3 +60,45 @@ def test_noqa_exempts_an_import():
 @pytest.mark.parametrize("module", TESTS, ids=lambda p: p.name)
 def test_no_unused_test_imports(module):
     assert unused_imports(module.read_text(encoding="utf-8")) == []
+
+
+# the package's layers, bottom up: a module imports only modules of lower
+# layers, so harmonic (evaluation) and quadrature (rules and integrands,
+# where the slice form is decided) never import each other
+LAYERS = {"errors": 0, "geometry": 1, "harmonic": 2, "quadrature": 2,
+          "verify": 3, "uniqueness": 4, "sweep": 5, "cli": 6}
+
+
+def package_imports(source: str) -> set:
+    """The package modules that ``source`` imports, at any depth: relative
+    imports and absolute ones of ``threespheres``."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level:
+                module = "threespheres" + "." * bool(module) + module
+            if module == "threespheres":
+                found |= {alias.name for alias in node.names}
+            elif module.startswith("threespheres."):
+                found.add(module.split(".")[1])
+        elif isinstance(node, ast.Import):
+            found |= {alias.name.split(".")[1] for alias in node.names
+                      if alias.name.startswith("threespheres.")}
+    return found
+
+
+def test_finds_package_imports():
+    source = ("from .errors import OutOfRange\nimport numpy\n"
+              "def f():\n    from threespheres.verify import flat\n"
+              "    from . import sweep\n    import threespheres.cli\n")
+    assert package_imports(source) == {"errors", "verify", "sweep", "cli"}
+
+
+def test_modules_import_only_lower_layers():
+    assert set(LAYERS) == {p.stem for p in MODULES}
+    for module in MODULES:
+        below = {name for name, layer in LAYERS.items()
+                 if layer < LAYERS[module.stem]}
+        imported = package_imports(module.read_text(encoding="utf-8"))
+        assert imported <= below, (module.name, imported - below)
