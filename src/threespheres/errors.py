@@ -46,7 +46,7 @@ class RuleDimensionMismatch(ThreeSpheresError):
 
 
 class NonpositiveL(ThreeSpheresError):
-    """Log-convexity check requires strictly positive values."""
+    """Log-convexity check requires strictly positive, finite values."""
 
 
 class BetaOutOfRange(ThreeSpheresError):

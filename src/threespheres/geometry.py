@@ -94,8 +94,9 @@ class InversionData:
     def __post_init__(self):
         object.__setattr__(self, "a", _as_vector(self.a))
         a_norm = float(np.linalg.norm(self.a))
-        if not a_norm > self.R:
-            raise OutOfRange(f"|a| = {a_norm} must exceed R = {self.R}")
+        if not 0 < self.R < a_norm:
+            raise OutOfRange(f"R = {self.R} must be positive and below "
+                             f"|a| = {a_norm}")
         expected = math.sqrt(a_norm * a_norm - self.R * self.R)
         if abs(self.rho - expected) > _REL_TOL * max(1.0, expected):
             raise OutOfRange("rho^2 = |a|^2 - R^2 violated (inversion sphere "
@@ -332,6 +333,8 @@ def sphere_image_check(fam: CorrelatedFamily, t: float, samples: int,
     """Sample S_{x_t, r_t}, map through the inversion, and confirm the image
     lies on the origin-centered sphere of radius r_t*."""
     fam._check_t(t)
+    if not (isinstance(samples, (int, np.integer)) and samples >= 1):
+        raise OutOfRange(f"samples must be an integer >= 1, got {samples}")
     rng = np.random.default_rng(seed)
     n = fam.dimension
     u = rng.standard_normal((samples, n))

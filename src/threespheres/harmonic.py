@@ -493,8 +493,8 @@ def laplacian_residual(f, y, h: float) -> float:
     harmonic functions it equals O(h^2) times the local fourth-derivative
     scale, so it detects a genuinely nonzero Laplacian at any fixed h.
     """
-    if h <= 0:
-        raise OutOfRange("h must be positive")
+    if not 0 < h < math.inf:
+        raise OutOfRange(f"h must be finite and positive, got {h}")
     y = np.asarray(y, dtype=float)
     vals = _stencil_values(f, y, h, order4=False)
     center = vals[0]
@@ -513,8 +513,8 @@ def harmonicity_defect(f, y, h: float = 1e-3) -> float:
     function scores ~h^2/12 regardless of its degree, while any function with
     a genuine Laplacian scores >> h^2.
     """
-    if h <= 0:
-        raise OutOfRange("h must be positive")
+    if not 0 < h < math.inf:
+        raise OutOfRange(f"h must be finite and positive, got {h}")
     y = np.asarray(y, dtype=float)
     vals = _stencil_values(f, y, h, order4=True)
     center = vals[0]

@@ -1,10 +1,11 @@
 """Surface and volume quadrature on spheres and balls in R^n.
 
 Deterministic rules: equispaced trapezoid on the circle (n = 2), Gauss-
-Legendre x trapezoid on S^2, and Gauss-Gegenbauer products for higher
-dimensions, exact for polynomials up to their declared degree; each is built
-once per process (Golub & Welsch) and cached.  A seeded Monte Carlo rule
-serves the tests as an independent oracle; no check uses it.
+Legendre x trapezoid on S^2, Gauss-Gegenbauer products for higher
+dimensions, and on balls Gauss-Jacobi shells in u = sigma^2 times these,
+exact for polynomials up to their declared degree; each is built once per
+process (Golub & Welsch) and cached.  A seeded Monte Carlo rule serves the
+tests as an independent oracle; no check uses it.
 
 Weighted integrals carry the densities induced by the inversion:
 
@@ -17,13 +18,11 @@ discretised Stieltjes procedure, times the S^{n-2} rule of the integrand's
 degree across it (Stroud, 1971); a dmu_a ball takes one per radial shell.
 
 Integration works on columns: :func:`integrals` places a rule on a sphere or
-ball, with its first axis toward a when given the inversion data, and sums
-an integrand's P columns block by block with plain, ds_a, dmu_a or Kelvin
-weights, returning one array of column integrals per weight.  The batched
-checks call it with P functions; the public integrals below are its
-one-column case and return one number: a numpy scalar for the raw
-integrals (real for real integrands, complex otherwise) and a float for
-the norms.
+ball, first axis toward a given the inversion data, and sums an integrand's
+P columns block by block with plain, ds_a, dmu_a or Kelvin weights: one
+array of column integrals per weight.  The public integrals below are its
+one-column case: a numpy scalar for raw integrals (real for real
+integrands, complex otherwise), a float for norms.
 
 It is one loop with two forms.  Every rule built here for n >= 3, and
 every weighted rule, keeps its factors (:class:`Slices`): K axial nodes,
@@ -31,10 +30,8 @@ each a slice of nodes at one axial coordinate x and distance rho from the
 axis, times T directions across it.  The :class:`Squares` of a
 ``harmonic.PolynomialEvaluator`` get the values of blocks of slices when
 the centre, and a with the inversion data, lie on the axis: the points are
-never made.  Every other integrand (a :class:`Column`'s squares, point
-callables, the n = 2 trapezoid, rules given by their nodes, centres off
-the axis) gets the rule's points, one node per slice.  Either way the
-weights and densities are taken once per slice.
+never made.  Every other integrand gets the rule's points, one node per
+slice.  Either way the weights and densities are taken once per slice.
 """
 
 from __future__ import annotations
@@ -131,9 +128,9 @@ class SphereRule:
         ``degree``."""
         if n < 2:
             raise OutOfRange("sphere rules need n >= 2")
+        if not (0 <= degree < math.inf and degree % 1 == 0):
+            raise OutOfRange(f"degree must be an integer >= 0, got {degree}")
         degree = int(degree)
-        if degree < 0:
-            raise OutOfRange(f"rule degrees must be >= 0, got {degree}")
         nodes, weights = _product_rule_cached(n, degree)
         return cls(n=n, nodes=nodes, weights=weights, kind="exact",
                    degree=degree, transverse=degree)._factored(
@@ -232,9 +229,12 @@ def _product_slices(n: int, degree: int) -> Slices:
 
 
 @lru_cache(maxsize=64)
-def _radial_rule_cached(m: int):
-    t, w = _gauss_jacobi(m, 0.0)
-    return _frozen((t + 1) / 2, w / 2)
+def _radial_rule_cached(m: int, n: int, alpha: float = 0.0):
+    """Nodes u in (0, 1) and weights of the m-point Gauss rule of
+    int_0^1 u^((n-2)/2) (1-u)^alpha g du / 2, the radial rule of every n-ball
+    (see :class:`BallRule`; alpha = 5/2 for the embedding identity's)."""
+    u, w = _gauss_jacobi(m, alpha, (n - 2) / 2)
+    return _frozen((u + 1) / 2, w / 2 ** (alpha + n / 2 + 1))
 
 
 WEIGHTED = ("s_a", "kelvin", "mu_a")  # the kinds of the weighted rules
@@ -342,25 +342,23 @@ SLICES = 16  # least slices per block of a factored rule (:func:`integrals`)
 
 
 def _shell_count(n: int, degree: int, kappa: float) -> int:
-    """Gauss-Legendre shells of a dmu_a ball of annulus ratio kappa =
-    distance(centre, a) / radius, for a polynomial of degree ``degree``.
+    """Shells in u (:class:`BallRule`) of a dmu_a ball of annulus ratio
+    kappa = distance(centre, a) / radius, for a polynomial of ``degree``.
 
-    With exact shells the radial integrand has a pole of order 5 - n at
-    kappa (n <= 4; at n = 3 the shell integral of |y-a|^-4 is
-    pi/(s D) ((D - s)^-2 - (D + s)^-2)), so Gauss-Legendre errs like
-    N^q rho^(-2N), q = max(0, 4 - n), rho = xi + sqrt(xi^2 - 1),
-    xi = 2 kappa - 1.  The count is the least N >= max(16, BallRule.exact's)
-    with N^q rho^(-2N) <= SHELL_TARGET, two decades below 1e-10 for the
-    constant the model leaves out (at most 5 at n = 2 to 4, kappa 1.01 to 2,
-    against 300 shells); past SHELL_CAP, :class:`UnderResolved`.  No
-    a-posteriori (Gauss-Kronrod) error estimate is made.
+    The shell integral of |y-a|^-4 has a pole of order 5 - n at u = kappa^2
+    (n <= 4), so the rule errs like N^q rho^(-2N), q = max(0, 4 - n),
+    rho = xi + sqrt(xi^2 - 1), xi = 2 kappa^2 - 1.  The count is the least
+    N >= max(10, BallRule.exact's) with N^q rho^(-2N) <= SHELL_TARGET, two
+    decades below 1e-10 for the constant the model leaves out (no a-posteriori
+    estimate; against 4 times the shells the counts erred by at most 3.9e-12
+    at n = 2 to 4, kappa 1.02 to 3); past SHELL_CAP, :class:`UnderResolved`.
     """
     if not kappa > 1.0:
         raise OutOfRange("annulus ratio must exceed 1 (singularity inside "
                          "the integration ball)")
-    xi = 2 * kappa - 1
+    xi = 2 * kappa * kappa - 1
     rate = 2 * math.log(xi + math.sqrt((xi - 1) * (xi + 1)))
-    floor = max(16, BallRule.exact(n, degree).radial_points)
+    floor = max(10, BallRule.exact(n, degree).radial_points)
     for count in range(floor, max(floor, SHELL_CAP) + 1):
         if max(0, 4 - n) * math.log(count) - count * rate <= math.log(SHELL_TARGET):
             return count
@@ -370,9 +368,11 @@ def _shell_count(n: int, degree: int, kappa: float) -> int:
 
 @dataclass(frozen=True)
 class BallRule:
-    """Product rule for ball integrals: Gauss-Legendre radial shells (density
-    t^{n-1}) times a :class:`SphereRule` for the angular directions, one
-    shared by every shell or one per shell (stacked)."""
+    """Product rule for ball integrals: radial shells times a
+    :class:`SphereRule` for the directions, shared by every shell or one per
+    shell (stacked).  A sphere integral M(sigma) is even in sigma, so
+    int_{B_s} f = s^n int_0^1 u^((n-2)/2) M(s sqrt u) du / 2: m Gauss-Jacobi
+    shells in u (:func:`_radial_rule_cached`) are exact to degree 4 m - 1."""
 
     angular: SphereRule
     radial_points: int
@@ -384,20 +384,19 @@ class BallRule:
 
     @classmethod
     def exact(cls, n: int, degree: int) -> "BallRule":
-        """Stroud's (1971) n-ball rule exact at ``degree``: the sphere rule
-        of that degree and (degree + n + 1) // 2 shells."""
-        return cls(SphereRule.product(n, degree), (degree + n + 1) // 2)
+        """Exact at ``degree``: that sphere rule and degree // 4 + 1 shells."""
+        return cls(SphereRule.product(n, degree), degree // 4 + 1)
 
     @classmethod
     def weighted(cls, n: int, degree: int, distance: float, radius: float,
                  transverse: int) -> "BallRule":
         """dmu_a rule of a ball at ``distance`` from a: :func:`_shell_count`
-        shells, each with its "mu_a" rule; exact for the polynomial alone
+        shells in u, each with its "mu_a" rule; exact for the polynomial alone
         too at ``degree`` = ``transverse`` + 2 (|y-a|^4 is quadratic in t)."""
         shells = _shell_count(n, transverse, distance / radius)
+        radii = radius * np.sqrt(_radial_rule_cached(shells, n)[0])
         nodes, weights, slices = _weighted_cached(n, degree, transverse, tuple(
-            ("mu_a", float(distance), 0.0, s, 1.0)
-            for s in (_radial_rule_cached(shells)[0] * radius).tolist()))
+            ("mu_a", float(distance), 0.0, s, 1.0) for s in radii.tolist()))
         return cls(SphereRule(n, nodes, weights, "mu_a", degree,
                               transverse=transverse)._factored(slices), shells)
 
@@ -550,9 +549,8 @@ def integrals(fn, rule, center, radius: float, inv=None,
     if angular is rule:
         radii, scale = radius, radius ** (n - 1)
     else:  # radial shells first: one angular rule for every shell, or one each
-        tref, wref = _radial_rule_cached(rule.radial_points)
-        radii = (tref * radius)[:, None]
-        scale = (wref * radius)[:, None] * radii ** (n - 1)
+        u, wu = _radial_rule_cached(rule.radial_points, n)
+        radii, scale = radius * np.sqrt(u)[:, None], radius ** n * wu[:, None]
     sliced = _slice_form(fn, angular, center, inv)
     if sliced is None:  # one node per slice: blocks of BLOCK in node order
         axis = None if inv is None else _unit(inv.a - center)

@@ -263,10 +263,10 @@ def criterion_trace(seq: SmallnessSequence, phi: GrowthEnvelope,
     log phi(4 |x_m|) as used in the proof.  The verdict looks at the last
     ``window`` entries: strictly decreasing and below -``threshold`` reads as
     consistent with divergence.  An empty or short prefix is inconclusive.
-    ``window`` must be >= 2 and ``threshold`` finite and >= 0.
+    ``window`` must be an integer >= 2 and ``threshold`` finite and >= 0.
     """
-    if window < 2:
-        raise OutOfRange("window must be >= 2")
+    if not (isinstance(window, (int, np.integer)) and window >= 2):
+        raise OutOfRange(f"window must be an integer >= 2, got {window}")
     if not 0 <= threshold < math.inf:
         raise OutOfRange(f"threshold must be finite and >= 0, got {threshold}")
     # the sequence holds 0 < 2 r <= |x| < inf, so every rho is positive

@@ -54,7 +54,7 @@ from .quadrature import (
     Column,
     SphereRule,
     Squares,
-    _gauss_jacobi,
+    _radial_rule_cached,
     ball_volume,
     integrals,
     weighted_rules,
@@ -414,10 +414,12 @@ def convexity_rows(ev, n: int, grid) -> list:
 
 
 def _logs(values) -> np.ndarray:
-    """log L of the values of L, which must be positive."""
+    """log L of the values of L, which must be positive and finite."""
     values = np.asarray(values, dtype=float)
-    if np.any(values <= 0):
-        raise NonpositiveL("log-convexity requires L > 0 on the grid")
+    ok = (values > 0) & (values < np.inf)  # NaN fails both
+    if not ok.all():
+        raise NonpositiveL("log-convexity requires finite L > 0 on the grid, "
+                           f"got L = {values[~ok][0]}")
     return np.log(values)
 
 
@@ -698,13 +700,10 @@ def embedding_identity_check(g, b, l: float, g_degree: int | None = None,
                               np.tile(z, (len(xs), 1))], axis=1)
         return np.asarray(g(pts), dtype=float).reshape(len(xs), -1).T
 
-    # outer ball in u = rho^2 / l^2: rho^(n-1) d rho (l^2 - rho^2)^(5/2) is
-    # (l^(n+5) / 2) u^((n-2)/2) (1 - u)^(5/2) du, and the slice integral a
-    # polynomial in u of degree <= g_degree / 2, so Gauss-Jacobi is exact
-    u, wu = _gauss_jacobi(g_degree // 2 + 2, 2.5, (n - 2) / 2)
-    u = (u + 1) / 2
-    # l^n / 2 times 2^-(alpha + beta + 1) from [-1, 1] to u in [0, 1]
-    wu = wu * (l ** n / 2 ** (n / 2 + 3.5))
+    # outer ball by the balls' radial rule in u = rho^2 / l^2 with the
+    # (1 - u)^(5/2) of the slice volume: exact, as the slice integral is a
+    # polynomial in u of degree <= g_degree / 2
+    u, wu = _radial_rule_cached(g_degree // 2 + 2, n, 2.5)
     dirs, inner = SphereRule.product(n, g_degree), BallRule.exact(5, g_degree)
     rhs = 0.0
     for ui, wi in zip(u.tolist(), wu.tolist()):  # one outer shell at a time
@@ -714,7 +713,7 @@ def embedding_identity_check(g, b, l: float, g_degree: int | None = None,
         # g over the 5-ball of radius s at each outer node, over the
         # (l^2 - rho^2)^(5/2) the Gauss-Jacobi weight carries
         cols, = integrals(slices, inner, np.zeros(5), s)
-        rhs += wi / (1 - ui) ** 2.5 * float(dirs.weights @ cols)
+        rhs += l ** n * wi / (1 - ui) ** 2.5 * float(dirs.weights @ cols)
 
     return identity_report(f"embedding_identity_eq30_{convention}", lhs, rhs,
                            EMBEDDING_TOL, scale_floor=1e-3 * abs_scale, n=n,

@@ -13,6 +13,7 @@ from threespheres.errors import (
 from threespheres.geometry import (
     Ball,
     CorrelatedFamily,
+    InversionData,
     _reflection,
     correlated_radius_general,
     correlation_check,
@@ -346,6 +347,25 @@ def test_delta0_refuses_an_infinite_radius_by_name(variant):
     # delta0 divided by R = inf to zero and died on a ZeroDivisionError
     with pytest.raises(OutOfRange, match="R must be finite, got inf"):
         delta0(0.5, 0.2, 0.25, R=math.inf, variant=variant)
+
+
+@pytest.mark.parametrize("samples", [0, 2.5])
+def test_image_check_refuses_zero_samples_by_name(samples):
+    # np.max of no radii raised a bare ValueError, and 2.5 samples a
+    # TypeError in the sampler
+    fam = CorrelatedFamily.create([0.5, 0.0], 0.2)
+    with pytest.raises(OutOfRange,
+                       match=f"samples must be an integer >= 1, got {samples}"):
+        sphere_image_check(fam, 0.25, samples=samples)
+
+
+@pytest.mark.parametrize("R", [-1.0, 0.0, math.nan])
+def test_inversion_data_refuses_a_nonpositive_radius_by_name(R):
+    # R = -1 was accepted: |a| exceeds it and rho^2 = |a|^2 - R^2 holds
+    a = np.array([2.0, 0.0])
+    rho = math.sqrt(4.0 - R * R) if R == R else 1.0
+    with pytest.raises(OutOfRange, match=f"R = {R} must be positive"):
+        InversionData(a, rho, R)
 
 
 def test_exponents_out_of_range():

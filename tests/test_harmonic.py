@@ -305,6 +305,15 @@ def test_laplacian_residual_exact_cases():
     assert harmonicity_defect(norm2, np.array([0.3, 0.2]), 1e-3) > 0.5
 
 
+@pytest.mark.parametrize("h", [float("nan"), float("inf"), 0.0, -1e-3])
+@pytest.mark.parametrize("fd", [laplacian_residual, harmonicity_defect])
+def test_fd_steps_must_be_finite_and_positive(fd, h):
+    # NaN and inf passed the "h <= 0" guard and both checks returned nan
+    f = HarmonicPolynomial(2, {(2, 0): 1.0, (0, 2): -1.0})
+    with pytest.raises(OutOfRange, match="h must be finite and positive"):
+        fd(f, np.array([0.3, 0.2]), h)
+
+
 def test_kelvin_harmonicity_defect_corpus(rng):
     inv3 = solve_inversion_center(0.5, 0.2, dimension=3)
     f = random_harmonic_polynomial(3, 4, seed=5)

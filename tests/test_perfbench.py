@@ -60,3 +60,21 @@ def test_child_reads_resolve_against_the_package():
     assert not missing
     assert {("geometry", ("correlated_radius_general",)),
             ("verify", ("EMBED_CONSTANT",))} <= reads
+
+
+def test_sweep_balls_ball_nodes(monkeypatch):
+    # the nodes of the benchmark's sweep_balls part at seed 0 (24 ball
+    # integrals: (27) and the embedded bounds at n = 2 and 3), counted where
+    # the integrands get them: a cost guard that does not depend on the
+    # machine, so a change that inflates a ball rule fails here, not only
+    # in a benchmark run
+    from conftest import integral_blocks
+    from threespheres.sweep import SweepConfig, run_sweep
+
+    monkeypatch.syspath_prepend(PERFBENCH)
+    import workloads
+
+    blocks = integral_blocks(monkeypatch)
+    run_sweep(SweepConfig.from_dict(workloads.sweep_config("sweep_balls", 0)))
+    assert len(blocks) == 24
+    assert sum(map(sum, blocks)) == 16_120

@@ -46,7 +46,7 @@ def test_weighted_rule_policy():
                 assert len(rule) == 5 * across
         # a ball whose plain integral is wanted too: two more axial degrees
         ball = BallRule.weighted(n, 10, 0.9, 0.6, 8)
-        assert len(ball.angular) == 16 * 6 * across
+        assert len(ball.angular) == 10 * 6 * across
     # several spheres in one pass, each rule as if built alone; cached by
     # the defining numbers
     spheres = [("s_a", 1.2, 0.3, 0.6, 1.0), ("kelvin", 1.2, 0.0, 0.5, 1.0)]
@@ -65,14 +65,16 @@ def test_shell_count_monotonicity():
     # a typed error, not a silently clamped rule
     mild = BallRule.weighted(3, 16, 3.0, 1.0, 16)
     harsh = BallRule.weighted(3, 16, 1.1, 1.0, 16)
-    assert mild.radial_points == 16 < harsh.radial_points
-    assert len(mild.angular) == 16 * 9 * 17
+    assert mild.radial_points == 10 < harsh.radial_points
+    assert len(mild.angular) == 10 * 9 * 17
     assert BallRule.weighted(2, 16, 1.1, 1.0, 16).radial_points > \
         harsh.radial_points
     with pytest.raises(OutOfRange):
         BallRule.weighted(3, 16, 0.9, 1.0, 16)
+    # at |a| = 1.003 the u model resolves the ball with 121 shells, under
+    # SHELL_CAP = 128; 1.0026 still needs more than the cap
     with pytest.raises(UnderResolved):
-        BallRule.weighted(2, 16, 1.003, 1.0, 16)
+        BallRule.weighted(2, 16, 1.0026, 1.0, 16)
 
 
 def test_weighted_rule_point_counts(monkeypatch):
@@ -91,11 +93,11 @@ def test_weighted_rule_point_counts(monkeypatch):
     assert [sum(sizes) for sizes in blocks] == [per_rule] * 6
     assert len(reports) == 2 * 2 * 2 and all(r.passed for r in reports)
     run_sweep(SweepConfig.from_dict(dict(cfg, checks=["three_balls"])))
-    # inner, outer and middle balls, 16 shells each
-    assert [sum(sizes) for sizes in blocks[6:]] == [16 * per_rule] * 3
+    # inner, outer and middle balls, 10 shells each
+    assert [sum(sizes) for sizes in blocks[6:]] == [10 * per_rule] * 3
     assert all(0 < size <= BLOCK for sizes in blocks for size in sizes)
     assert [len(sizes) for sizes in blocks[6:]] == [
-        math.ceil(16 * per_rule / BLOCK)] * 3
+        math.ceil(10 * per_rule / BLOCK)] * 3
 
 
 def _ball_config_rows(n, margin, x_norm):
@@ -133,9 +135,10 @@ def test_near_touching_ball_rows(n, margin, monkeypatch):
 
 
 def test_unresolved_ball_rows_are_error_rows():
-    # |a| = 1.003: no count up to the cap reaches the target, so (27) gets
-    # UnderResolved error rows and the embedded bounds still run
-    rows = _ball_config_rows(2, 1e-4, 0.95)
+    # |a| = 1.0025: no count up to the cap reaches the target, so (27) gets
+    # UnderResolved error rows and the embedded bounds still run (|x| = 0.95
+    # gives |a| = 1.0032, which the u = sigma^2 model resolves under the cap)
+    rows = _ball_config_rows(2, 1e-4, 0.97)
     names = [r.name for r in rows]
     assert names[:3] == ["three_balls_eq27:error:UnderResolved"] * 3
     assert not any(r.passed for r in rows[:3])

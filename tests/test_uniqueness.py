@@ -155,6 +155,17 @@ def test_trace_refuses_a_threshold_that_is_not_finite_and_nonnegative(
                                GrowthEnvelope.power(2.0), threshold=0.0)) == 3
 
 
+@pytest.mark.parametrize("window", [2.5, 2.0, math.inf, math.nan, 1])
+def test_trace_refuses_a_window_that_is_not_an_integer_by_name(window):
+    # window = 2.5 died on an IndexError in the running verdicts
+    with pytest.raises(OutOfRange, match="window must be an integer >= 2"):
+        criterion_trace(cubic_sequence([1, 2, 3]), GrowthEnvelope.power(2.0),
+                        window=window)
+    assert len(criterion_trace(cubic_sequence([1, 2, 3]),
+                               GrowthEnvelope.power(2.0),
+                               window=np.int64(2))) == 3
+
+
 def test_envelopes():
     p = GrowthEnvelope.power(2.0, 3.0)
     assert abs(p(2.0) - 12.0) < 1e-15

@@ -209,6 +209,15 @@ def test_log_convexity_power_equality_and_counterexample():
         log_convexity_check(lambda r: r, [0.1, math.nan, 0.5])
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_log_convexity_refuses_non_finite_values_by_name(bad):
+    # a NaN L gave a failing report with margin NaN, and an infinite L
+    # raised a RuntimeWarning in the margins before doing the same
+    grid = [0.2, 0.4, 0.6, 0.8]
+    with pytest.raises(NonpositiveL, match=f"finite L > 0 .*got L = {bad}"):
+        log_convexity_check(lambda r: bad if r == 0.6 else r, grid)
+
+
 def test_log_convexity_of_harmonic_l2(rng):
     from threespheres.quadrature import SphereRule, l2_sphere_norm
 
@@ -532,16 +541,16 @@ def test_rule_sizes_carry_no_margin(monkeypatch):
         return np.ones(len(p))
 
     embedding_identity_check(one, (0.2, 0.0, 0.0), 0.8, g_degree=6)
-    # (n+5)-ball: 4^6 polar nodes x 7 azimuths x 7 shells; then one outer
-    # Gauss-Jacobi shell at a time, 6 // 2 + 2 of them: 28 directions x the
-    # inner 5-ball's 448 x 6 nodes
-    assert list(points.values()) == [200_704] + [75_264] * 5
-    assert [sum(sizes) for sizes in blocks] == [200_704] + [448 * 6] * 5
+    # (n+5)-ball: 4^6 polar nodes x 7 azimuths x 6 // 4 + 1 = 2 shells;
+    # then one outer Gauss-Jacobi shell at a time, 6 // 2 + 2 of them: 28
+    # directions x the inner 5-ball's 448 x 2 nodes
+    assert list(points.values()) == [57_344] + [25_088] * 5
+    assert [sum(sizes) for sizes in blocks] == [57_344] + [448 * 2] * 5
     assert all(0 < size <= BLOCK for sizes in blocks for size in sizes)
     blocks.clear()
     _ball_integrals(lambda p: one(p)[:, None], np.zeros(3), 0.5, 8)
     assert [sum(sizes) for sizes in blocks] == [
-        len(SphereRule.product(3, 8)) * 6] == [270]
+        len(SphereRule.product(3, 8)) * 3] == [135]
 
 
 def test_sweep_rows_match_single_checks():
