@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and its integer check."""
+
+import math
+from numbers import Real
 
 
 class ThreeSpheresError(ValueError):
@@ -71,3 +74,12 @@ class NonpositivePhi(ThreeSpheresError):
 
 class ConfigError(ThreeSpheresError):
     """Sweep configuration file is invalid."""
+
+
+def as_integer(value, name: str, least: int = 0) -> int:
+    """``value`` as an int if it is a whole number >= ``least`` (4.0 is 4),
+    else :class:`OutOfRange` naming ``name``."""
+    if not (isinstance(value, Real) and least <= value < math.inf
+            and value % 1 == 0):
+        raise OutOfRange(f"{name} must be an integer >= {least}, got {value!r}")
+    return int(value)

@@ -26,6 +26,7 @@ from .errors import (
     OutOfRange,
     SingularPoint,
     TouchingBalls,
+    as_integer,
 )
 
 __all__ = [
@@ -333,8 +334,7 @@ def sphere_image_check(fam: CorrelatedFamily, t: float, samples: int,
     """Sample S_{x_t, r_t}, map through the inversion, and confirm the image
     lies on the origin-centered sphere of radius r_t*."""
     fam._check_t(t)
-    if not (isinstance(samples, (int, np.integer)) and samples >= 1):
-        raise OutOfRange(f"samples must be an integer >= 1, got {samples}")
+    samples = as_integer(samples, "samples", 1)
     rng = np.random.default_rng(seed)
     n = fam.dimension
     u = rng.standard_normal((samples, n))

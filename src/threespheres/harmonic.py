@@ -27,7 +27,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import NonHarmonic, OutOfRange, SingularPoint, StencilOutOfDomain
+from .errors import NonHarmonic, OutOfRange, SingularPoint, StencilOutOfDomain, as_integer
 from .geometry import InversionData, _reflection, inversion_map
 
 __all__ = [
@@ -177,19 +177,18 @@ class HarmonicPolynomial:
     """
 
     def __init__(self, dimension: int, terms: dict, validate: bool = True):
-        if dimension < 2:
-            raise OutOfRange("dimension must be >= 2")
-        self.dimension = int(dimension)
+        self.dimension = as_integer(dimension, "dimension", 2)
         self._evaluator = None
         if not validate:
             clean = {e: c for e, c in terms.items() if c != 0}
         else:
             clean = {}
             for e, c in terms.items():
-                e = tuple(int(k) for k in e)
-                if len(e) != dimension or any(k < 0 for k in e):
+                if len(e) != dimension or not all(k >= 0 and k % 1 == 0 for k in e):
                     raise OutOfRange(f"bad exponent tuple {e}")
-                c = complex(c)
+                e, c = tuple(map(int, e)), complex(c)
+                if not np.isfinite(c):
+                    raise OutOfRange(f"coefficient {c} of {e} is not finite")
                 if c != 0:
                     clean[e] = clean.get(e, 0.0) + c
             lap = _laplacian_terms(clean, dimension).values()

@@ -3,9 +3,8 @@
 Deterministic rules: equispaced trapezoid on the circle (n = 2), Gauss-
 Legendre x trapezoid on S^2, Gauss-Gegenbauer products for higher
 dimensions, and on balls Gauss-Jacobi shells in u = sigma^2 times these,
-exact for polynomials up to their declared degree; each is built once per
-process (Golub & Welsch) and cached.  A seeded Monte Carlo rule serves the
-tests as an independent oracle; no check uses it.
+exact for polynomials up to their declared degree (Golub & Welsch).  A
+seeded Monte Carlo rule serves the tests as an independent oracle.
 
 Weighted integrals carry the densities induced by the inversion:
 
@@ -25,25 +24,27 @@ one-column case: a numpy scalar for raw integrals (real for real
 integrands, complex otherwise), a float for norms.
 
 It is one loop with two forms.  Every rule built here for n >= 3, and
-every weighted rule, keeps its factors (:class:`Slices`): K axial nodes,
-each a slice of nodes at one axial coordinate x and distance rho from the
-axis, times T directions across it.  The :class:`Squares` of a
-``harmonic.PolynomialEvaluator`` get the values of blocks of slices when
-the centre, and a with the inversion data, lie on the axis: the points are
-never made.  Every other integrand gets the rule's points, one node per
-slice.  Either way the weights and densities are taken once per slice.
+every weighted rule, is its factors (:class:`Slices`), cached once per
+process: K axial nodes, each a slice of nodes at one axial coordinate x and
+distance rho from the axis, times T directions across it.  The
+:class:`Squares` of a ``harmonic.PolynomialEvaluator`` get the values of
+blocks of slices when the centre, and a with the inversion data, lie on the
+axis: no node is made.  Every other integrand gets the rule's points, one
+node per slice, made on first read and kept with the rule.  Either way the
+weights and densities are taken once per slice.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from functools import lru_cache, partial
+from dataclasses import dataclass, replace
+from functools import cached_property, lru_cache, partial
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import OutOfRange, RuleDimensionMismatch, UnderResolved
+from .errors import (OutOfRange, RuleDimensionMismatch, UnderResolved,
+                     as_integer)
 from .geometry import (Ball, InversionData, _on_line, _reflection,
                        half_plane_inversion, inversion_map)
 
@@ -95,28 +96,39 @@ class SphereRule:
     shell on a ball: nodes (S, N, n)), placed only given the inversion data,
     or "monte-carlo" (with ``samples`` and ``seed`` recorded).  ``transverse``
     is the degree across the first axis.  Product and Monte Carlo weights sum
-    to the area.  ``slices`` holds the factors (:class:`Slices`) of the
-    rules this module builds as products, None for the n = 2 trapezoid and
-    for nodes given as they are.
+    to the area.  A rule is its factors (``slices``, :class:`Slices`), as
+    every rule built here for n >= 3 is, its nodes and weights made on first
+    read and kept; or it holds the nodes and weights it is ``given``.
     """
 
     n: int
-    nodes: np.ndarray
-    weights: np.ndarray
     kind: str
     degree: int | None = None
     samples: int | None = None
     seed: int | None = None
     transverse: int | None = None
-    slices: Slices | None = field(default=None, init=False, repr=False,
-                                  compare=False)
+    slices: Slices | None = None
+    given: tuple | None = None
 
     def __len__(self):
         return self.weights.size
 
-    def _factored(self, slices: Slices | None) -> "SphereRule":
-        object.__setattr__(self, "slices", slices)
-        return self
+    @cached_property
+    def nodes(self) -> np.ndarray:
+        if self.slices is None:
+            return self.given[0]
+        t, _, omega, _ = self.slices
+        nodes = np.empty(t.shape + omega.shape[:1] + (self.n,))
+        nodes[..., 0] = t[..., None]
+        nodes[..., 1:] = np.sqrt((1 - t) * (1 + t))[..., None, None] * omega
+        return _frozen(nodes.reshape(t.shape[:-1] + (-1, self.n)))[0]
+
+    @cached_property
+    def weights(self) -> np.ndarray:
+        if self.slices is None:
+            return self.given[1]
+        t, w, _, v = self.slices
+        return _frozen((w[..., None] * v).reshape(t.shape[:-1] + (-1,)))[0]
 
     @classmethod
     def product(cls, n: int, degree: int) -> "SphereRule":
@@ -126,28 +138,18 @@ class SphereRule:
         cosine times trapezoid (Stroud's S_n product form).  The first polar
         cosine takes degree // 2 + 1 nodes, the S^{n-2} across it the rule of
         ``degree``."""
-        if n < 2:
-            raise OutOfRange("sphere rules need n >= 2")
-        if not (0 <= degree < math.inf and degree % 1 == 0):
-            raise OutOfRange(f"degree must be an integer >= 0, got {degree}")
-        degree = int(degree)
-        nodes, weights = _product_rule_cached(n, degree)
-        return cls(n=n, nodes=nodes, weights=weights, kind="exact",
-                   degree=degree, transverse=degree)._factored(
-                       None if n == 2 else _product_slices(n, degree))
+        return _product_rule_cached(as_integer(n, "n", 2),
+                                    as_integer(degree, "degree"))
 
     @classmethod
     def monte_carlo(cls, n: int, samples: int = 200_000, seed: int = 0) -> "SphereRule":
         """Seeded Monte Carlo rule: normalized Gaussian directions, equal weights."""
-        if samples < 1:
-            raise OutOfRange(f"Monte Carlo rules need samples >= 1, got "
-                             f"{samples}")
+        samples = as_integer(samples, "samples", 1)
         rng = np.random.default_rng(np.random.SeedSequence(seed))
         g = rng.standard_normal((samples, n))
         g /= np.linalg.norm(g, axis=1)[:, None]
-        w = np.full(samples, sphere_area(n) / samples)
-        return cls(n=n, nodes=g, weights=w, kind="monte-carlo", samples=samples,
-                   seed=seed)
+        return cls(n, "monte-carlo", samples=samples, seed=seed,
+                   given=(g, np.full(samples, sphere_area(n) / samples)))
 
 
 def weighted_rules(n: int, degree: int, spheres) -> list:
@@ -162,15 +164,9 @@ def weighted_rules(n: int, degree: int, spheres) -> list:
     ``degree``: degree // 2 + 1 axial nodes times the S^{n-2} rule of that
     degree (+-1 at n = 2).  Built in one batched pass and cached by the
     list."""
-    degree = int(degree)
+    degree = as_integer(degree, "degree")
     spheres = tuple((kind, *map(float, rest)) for kind, *rest in spheres)
-    if not spheres:
-        return []
-    nodes, weights, (t, w, *across) = _weighted_cached(n, degree, degree,
-                                                       spheres)
-    return [SphereRule(n, nd, wt, sphere[0], degree, transverse=degree)
-            ._factored(Slices(ts, ws, *across))
-            for nd, wt, ts, ws, sphere in zip(nodes, weights, t, w, spheres)]
+    return list(_weighted_cached(n, degree, degree, spheres) if spheres else ())
 
 
 def _gauss_jacobi(q: int, alpha: float, beta: float | None = None):
@@ -199,33 +195,20 @@ def _frozen(*arrays):
     return arrays
 
 
-def _across(t, w, omega, v):
-    """Nodes (t, sqrt(1 - t^2) omega) and weights w v of an axial rule
-    (..., m) times a rule (T, n - 1) on S^{n-2}, flattened to (..., m T)."""
-    nodes = np.empty(t.shape + (v.size, omega.shape[1] + 1))
-    nodes[..., 0] = t[..., None]
-    nodes[..., 1:] = np.sqrt((1 - t) * (1 + t))[..., None, None] * omega
-    lead = t.shape[:-1] + (-1,)
-    return _frozen(nodes.reshape(lead + (nodes.shape[-1],)),
-                   (w[..., None] * v).reshape(lead))
-
-
 @lru_cache(maxsize=256)
-def _product_rule_cached(n: int, degree: int):
-    if n == 1:  # S^0: the two points +-1
-        return _frozen(np.array([[1.0], [-1.0]]), np.ones(2))
-    if n == 2:
-        theta = 2 * math.pi * np.arange(degree + 1) / (degree + 1)
-        return _frozen(np.stack([np.cos(theta), np.sin(theta)], axis=1),
-                       np.full(degree + 1, 2 * math.pi / (degree + 1)))
-    return _across(*_product_slices(n, degree))
-
-
-@lru_cache(maxsize=256)
-def _product_slices(n: int, degree: int) -> Slices:
-    """The factors of the product rule on S^{n-1}, n >= 3."""
-    return Slices(*_frozen(*_gauss_jacobi(degree // 2 + 1, (n - 3) / 2)),
-                  *_product_rule_cached(n - 1, degree))
+def _product_rule_cached(n: int, degree: int) -> SphereRule:
+    """:meth:`SphereRule.product`, and the pair +-1 on S^0 (n = 1)."""
+    if n > 2:
+        across = _product_rule_cached(n - 1, degree)
+        return SphereRule(n, "exact", degree, transverse=degree, slices=Slices(
+            *_frozen(*_gauss_jacobi(degree // 2 + 1, (n - 3) / 2)),
+            across.nodes, across.weights))
+    theta = 2 * math.pi * np.arange(degree + 1) / (degree + 1)
+    given = ((np.array([[1.0], [-1.0]]), np.ones(2)) if n == 1 else
+             (np.stack([np.cos(theta), np.sin(theta)], axis=1),
+              np.full(degree + 1, 2 * math.pi / (degree + 1))))
+    return SphereRule(n, "exact", degree, transverse=degree,
+                      given=_frozen(*given))
 
 
 @lru_cache(maxsize=64)
@@ -288,9 +271,9 @@ def _gauss_rules(x: np.ndarray, lam: np.ndarray, m: int):
 
 @lru_cache(maxsize=64)
 def _weighted_cached(n: int, degree: int, transverse: int, spheres: tuple):
-    """Stacked nodes (S, N, n) and weights (S, N) of :func:`weighted_rules`
-    and :meth:`BallRule.weighted`, exact across the axis to ``transverse``,
-    and their :class:`Slices` (t and w (S, K)).
+    """The rules of :func:`weighted_rules`, which :meth:`BallRule.weighted`
+    stacks, one per sphere, exact across the axis to ``transverse``: their
+    :class:`Slices` share the S^{n-2} rule, and nodes are made on first read.
 
     In u = 1 - t a sphere of radius s at D = a_norm - center_norm from a has
     |y-a|^2 = 2 s D (eps + u), eps = (D - s)^2 / (2 s D), and the ds_a
@@ -330,9 +313,11 @@ def _weighted_cached(n: int, degree: int, transverse: int, spheres: tuple):
         raise UnderResolved(f"weighted Gauss rule: moments differ by "
                             f"{worst:.3g} of the mass between fine rules of "
                             f"{FINE_NODES} nodes per panel")
-    axial = _frozen(1 - u, w / factor(u))
+    t, w = _frozen(1 - u, w / factor(u))
     across = _product_rule_cached(n - 1, transverse)
-    return (*_across(*axial, *across), Slices(*axial, *across))
+    return tuple(SphereRule(n, sphere[0], degree, transverse=transverse,
+                            slices=Slices(*axial, across.nodes, across.weights))
+                 for sphere, *axial in zip(spheres, t, w))
 
 
 SHELL_TARGET = 1e-12  # error model target of a dmu_a ball's radial count
@@ -378,9 +363,8 @@ class BallRule:
     radial_points: int
 
     def __post_init__(self):
-        if self.radial_points < 1:
-            raise OutOfRange(f"ball rules need radial_points >= 1, got "
-                             f"{self.radial_points}")
+        object.__setattr__(self, "radial_points",
+                           as_integer(self.radial_points, "radial_points", 1))
 
     @classmethod
     def exact(cls, n: int, degree: int) -> "BallRule":
@@ -395,10 +379,11 @@ class BallRule:
         too at ``degree`` = ``transverse`` + 2 (|y-a|^4 is quadratic in t)."""
         shells = _shell_count(n, transverse, distance / radius)
         radii = radius * np.sqrt(_radial_rule_cached(shells, n)[0])
-        nodes, weights, slices = _weighted_cached(n, degree, transverse, tuple(
+        rules = _weighted_cached(n, degree, transverse, tuple(
             ("mu_a", float(distance), 0.0, s, 1.0) for s in radii.tolist()))
-        return cls(SphereRule(n, nodes, weights, "mu_a", degree,
-                              transverse=transverse)._factored(slices), shells)
+        t, w = (np.stack(a) for a in zip(*(rule.slices[:2] for rule in rules)))
+        return cls(replace(rules[0], slices=rules[0].slices._replace(t=t, w=w)),
+                   shells)
 
 
 class Column:

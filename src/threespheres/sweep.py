@@ -173,8 +173,8 @@ class SweepConfig:
                 fail("checks", f"unknown check {c!r}; known: {sorted(known)}")
 
         beta = raw.get("beta", base.beta)
-        if beta not in ("omega", "alpha") and not real(beta):
-            fail("beta", f"must be 'omega', 'alpha', or a number, got {beta!r}")
+        if beta not in ("omega", "alpha") and not (real(beta) and abs(beta) < np.inf):
+            fail("beta", f"must be 'omega', 'alpha', or a finite number, got {beta!r}")
 
         get_int(raw, "mc_samples", 20_000, "mc_samples", 100)
 

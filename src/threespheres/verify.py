@@ -46,6 +46,7 @@ from .errors import (
     NonpositiveL,
     OutOfRange,
     PreconditionViolated,
+    as_integer,
 )
 from .geometry import CorrelatedFamily, delta0
 from .harmonic import PolynomialEvaluator, holomorphic_polynomial
@@ -211,13 +212,13 @@ def error_row(name, exc, tolerance, count=1, exponent=math.nan,
                       tolerance, exponent=exponent, **meta)
 
 
-def _column(f, degree: int | None = None) -> Column:
-    """``f`` as a one-column evaluator of degree ``degree``, else
-    ``f.degree``; a callable with neither has no rule to size."""
+def _column(f, degree: int | None = None, name: str = "degree") -> Column:
+    """``f`` as a one-column evaluator of degree ``degree`` (parameter
+    ``name``), else ``f.degree``; with neither no rule can be sized."""
     degree = getattr(f, "degree", None) if degree is None else degree
     if degree is None:
-        raise OutOfRange(f"{f!r} has no degree: pass degree= to size rules")
-    return Column([f], int(degree))
+        raise OutOfRange(f"{f!r} has no degree: pass {name}= to size rules")
+    return Column([f], as_integer(degree, name))
 
 
 # ---------------------------------------------------------------------------
@@ -253,7 +254,10 @@ def _resolve_beta(rec, beta, unchecked: bool = False) -> float:
         return rec.omega
     if beta == "alpha":
         return rec.alpha
-    beta = float(beta)
+    try:
+        beta = float(beta)
+    except (TypeError, ValueError):
+        raise BetaOutOfRange(f"beta must be a number, got {beta!r}") from None
     if not unchecked and not 0 < beta <= rec.alpha * (1 + 1e-12):
         raise BetaOutOfRange(
             f"beta = {beta} outside (0, alpha] with alpha = {rec.alpha}")
@@ -674,7 +678,7 @@ def embedding_identity_check(g, b, l: float, g_degree: int | None = None,
     sqrt(l - |x-b|^2) as displayed in the source.  ``g_degree`` (default
     ``g.degree``) must bound the degree of g.
     """
-    g_degree = _column(g, g_degree).degree
+    g_degree = _column(g, g_degree, "g_degree").degree
     b = np.asarray(b, dtype=float)
     n = b.size
     if not 0 < l <= 1:

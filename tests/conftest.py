@@ -48,13 +48,15 @@ def anisotropic_rule(n, degree, transverse):
     <= ``degree`` whose degree across the first axis is <= ``transverse``:
     the package's first polar factor of ``degree`` times its S^{n-2} rule of
     ``transverse``."""
-    from threespheres.quadrature import (SphereRule, _across, _gauss_jacobi,
-                                         _product_rule_cached)
+    from threespheres.quadrature import Slices, SphereRule, _gauss_jacobi
 
-    nodes, weights = _across(*_gauss_jacobi(degree // 2 + 1, (n - 3) / 2),
-                             *_product_rule_cached(n - 1, transverse))
-    return SphereRule(n, nodes, weights, "exact", degree,
-                      transverse=transverse)
+    across = SphereRule.product(n - 1, transverse)
+    rule = SphereRule(n, "exact", degree, transverse=transverse, slices=Slices(
+        *_gauss_jacobi(degree // 2 + 1, (n - 3) / 2), across.nodes,
+        across.weights))
+    # given as nodes, so every integrand takes the point path on it
+    return SphereRule(n, "exact", degree, transverse=transverse,
+                      given=(rule.nodes, rule.weights))
 
 
 def analytic_sphere_rule(n, degree, kind, a_norm, center_norm, radius, R=1.0,

@@ -207,6 +207,16 @@ def test_verify_beta_above_alpha_fails_with_rows(tmp_path, capsys):
     assert "BetaOutOfRange" in out
 
 
+@pytest.mark.parametrize("beta", [math.nan, math.inf, -math.inf])
+def test_verify_refuses_a_non_finite_beta_as_a_config_error(tmp_path, capsys,
+                                                            beta):
+    # json writes NaN and Infinity, which it reads back: every (24) row was
+    # an error row and verify exited 1
+    cfg = write_config(tmp_path, {"beta": beta, "checks": ["three_spheres"]})
+    assert main(["verify", "--config", cfg]) == 2
+    assert "field 'beta'" in capsys.readouterr().err
+
+
 def test_verify_summary_is_that_of_the_flattened_rows(tmp_path, capsys):
     # every check, beta above alpha (error rows) and the delta_0 rows that
     # fail by design: the printed counts and failed rows are those of the

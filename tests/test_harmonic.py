@@ -147,6 +147,28 @@ def test_non_harmonic_rejected():
         HarmonicPolynomial(2, {(2, 0): 1.0, (0, 2): 1.0})  # |y|^2
 
 
+@pytest.mark.parametrize("terms, match", [
+    ({(2, 0): np.nan, (0, 2): 1.0}, "coefficient"),
+    ({(1, 0): np.inf}, "coefficient"),
+    ({(1, 0): complex(1.0, np.nan)}, "coefficient"),
+    ({(1.5, 0): 1.0}, r"exponent tuple \(1.5, 0\)"),
+    ({(np.nan, 0): 1.0}, "exponent tuple"),
+])
+def test_polynomials_refuse_non_finite_coefficients_and_fractional_exponents(
+        terms, match):
+    # a NaN Laplacian residual compared False and passed the harmonicity
+    # gate, inf was kept, and the exponent 1.5 became 1
+    with pytest.raises(OutOfRange, match=match):
+        HarmonicPolynomial(2, terms)
+    assert HarmonicPolynomial(2, {(1.0, 0): 2.0}).terms == {(1, 0): 2.0}
+
+
+def test_holomorphic_polynomial_refuses_non_finite_coefficients():
+    for coeffs in ([np.nan, 1.0], [0.0, np.inf]):
+        with pytest.raises(OutOfRange, match="not finite"):
+            holomorphic_polynomial(coeffs)
+
+
 def test_determinism():
     a = random_harmonic_polynomial(3, 6, seed=42)
     b = random_harmonic_polynomial(3, 6, seed=42)

@@ -27,6 +27,25 @@ def test_traced_names_resolve_against_the_package(monkeypatch):
     assert sum(map(len, tracing.GROUPS.values())) >= 20
 
 
+def test_tracer_counts_real_rules(monkeypatch):
+    # the tracer's rule counter reads kind, n, degree, samples, seed and
+    # len(weights) of what SphereRule.product and monte_carlo return; a rule
+    # refactor that drops one fails here, not only in a traced benchmark
+    # run.  The tracer is read, not installed.
+    monkeypatch.syspath_prepend(PERFBENCH)
+    import tracing
+
+    tracer = tracing.Tracer("rules")
+    SphereRule = quadrature.SphereRule
+    for rule in (SphereRule.product(3, 8), SphereRule.product(3, 8),
+                 SphereRule.monte_carlo(2, samples=50, seed=1)):
+        tracer._count_quadrature_rule((), {}, rule)
+    assert tracer.rule_keys == {("exact", 3, 8, None, None),
+                                ("monte-carlo", 2, None, 50, 1)}
+    assert tracer.counts == {"quadrature.rule_nodes": 5 * 9 + 50,
+                             "quadrature.rule_reused": 1}
+
+
 def test_child_reads_resolve_against_the_package():
     # every package attribute the benchmark's pass and oracle script reads,
     # found in its source: a rename that would break a benchmark run or its

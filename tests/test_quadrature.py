@@ -682,7 +682,7 @@ def test_norms_refuse_a_negative_or_nan_integral():
     from threespheres.quadrature import l2_ball_norm
 
     sphere = SphereRule.product(2, 8)
-    negated = replace(sphere, weights=-sphere.weights)
+    negated = replace(sphere, given=(sphere.nodes, -sphere.weights))
     ball = Ball(np.zeros(2), 0.5)
     two = lambda p: np.full(len(p), 2.0)
     nan = lambda p: np.full(len(p), math.nan)
@@ -733,6 +733,24 @@ def test_product_rule_degree_must_be_an_integer(degree):
     with pytest.raises(OutOfRange, match="degree must be an integer >= 0"):
         SphereRule.product(3, degree)
     assert len(SphereRule.product(3, 4.0)) == len(SphereRule.product(3, 4))
+
+
+@pytest.mark.parametrize("bad", [2.5, math.nan, math.inf])
+@pytest.mark.parametrize("make, name, size", [
+    (lambda k: SphereRule.monte_carlo(2, samples=k), "samples",
+     lambda rule: rule.samples),
+    (lambda k: BallRule(SphereRule.product(2, 8), k), "radial_points",
+     lambda rule: rule.radial_points),
+    (lambda k: weighted_rules(2, k, [("s_a", 1.2, 0.3, 0.6, 1.0)]), "degree",
+     lambda rules: rules[0].degree),
+], ids=["monte_carlo", "ball", "weighted"])
+def test_rule_sizes_must_be_integers_by_name(make, name, size, bad):
+    # samples=2.5 died in numpy on a bare TypeError, a ball of 2.5 shells
+    # was built and died in a slice, and a weighted rule of degree 2.5 was
+    # the degree-2 rule; a whole float reads as its integer
+    with pytest.raises(OutOfRange, match=f"{name} must be an integer"):
+        make(bad)
+    assert type(size(make(4.0))) is int and size(make(4.0)) == 4
 
 
 def test_product_rule_matches_spec_structure():

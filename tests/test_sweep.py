@@ -59,6 +59,36 @@ def test_weighted_rule_policy():
                             pair[1].nodes)
 
 
+def test_corpus_integrals_make_no_node_array(monkeypatch):
+    # a sweep's sphere and ball integrals read their rules on slices, so no
+    # rule they read has its nodes made, by a cache or by the integral;
+    # only the S^(n-2) factors' points are (a rule of n = 3 may be one of
+    # them for n = 4, so each rule is looked at right after its integral)
+    from threespheres import quadrature
+
+    quadrature._product_rule_cached.cache_clear()
+    quadrature._weighted_cached.cache_clear()
+    integrals, read = verify.integrals, []
+
+    def watched(fn, rule, *args, **kwargs):
+        out = integrals(fn, rule, *args, **kwargs)
+        angular = getattr(rule, "angular", rule)
+        read.append((angular.n, angular.kind, angular.slices is not None,
+                     "nodes" in vars(angular)))
+        return out
+
+    monkeypatch.setattr(verify, "integrals", watched)
+    run_sweep(SweepConfig.from_dict({
+        "dimensions": [3, 4], "corpus": {"count": 2, "max_degree": 4},
+        "geometry": {"count": 1, "t_count": 2, "lambdas": [0.6]},
+        "checks": ["three_spheres", "transfer_identity", "three_balls",
+                   "embedded_bound"]}))
+    assert {(n, kind) for n, kind, *_ in read} == {
+        (n, kind) for n in (3, 4) for kind in ("exact", "s_a", "kelvin",
+                                               "mu_a")}
+    assert [r for r in read if r[3] or not r[2]] == []
+
+
 def test_shell_count_monotonicity():
     # the dmu_a ball's radial count grows as the pole nears the ball, with
     # the pole order 5 - n of the shell integral, and past its cap becomes

@@ -264,6 +264,14 @@ def test_three_spheres_beta_validation_and_negative_control():
     assert rep.lhs > rep.rhs
 
 
+def test_three_spheres_refuses_a_beta_that_is_not_a_number_by_name():
+    # float("x") raised a bare ValueError
+    f = random_harmonic_polynomial(2, 6, seed=11)
+    for beta in ("x", [0.5], {}):
+        with pytest.raises(BetaOutOfRange, match="beta must be a number"):
+            three_spheres_check(f, [0.5, 0.0], 0.2, t=0.25, beta=beta)
+
+
 def test_three_spheres_alpha_mode(rng):
     f = random_harmonic_polynomial(2, 8, seed=12)
     rep = three_spheres_check(f, [0.5, 0.0], 0.2, t=0.25, beta="alpha")
@@ -691,6 +699,41 @@ def test_checks_refuse_a_callable_without_a_degree(check):
     # no rule can be sized: no default degree is assumed
     with pytest.raises(OutOfRange, match="has no degree"):
         check(lambda pts: np.ones(len(pts)))
+
+
+@pytest.mark.parametrize("bad", [2.5, math.nan, math.inf, "8"])
+@pytest.mark.parametrize("check, name", [
+    (lambda f, d: gradient_identity_check(f, [0.3, 0.1], 0.25, degree=d),
+     "degree"),
+    (lambda f, d: derivative_identity_check(
+        f, CorrelatedFamily.create([0.5, 0.0], 0.2), 0.25, degree=d),
+     "degree"),
+    (lambda f, d: transfer_identity_check(
+        f, CorrelatedFamily.create([0.5, 0.0], 0.2), 0.25, degree=d),
+     "degree"),
+    (lambda f, d: three_spheres_check(f, [0.5, 0.0], 0.2, 0.25, degree=d),
+     "degree"),
+    (lambda f, d: three_balls_check(f, [0.5, 0.0], 0.2, 0.25, degree=d),
+     "degree"),
+    (lambda f, d: embedded_bound_check(f, [0.6, 0.0], 0.2, 0.3, 0.6,
+                                       degree=d), "degree"),
+    (lambda f, d: embedding_identity_check(f, [0.2, 0.0], 0.8, g_degree=d),
+     "g_degree"),
+], ids=["gradient", "derivative", "transfer", "three_spheres", "three_balls",
+        "embedded_bound", "embedding_identity"])
+def test_checks_refuse_a_degree_that_is_not_an_integer_by_name(check, name,
+                                                              bad):
+    # degree=2.5 was truncated to the degree-2 rules (a degree-8 f then
+    # passed on a wrong lhs), and nan and inf died on a bare ValueError or
+    # OverflowError; a whole float reads as its integer.  The embedding
+    # identity takes a real function on R^(n+5).
+    f = random_harmonic_polynomial(2, 4, seed=11)
+    if name == "g_degree":
+        g = random_harmonic_polynomial(7, 4, seed=11)
+        f = lambda p: g(p).real  # noqa: E731
+    with pytest.raises(OutOfRange, match=f"{name} must be an integer >= 0"):
+        check(f, bad)
+    assert check(f, 4.0) == check(f, 4)
 
 
 def test_convexity_rows_match_the_scalar_check():
